@@ -12,10 +12,10 @@ K_eff = K/(1 + K*delta/2); K -> inf recovers the Dirichlet ghost 2/delta.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (BoundaryField, CellField, Grid2D, boundary_adjacent_cells,
-                   boundary_face_lengths, boundary_normal_spacing)
+                   boundary_face_lengths, boundary_normal_spacing,
+                   boundary_transfer, minus_laplacian)
 from .linalg import LinearSystem, SolverFailure, cg_solve
 
 
@@ -29,25 +29,11 @@ def _as_boundary(g: Grid2D, sigma_inf) -> BoundaryField:
     return arr
 
 
-def _interior_laplacian(g: Grid2D) -> sp.csr_matrix:
-    """Minus the 5-point Laplacian with zero-flux boundary faces, on flat
-    cell indices (i*ny + j)."""
-    nx, ny = g.nx, g.ny
-    main_x = np.full(nx, 2.0)
-    main_x[0] = main_x[-1] = 1.0
-    lx1d = sp.diags([main_x, -np.ones(nx - 1), -np.ones(nx - 1)],
-                    [0, 1, -1]) / g.dx**2
-    main_y = np.full(ny, 2.0)
-    main_y[0] = main_y[-1] = 1.0
-    ly1d = sp.diags([main_y, -np.ones(ny - 1), -np.ones(ny - 1)],
-                    [0, 1, -1]) / g.dy**2
-    return (sp.kron(lx1d, sp.identity(ny)) +
-            sp.kron(sp.identity(nx), ly1d)).tocsr()
-
-
 def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
                              mode: str = "robin",
                              extra_rhs: CellField | None = None) -> LinearSystem:
+    """-lap + h(phi) with the Robin (or Dirichlet) ghost closure; the
+    preconditioner is the exact solve with h replaced by its mean."""
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite phi passed to nutrient solve")
     sig_inf = _as_boundary(g, sigma_inf)
@@ -57,35 +43,31 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     h = np.asarray(spec.sources.h(phi), dtype=float)
     if np.any(h < 0):
         raise ValueError("(A4): h(phi) must be non-negative")
-    a = _interior_laplacian(g) + sp.diags(h.ravel())
-
-    delta = boundary_normal_spacing(g)
     if mode == "robin":
         K = spec.params.K
         if K <= 0:
             raise ValueError("(A1): boundary permeability K must be positive")
-        k_eff = K / (1.0 + K * delta / 2.0)
     elif mode == "dirichlet":
-        k_eff = 2.0 / delta
+        K = np.inf
     else:
         raise ValueError(f"unknown nutrient mode {mode!r}")
+    op = minus_laplacian(g, K)
+    a = op.plus_diagonal(h.ravel())
 
-    cells = boundary_adjacent_cells(g)
-    diag_add = np.zeros(g.n_cells)
-    np.add.at(diag_add, cells, k_eff / delta)
-    a = (a + sp.diags(diag_add)).tocsr()
-    a.sort_indices()
-
+    delta = boundary_normal_spacing(g)
     b = np.zeros(g.n_cells)
-    np.add.at(b, cells, k_eff * sig_inf / delta)
+    np.add.at(b, boundary_adjacent_cells(g),
+              boundary_transfer(K, delta) * sig_inf / delta)
     if extra_rhs is not None:
         b += np.asarray(extra_rhs, dtype=float).ravel()
-    return LinearSystem(a, b)
+    h_mean = float(np.mean(h))
+    return LinearSystem(a, b, lambda v: op.solve(v, shift=h_mean))
 
 
 def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol):
     system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs)
-    x, stats = cg_solve(system.matrix, system.rhs, tol=tol)
+    x, stats = cg_solve(system.matrix, system.rhs, tol=tol,
+                        precond=system.precond)
     if not stats.converged:
         raise SolverFailure(
             f"nutrient {mode} solve did not converge "

@@ -11,14 +11,20 @@ Layout conventions used everywhere in this package:
                    (bottom, right, top, left), each side traversed in
                    increasing coordinate; total length 2*(nx+ny)
 
-All operators are pure functions of their inputs.
+All operators are pure functions of their inputs.  Geometry-only
+operators are cached per (Grid2D, boundary term); Grid2D is frozen and
+hashable, and the cached objects are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
+
+from .linalg import KroneckerOperator
 
 CellField = np.ndarray
 BoundaryField = np.ndarray
@@ -234,3 +240,69 @@ def boundary_normal_spacing(g: Grid2D) -> np.ndarray:
         np.full(g.nx, g.dy), np.full(g.ny, g.dx),
         np.full(g.nx, g.dy), np.full(g.ny, g.dx),
     ])
+
+
+# cell-centered Laplacian ---------------------------------------------------
+
+def boundary_transfer(K: float, delta):
+    """Effective transfer coefficient of a boundary face whose ghost value
+    is eliminated from the Robin condition d_n u = K*(u_inf - u) at the face
+    centre: the face flux becomes K_eff*(u_inf - u_c) with
+    K_eff = K/(1 + K*delta/2); K = inf gives the Dirichlet ghost 2/delta and
+    K = 0 the zero-flux face."""
+    if np.isinf(K):
+        return 2.0 / np.asarray(delta, dtype=float)
+    return K / (1.0 + K * np.asarray(delta, dtype=float) / 2.0)
+
+
+def _second_difference(n: int, h: float, end: float) -> np.ndarray:
+    """Minus the 3-point second difference on n cells of width h with
+    zero-flux ends, plus ``end`` on the first and last diagonal entries."""
+    t = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    t[0, 0] = t[-1, -1] = 1.0 / h**2 + end
+    return t
+
+
+@lru_cache(maxsize=32)
+def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
+    """Minus the 5-point Laplacian on flat cell indices (i*ny + j) with every
+    boundary face closed by ``boundary_transfer(K, delta)``: K = 0 zero flux
+    (the Cahn-Hilliard operator), K > 0 Robin (the nutrient), K = inf the
+    Dirichlet ghost (the Dirichlet nutrient and the Darcy pressure)."""
+    end_x = float(boundary_transfer(K, g.dx)) / g.dx
+    end_y = float(boundary_transfer(K, g.dy)) / g.dy
+    return KroneckerOperator(_second_difference(g.nx, g.dx, end_x),
+                             _second_difference(g.ny, g.dy, end_y))
+
+
+@lru_cache(maxsize=32)
+def _div_grad_scatter(g: Grid2D):
+    """Sparse map from interior-face weights (x faces, then y faces, each
+    flattened) to the data of div(w grad .) stored in the pattern of
+    ``minus_laplacian(g).matrix``."""
+    pattern = minus_laplacian(g).matrix
+    n = g.n_cells
+    cell = np.arange(n).reshape(g.nx, g.ny)
+    lo = np.concatenate([cell[:-1, :].ravel(), cell[:, :-1].ravel()])
+    hi = np.concatenate([cell[1:, :].ravel(), cell[:, 1:].ravel()])
+    rows = np.concatenate([lo, lo, hi, hi])
+    cols = np.concatenate([lo, hi, hi, lo])
+    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], lo.size)
+    # CSR entry keys row*n + col are sorted, so each (row, col) is found by
+    # bisection; duplicate slots (the diagonal) are summed
+    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n \
+        + pattern.indices
+    slot = np.searchsorted(keys, rows * n + cols)
+    scatter = sp.csr_matrix((sign, (slot, np.tile(np.arange(lo.size), 4))),
+                            shape=(pattern.nnz, lo.size))
+    for arr in (scatter.data, scatter.indices, scatter.indptr):
+        arr.flags.writeable = False
+    return scatter
+
+
+def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
+    """div(m grad .) with zero-flux boundary faces on flat cell indices,
+    in the pattern of ``minus_laplacian(g).matrix``; symmetric NSD."""
+    w = np.concatenate([(m_face.x[1:-1, :] / g.dx**2).ravel(),
+                        (m_face.y[:, 1:-1] / g.dy**2).ravel()])
+    return minus_laplacian(g).in_pattern(_div_grad_scatter(g) @ w)

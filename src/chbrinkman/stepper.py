@@ -17,6 +17,7 @@ the iterate range when sources vanish, chi = 0 and v = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +26,9 @@ from .elliptic import solve_nutrient_robin
 from .flow import (FlowSolution, face_average, solve_brinkman, solve_darcy,
                    viscous_dissipation)
 from .grid import (CellField, FaceField, Grid2D, advect_upwind,
-                   boundary_flux_integral, face_zeros, gradient_to_faces,
-                   integrate_cells, laplacian_neumann)
+                   boundary_flux_integral, div_m_grad, face_zeros,
+                   gradient_to_faces, integrate_cells, laplacian_neumann,
+                   minus_laplacian)
 from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
@@ -137,43 +139,29 @@ def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
             - spec.params.chi * sigma)
 
 
-def _div_m_grad_matrix(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
-    """div(m grad .) with zero-flux boundary faces; symmetric NSD."""
-    nx, ny = g.nx, g.ny
-    nc = nx * ny
+@lru_cache(maxsize=8)
+def _ch_pattern(g: Grid2D):
+    """CSR index arrays of the CH matrix [[I, P], [P, I]], P the 5-point
+    pattern of ``minus_laplacian(g)``, and the gather that places the
+    concatenated block data (I, block 12, block 21, I) into its slots.
+    Found once by assembling the blocks with their entry numbers as data."""
+    p = minus_laplacian(g).matrix
+    nc = g.n_cells
+    eye = sp.identity(nc, format="csr")
+    first = np.cumsum([0, nc, p.nnz, p.nnz])
 
-    def c_idx(i, j):
-        return i * ny + j
+    def numbered(m, start):
+        return sp.csr_matrix((np.arange(start, start + m.nnz, dtype=float),
+                              m.indices, m.indptr), shape=m.shape)
 
-    rows, cols, vals = [], [], []
-    mx = m_face.x[1:-1, :]  # interior x-faces, shape (nx-1, ny)
-    ii, jj = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-    left = c_idx(ii, jj).ravel()
-    right = c_idx(ii + 1, jj).ravel()
-    w = (mx / g.dx**2).ravel()
-    rows += [left, left, right, right]
-    cols += [left, right, right, left]
-    vals += [-w, w, -w, w]
-
-    my = m_face.y[:, 1:-1]
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-    lo = c_idx(ii, jj).ravel()
-    hi = c_idx(ii, jj + 1).ravel()
-    w = (my / g.dy**2).ravel()
-    rows += [lo, lo, hi, hi]
-    cols += [lo, hi, hi, lo]
-    vals += [-w, w, -w, w]
-
-    a = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nc, nc))
+    a = sp.bmat([[numbered(eye, first[0]), numbered(p, first[1])],
+                 [numbered(p, first[2]), numbered(eye, first[3])]],
+                format="csr")
     a.sort_indices()
-    return a
-
-
-def _neumann_laplacian_matrix(g: Grid2D) -> sp.csr_matrix:
-    ones = FaceField(np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
-    return _div_m_grad_matrix(g, ones)
+    gather = a.data.astype(np.intp)
+    for arr in (a.indptr, a.indices, gather):
+        arr.flags.writeable = False
+    return a.indptr, a.indices, gather
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
@@ -185,6 +173,8 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     residual does not pollute the discrete mass identity; the symmetric
     mu scaling balances the off-diagonal blocks at sqrt(dt*eps)*|lap|,
     which keeps the attainable BiCGStab accuracy well below tolerance.
+    The preconditioner is the exact solve of the same system with the
+    mobility replaced by its mean.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -198,14 +188,18 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    m_face = face_average(g, np.asarray(spec.mobility.m(phi_n), dtype=float))
-    eye = sp.identity(nc, format="csr")
-    a = sp.bmat([
-        [eye, -(cfg.dt * c) * _div_m_grad_matrix(g, m_face)],
-        [(eps / c) * _neumann_laplacian_matrix(g) - (s_stab / (eps * c)) * eye,
-         eye],
-    ], format="csr")
-    a.sort_indices()
+    m_cells = np.asarray(spec.mobility.m(phi_n), dtype=float)
+    lap = minus_laplacian(g)
+    # [[I, -dt*c*div(m grad)], [(eps/c)*lap - S/(eps*c)*I, I]]
+    ones = np.ones(nc)
+    data = np.concatenate([
+        ones, -(cfg.dt * c) * div_m_grad(g, face_average(g, m_cells)).data,
+        lap.plus_diagonal(-s_stab / (eps * c), scale=-eps / c).data, ones])
+    indptr, indices, gather = _ch_pattern(g)
+    a = sp.csr_matrix((data[gather], indices, indptr), shape=(2 * nc, 2 * nc))
+    # the same blocks as alpha*I + beta*T with T = -lap
+    blocks = (((1.0, 0.0), (0.0, cfg.dt * c * float(np.mean(m_cells)))),
+              ((-s_stab / (eps * c), -eps / c), (1.0, 0.0)))
 
     gamma_phi = eval_source_gamma_phi(spec.sources, phi_n, state.sigma)
     rhs1 = phi_n - cfg.dt * advect_upwind(g, phi_n, state.vel) \
@@ -213,7 +207,9 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     rhs2 = ((dpsi_n - s_stab * phi_n) / eps
             - spec.params.chi * state.sigma) / c
     scale = np.concatenate([np.ones(nc), np.full(nc, c)])
-    return LinearSystem(a, np.concatenate([rhs1.ravel(), rhs2.ravel()])), scale
+    system = LinearSystem(a, np.concatenate([rhs1.ravel(), rhs2.ravel()]),
+                          lambda v: lap.solve_pair(v, blocks))
+    return system, scale
 
 
 def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
@@ -223,7 +219,8 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     caller is responsible for refreshing sigma first (step() does).
     """
     system, scale = assemble_ch_system(g, state, spec, cfg)
-    x, stats = bicgstab_solve(system.matrix, system.rhs, tol=cfg.tol_ch, ell=4)
+    x, stats = bicgstab_solve(system.matrix, system.rhs, tol=cfg.tol_ch,
+                              precond=system.precond, ell=4)
     if not stats.converged:
         raise SolverFailure(
             f"Cahn-Hilliard solve did not converge (residual "

@@ -133,6 +133,28 @@ def test_darcy_matches_dense_lu_oracle(rng):
     assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
 
 
+def test_darcy_limit_visc_reference_converges():
+    # the vanishing-viscosity study's Darcy reference at 64x64 with a disc of
+    # radius 0.26: Jacobi CG stalled at a residual of 3.6e-10 here
+    from chbrinkman.model import SourceSpec, smooth_blend
+
+    g = Grid2D(64, 64)
+    xc, yc = g.cell_centers()
+    phi = np.tanh((0.26 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
+    mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
+    sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
+    spec = ModelSpec(params=ModelParams(nu=1.0, chi=0.5),
+                     viscosity=constant_viscosity(0.02, 0.01),
+                     sources=SourceSpec(b_v=smooth_blend(0.0, 0.2),
+                                        f_v=smooth_blend(-0.05, 0.05),
+                                        b_phi=smooth_blend(0.0, 0.1),
+                                        f_phi=smooth_blend(0.0, 0.0),
+                                        h=smooth_blend(0.5, 1.0)))
+    sol = solve_darcy(g, phi, mu, sigma, spec)
+    assert sol.stats.converged
+    assert sol.div_residual <= 1e-10
+
+
 def test_darcy_gradient_identity_on_interior_faces(rng):
     # F = grad(q) makes v = (grad(q) - grad(p))/nu on interior faces exactly
     g = Grid2D(16, 16)

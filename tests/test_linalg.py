@@ -1,8 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from chbrinkman import bicgstab_solve, cg_solve
+from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec, State,
+                        StepConfig, bicgstab_solve, blended_mobility, cg_solve,
+                        constant_mobility, face_zeros,
+                        smooth_blend, solve_darcy, solve_nutrient_robin,
+                        zero_sources)
+from chbrinkman.elliptic import assemble_nutrient_system
+from chbrinkman.flow import assemble_darcy_pressure_system
+from chbrinkman.harness import passthrough_sources
+from chbrinkman.stepper import assemble_ch_system, ch_update
 from conftest import dense_solve
 
 
@@ -179,3 +190,100 @@ def test_bicgstab_zero_rhs():
     a = upwind_advection_diffusion(8)
     x, stats = bicgstab_solve(a, np.zeros(64))
     assert np.all(x == 0.0) and stats.converged
+
+
+# fast-diagonalization preconditioner -------------------------------------
+
+grids = st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                  st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+
+
+def assert_exact_preconditioner(system):
+    """For constant coefficients the preconditioner is the operator's
+    inverse: compare it with dense LU of the assembled matrix."""
+    x_lu = dense_solve(system.matrix, system.rhs)
+    x_fd = system.precond(system.rhs)
+    assert np.linalg.norm(x_fd - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
+
+
+def disc(g, radius=0.25, width=0.1):
+    xc, yc = g.cell_centers()
+    r = np.sqrt((xc - 0.5 * g.lx) ** 2 + (yc - 0.5 * g.ly) ** 2)
+    return np.tanh((radius - r) / width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.floats(1e-2, 1e4), st.floats(0.0, 10.0),
+       st.sampled_from(["robin", "dirichlet"]), st.integers(0, 2**32 - 1))
+def test_fast_solve_matches_dense_lu_nutrient(g, K, h, mode, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(params=ModelParams(K=K), sources=zero_sources(h))
+    sigma_inf = rng.uniform(0.0, 2.0, g.n_boundary_faces())
+    system = assemble_nutrient_system(
+        g, disc(g), spec, sigma_inf, mode=mode,
+        extra_rhs=rng.standard_normal((g.nx, g.ny)))
+    assert_exact_preconditioner(system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_fast_solve_matches_dense_lu_darcy(g, nu, seed):
+    rng = np.random.default_rng(seed)
+    force = FaceField(rng.standard_normal((g.nx + 1, g.ny)),
+                      rng.standard_normal((g.nx, g.ny + 1)))
+    system = assemble_darcy_pressure_system(
+        g, rng.standard_normal((g.nx, g.ny)), nu, force)
+    assert_exact_preconditioner(system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.floats(1e-5, 1e-2), st.floats(0.01, 0.5),
+       st.floats(0.0, 4.0), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
+                                                    seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(params=ModelParams(epsilon=eps),
+                     mobility=constant_mobility(m))
+    cfg = StepConfig(dt=dt, stabilization=s_stab, flow_mode="none")
+    shape = (g.nx, g.ny)
+    state = State(0.0, rng.uniform(-1.0, 1.0, shape), np.zeros(shape),
+                  rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape))
+    system, _ = assemble_ch_system(g, state, spec, cfg)
+    assert_exact_preconditioner(system)
+
+
+def ch_state(g, phi):
+    shape = (g.nx, g.ny)
+    return State(0.0, phi, np.zeros(shape), np.full(shape, 0.5),
+                 face_zeros(g), np.zeros(shape))
+
+
+def test_constant_coefficient_solves_need_no_iteration():
+    g = Grid2D(64, 64)
+    phi = disc(g)
+    xc, yc = g.cell_centers()
+    mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
+    _, n_stats = solve_nutrient_robin(g, phi, ModelSpec(
+        params=ModelParams(K=100.0), sources=zero_sources(1.0)), 1.0)
+    spec = ModelSpec(params=ModelParams(epsilon=0.05),
+                     mobility=constant_mobility(1.0))
+    _, _, ch_stats = ch_update(g, ch_state(g, phi), spec,
+                               StepConfig(dt=2e-4, flow_mode="darcy"))
+    darcy = solve_darcy(g, phi, mu, 0.5 + 0.0 * phi,
+                        ModelSpec(params=ModelParams(nu=1.0),
+                                  sources=passthrough_sources()))
+    for stats in (n_stats, ch_stats, darcy.stats):
+        assert stats.converged and stats.iterations <= 1
+
+
+def test_variable_coefficient_solves_converge_in_few_iterations():
+    g = Grid2D(64, 64)
+    phi = disc(g)
+    spec = ModelSpec(params=ModelParams(epsilon=0.05),
+                     mobility=blended_mobility(0.1, 1.0))
+    _, _, ch_stats = ch_update(g, ch_state(g, phi), spec,
+                               StepConfig(dt=2e-4, flow_mode="darcy"))
+    sources = dataclasses.replace(zero_sources(), h=smooth_blend(0.5, 1.0))
+    _, n_stats = solve_nutrient_robin(g, phi, ModelSpec(sources=sources), 1.0)
+    for stats in (ch_stats, n_stats):
+        assert stats.converged and 1 <= stats.iterations <= 10
