@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -380,16 +381,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _diagnostics_line(row) -> str:
+    """One CSV line of a row (step, t, energy, mass, dissipation,
+    boundary_flux, source_mass, div_residual, energy_residual,
+    mass_residual)."""
+    return ",".join([str(int(row[0]))] + [_fmt(v) for v in row[1:]]) + "\n"
+
+
 def write_csv_diagnostics(rows, path: str):
-    """rows: iterables (step, t, energy, mass, dissipation, boundary_flux,
-    source_mass, div_residual, energy_residual, mass_residual)."""
+    """The header and one line per row, in the format ``run`` streams."""
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(DIAGNOSTICS_HEADER + "\n")
-            for row in rows:
-                step_idx = int(row[0])
-                f.write(",".join([str(step_idx)] + [_fmt(v) for v in row[1:]])
-                        + "\n")
+            f.writelines(_diagnostics_line(row) for row in rows)
     except OSError as err:
         raise IOError(f"cannot write diagnostics CSV {path!r}: {err}") from err
 
@@ -435,9 +439,9 @@ def write_vtk(state, grid: Grid2D, path: str):
 
 
 def run_simulation(cfg: SimConfig) -> int:
-    """Execute the time loop; returns the process exit status."""
-    import os
-
+    """Execute the time loop; returns the process exit status.  Each
+    diagnostics row is written and flushed as it is produced, so a run that
+    stops early leaves the rows it reached."""
     g = cfg.grid
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -449,21 +453,28 @@ def run_simulation(cfg: SimConfig) -> int:
     k = 0
     try:
         state = initialize_state(g, cfg.spec, cfg.stepping)
-        rows = [(0, state.t, energy(g, state.phi, cfg.spec),
-                 integrate_cells(g, state.phi),
-                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
-        if cfg.field_stride:
-            write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
-        for k in range(1, cfg.n_steps + 1):
-            state, diag = step(g, state, cfg.spec, cfg.stepping)
-            if k % cfg.diagnostics_stride == 0:
-                rows.append((k, state.t, diag.energy, diag.mass,
-                             diag.dissipation, diag.boundary_flux,
-                             diag.source_mass, diag.div_residual,
-                             diag.energy_residual, diag.mass_residual))
-            if cfg.field_stride and k % cfg.field_stride == 0:
-                write_vtk(state, g, f"{cfg.out_dir}/state_{k:06d}.vtk")
-        write_csv_diagnostics(rows, f"{cfg.out_dir}/diagnostics.csv")
+        with open(f"{cfg.out_dir}/diagnostics.csv", "w",
+                  encoding="utf-8") as csv:
+            csv.write(DIAGNOSTICS_HEADER + "\n")
+
+            def record(row):
+                csv.write(_diagnostics_line(row))
+                csv.flush()
+
+            record((0, state.t, energy(g, state.phi, cfg.spec),
+                    integrate_cells(g, state.phi),
+                    0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            if cfg.field_stride:
+                write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
+            for k in range(1, cfg.n_steps + 1):
+                state, diag = step(g, state, cfg.spec, cfg.stepping)
+                if k % cfg.diagnostics_stride == 0:
+                    record((k, state.t, diag.energy, diag.mass,
+                            diag.dissipation, diag.boundary_flux,
+                            diag.source_mass, diag.div_residual,
+                            diag.energy_residual, diag.mass_residual))
+                if cfg.field_stride and k % cfg.field_stride == 0:
+                    write_vtk(state, g, f"{cfg.out_dir}/state_{k:06d}.vtk")
     except CflViolation as err:
         print(f"config error at step {k}: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -537,8 +548,6 @@ def _cmd_limit_k(args) -> int:
 
 
 def _cmd_limit_visc(args) -> int:
-    from .model import ModelParams
-
     g, phi = _default_limit_setup()
     xc, yc = g.cell_centers()
     mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)

@@ -9,7 +9,9 @@ The momentum operator is assembled from the discrete energy form
 (one-sided tangential differences at boundary nodes).  The traction-free
 condition is then the natural boundary condition and comes out identical to
 the half-cell flux closure with boundary traction set to zero; the velocity
-block is symmetric positive semidefinite by construction.  Continuity rows
+block is symmetric positive semidefinite by construction.  The strain
+samples come from the cached ``grid.strain_operators`` and the dissipation
+diagnostics evaluate this same form, so they equal v^T A v.  Continuity rows
 enforce div(v) = Gamma_v exactly at every cell (solved, not penalized).
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 
 from .grid import (CellField, FaceField, Grid2D, divergence_of_faces,
                    face_volumes, gradient_to_faces, minus_laplacian,
-                   norm_l2_cells)
+                   norm_l2_cells, strain_operators)
 from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,
                      cg_solve)
 from .model import eval_source_gamma_v
@@ -55,96 +57,23 @@ def face_average(g: Grid2D, f: CellField) -> FaceField:
     return FaceField(ax, ay)
 
 
-def _node_weights_and_eta(g: Grid2D, eta_c: CellField):
-    """Node quadrature weight (patch area) and node viscosity (mean of the
-    adjacent cells) for the off-diagonal strain term."""
-    nx, ny = g.nx, g.ny
-    count = np.zeros((nx + 1, ny + 1))
-    eta_sum = np.zeros((nx + 1, ny + 1))
-    for di in (0, 1):
-        for dj in (0, 1):
-            count[di:nx + di, dj:ny + dj] += 1.0
-            eta_sum[di:nx + di, dj:ny + dj] += eta_c
-    eta_n = eta_sum / count
-    w_n = count / 4.0 * g.cell_volume
-    return w_n, eta_n
+def _stacked(vel: FaceField) -> np.ndarray:
+    """Face values in the order of the Brinkman unknowns: x faces, then y
+    faces, each flattened C-order."""
+    return np.concatenate([vel.x.ravel(), vel.y.ravel()])
 
 
-def _strain_operators(g: Grid2D):
-    """Sparse operators from stacked (vx, vy) unknowns to strain samples.
-
-    Returns (d_cell_x, d_cell_y, dxy) where d_cell_x: cells x nvx gives
-    dvx/dx at cells, d_cell_y: cells x nvy gives dvy/dy at cells, and
-    dxy: nodes x (nvx+nvy) gives (dvx/dy + dvy/dx)/2 at nodes with one-sided
-    differences on boundary nodes.
-    """
-    nx, ny = g.nx, g.ny
-    nvx = (nx + 1) * ny
-    nvy = nx * (ny + 1)
-    nc = nx * ny
-    nn = (nx + 1) * (ny + 1)
-
-    def vx_idx(i, j):
-        return i * ny + j
-
-    def vy_idx(i, j):
-        return i * (ny + 1) + j
-
-    def c_idx(i, j):
-        return i * ny + j
-
-    def n_idx(i, j):
-        return i * (ny + 1) + j
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    rows = c_idx(ii, jj).ravel()
-    # dvx/dx at cells
-    data = np.concatenate([np.full(nc, 1.0 / g.dx), np.full(nc, -1.0 / g.dx)])
-    cols = np.concatenate([vx_idx(ii + 1, jj).ravel(), vx_idx(ii, jj).ravel()])
-    d_cell_x = sp.csr_matrix((data, (np.tile(rows, 2), cols)), shape=(nc, nvx))
-    # dvy/dy at cells
-    data = np.concatenate([np.full(nc, 1.0 / g.dy), np.full(nc, -1.0 / g.dy)])
-    cols = np.concatenate([vy_idx(ii, jj + 1).ravel(), vy_idx(ii, jj).ravel()])
-    d_cell_y = sp.csr_matrix((data, (np.tile(rows, 2), cols)), shape=(nc, nvy))
-
-    # dvx/dy at nodes (i = 0..nx, j = 0..ny); one-sided at j = 0 and j = ny
-    r, cplus, cminus = [], [], []
-    for jn in range(ny + 1):
-        jp, jm = jn, jn - 1
-        if jn == 0:
-            jp, jm = 1, 0
-        elif jn == ny:
-            jp, jm = ny - 1, ny - 2
-        i_all = np.arange(nx + 1)
-        r.append(n_idx(i_all, jn))
-        cplus.append(vx_idx(i_all, jp))
-        cminus.append(vx_idx(i_all, jm))
-    r = np.concatenate(r)
-    data = np.concatenate([np.full(r.size, 0.5 / g.dy),
-                           np.full(r.size, -0.5 / g.dy)])
-    cols = np.concatenate([np.concatenate(cplus), np.concatenate(cminus)])
-    dxy_x = sp.csr_matrix((data, (np.tile(r, 2), cols)), shape=(nn, nvx))
-
-    # dvy/dx at nodes; one-sided at i = 0 and i = nx
-    r, cplus, cminus = [], [], []
-    for i in range(nx + 1):
-        ip, im = i, i - 1
-        if i == 0:
-            ip, im = 1, 0
-        elif i == nx:
-            ip, im = nx - 1, nx - 2
-        j_all = np.arange(ny + 1)
-        r.append(n_idx(np.full(ny + 1, i), j_all))
-        cplus.append(vy_idx(np.full(ny + 1, ip), j_all))
-        cminus.append(vy_idx(np.full(ny + 1, im), j_all))
-    r = np.concatenate(r)
-    data = np.concatenate([np.full(r.size, 0.5 / g.dx),
-                           np.full(r.size, -0.5 / g.dx)])
-    cols = np.concatenate([np.concatenate(cplus), np.concatenate(cminus)])
-    dxy_y = sp.csr_matrix((data, (np.tile(r, 2), cols)), shape=(nn, nvy))
-
-    dxy = sp.hstack([dxy_x, dxy_y]).tocsr()
-    return d_cell_x, d_cell_y, dxy
+def _shear_weights(g: Grid2D, phi: CellField, spec) -> np.ndarray:
+    """Quadrature weights of the shear terms at the rows of
+    ``strain_operators(g).shear``: 2*eta*vol at cells (for dvx/dx, then for
+    dvy/dy) and 4*eta_n*w_n at nodes.  With eta_n the mean of the k cells
+    around a node and w_n = k*vol/4 its patch area, 4*eta_n*w_n is vol
+    times the sum of eta over those cells."""
+    vol = g.cell_volume
+    eta = np.asarray(spec.viscosity.eta(phi), dtype=float).ravel()
+    two_eta = 2.0 * vol * eta
+    return np.concatenate([two_eta, two_eta,
+                           vol * (strain_operators(g).node_sum @ eta)])
 
 
 def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
@@ -158,34 +87,23 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     unknown_scale * solution_of(LinearSystem).
     """
     nu = spec.params.nu
-    eta_c = np.asarray(spec.viscosity.eta(phi), dtype=float)
-    lam_c = np.asarray(spec.viscosity.lam(phi), dtype=float)
-    if nu <= 0 and np.max(eta_c) <= 0:
+    w_shear = _shear_weights(g, phi, spec)
+    if nu <= 0 and np.max(w_shear) <= 0:
         raise ValueError("singular Brinkman assembly: nu <= 0 with eta <= 0")
 
-    nc = g.n_cells
+    ops = strain_operators(g)
+    lam = np.asarray(spec.viscosity.lam(phi), dtype=float).ravel()
     vol_c = g.cell_volume
-
-    d_cell_x, d_cell_y, dxy = _strain_operators(g)
-    div_op = sp.hstack([d_cell_x, d_cell_y]).tocsr()
-
-    w_n, eta_n = _node_weights_and_eta(g, eta_c)
-    two_eta = sp.diags(2.0 * eta_c.ravel() * vol_c)
-    a_visc = sp.bmat([
-        [d_cell_x.T @ two_eta @ d_cell_x, None],
-        [None, d_cell_y.T @ two_eta @ d_cell_y],
-    ]) + div_op.T @ sp.diags(lam_c.ravel() * vol_c) @ div_op \
-        + dxy.T @ sp.diags(4.0 * (eta_n * w_n).ravel()) @ dxy
-
     wx, wy = face_volumes(g)
     vol_f = np.concatenate([wx.ravel(), wy.ravel()])
-    a_mom = a_visc + sp.diags(nu * vol_f)
+    a_mom = ops.shear.T @ sp.diags(w_shear) @ ops.shear \
+        + ops.div.T @ sp.diags(lam * vol_c) @ ops.div \
+        + sp.diags(nu * vol_f)
 
-    g_block = -(div_op.T) * vol_c
+    g_block = -(ops.div.T) * vol_c
     a_full = sp.bmat([[a_mom, g_block],
                       [g_block.T, None]], format="csr")
-    rhs = np.concatenate([vol_f * np.concatenate([force.x.ravel(),
-                                                  force.y.ravel()]),
+    rhs = np.concatenate([vol_f * _stacked(force),
                           -vol_c * np.asarray(gamma_v, dtype=float).ravel()])
 
     # symmetric rescale: pressure columns and continuity rows by 1/dx so the
@@ -290,46 +208,24 @@ def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     return FlowSolution(vel, p, stats, div_res)
 
 
-# strain diagnostics ----------------------------------------------------------
-
-def _strain_samples(g: Grid2D, vel: FaceField):
-    """(dxx, dyy) at cells and the off-diagonal component at nodes averaged
-    to cells (one-sided boundary-node differences)."""
-    dxx = (vel.x[1:, :] - vel.x[:-1, :]) / g.dx
-    dyy = (vel.y[:, 1:] - vel.y[:, :-1]) / g.dy
-
-    nx, ny = g.nx, g.ny
-    dvx_dy = np.empty((nx + 1, ny + 1))
-    dvx_dy[:, 1:-1] = (vel.x[:, 1:] - vel.x[:, :-1]) / g.dy
-    dvx_dy[:, 0] = dvx_dy[:, 1]
-    dvx_dy[:, -1] = dvx_dy[:, -2]
-    dvy_dx = np.empty((nx + 1, ny + 1))
-    dvy_dx[1:-1, :] = (vel.y[1:, :] - vel.y[:-1, :]) / g.dx
-    dvy_dx[0, :] = dvy_dx[1, :]
-    dvy_dx[-1, :] = dvy_dx[-2, :]
-    dxy_nodes = 0.5 * (dvx_dy + dvy_dx)
-    dxy_cells = 0.25 * (dxy_nodes[:-1, :-1] + dxy_nodes[1:, :-1] +
-                        dxy_nodes[:-1, 1:] + dxy_nodes[1:, 1:])
-    return dxx, dyy, dxy_cells
-
+# dissipation diagnostics ---------------------------------------------------
 
 def shear_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     """int 2*eta(phi)*|Dv|^2 alone (the part of the viscous energy that
-    dies out in the Darcy limit)."""
-    eta_c = np.asarray(spec.viscosity.eta(phi), dtype=float)
-    dxx, dyy, dxy = _strain_samples(g, vel)
-    return float(np.sum(2.0 * eta_c * (dxx**2 + dyy**2 + 2.0 * dxy**2))
-                 * g.cell_volume)
+    dies out in the Darcy limit): the shear terms of the Brinkman energy
+    form, diagonal strain at cells and off-diagonal at nodes."""
+    strain = strain_operators(g).shear @ _stacked(vel)
+    return float(_shear_weights(g, phi, spec) @ strain**2)
 
 
 def viscous_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
-    """Discrete int 2*eta(phi)|Dv|^2 + lam(phi)(div v)^2 + nu|v|^2 with the
-    diagonal strain at cells, the off-diagonal at nodes averaged to cells,
-    and face quadrature for the friction term."""
-    lam_c = np.asarray(spec.viscosity.lam(phi), dtype=float)
-    div_v = divergence_of_faces(g, vel)
-    out = shear_dissipation(g, vel, phi, spec)
-    out += float(np.sum(lam_c * div_v**2) * g.cell_volume)
+    """Discrete int 2*eta(phi)|Dv|^2 + lam(phi)(div v)^2 + nu|v|^2: the
+    energy form v^T A v of the assembled Brinkman momentum block, from the
+    same strain operators and quadrature weights."""
+    lam = np.asarray(spec.viscosity.lam(phi), dtype=float).ravel()
+    div_v = strain_operators(g).div @ _stacked(vel)
     wx, wy = face_volumes(g)
-    out += spec.params.nu * float(np.sum(wx * vel.x**2) + np.sum(wy * vel.y**2))
-    return out
+    return (shear_dissipation(g, vel, phi, spec)
+            + g.cell_volume * float(lam @ div_v**2)
+            + spec.params.nu * float(np.sum(wx * vel.x**2)
+                                     + np.sum(wy * vel.y**2)))

@@ -275,6 +275,14 @@ def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
                              _second_difference(g.ny, g.dy, end_y))
 
 
+def _read_only(m) -> sp.csr_matrix:
+    m = sp.csr_matrix(m)
+    m.sort_indices()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
 @lru_cache(maxsize=32)
 def _div_grad_scatter(g: Grid2D):
     """Sparse map from interior-face weights (x faces, then y faces, each
@@ -293,11 +301,9 @@ def _div_grad_scatter(g: Grid2D):
     keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n \
         + pattern.indices
     slot = np.searchsorted(keys, rows * n + cols)
-    scatter = sp.csr_matrix((sign, (slot, np.tile(np.arange(lo.size), 4))),
-                            shape=(pattern.nnz, lo.size))
-    for arr in (scatter.data, scatter.indices, scatter.indptr):
-        arr.flags.writeable = False
-    return scatter
+    return _read_only(sp.csr_matrix(
+        (sign, (slot, np.tile(np.arange(lo.size), 4))),
+        shape=(pattern.nnz, lo.size)))
 
 
 def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
@@ -306,3 +312,49 @@ def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
     w = np.concatenate([(m_face.x[1:-1, :] / g.dx**2).ravel(),
                         (m_face.y[:, 1:-1] / g.dy**2).ravel()])
     return minus_laplacian(g).in_pattern(_div_grad_scatter(g) @ w)
+
+
+# staggered strain geometry -------------------------------------------------
+
+def _cell_difference(n: int, h: float) -> sp.csr_matrix:
+    """(n x n+1): difference across each of n cells of width h."""
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
+                    format="csr")
+
+
+@dataclass(frozen=True)
+class StrainOperators:
+    """The staggered strain geometry of one grid, read-only, on the stacked
+    face unknowns (x faces, then y faces, each flattened C-order).
+
+    ``shear`` maps stacked v to dvx/dx and dvy/dy at cells, then
+    (dvx/dy + dvy/dx)/2 at nodes (one-sided at boundary nodes); ``div``
+    maps it to div v at cells; ``node_sum`` maps a flattened cell field to
+    the sum of the cell values around each node.
+    """
+
+    shear: sp.csr_matrix
+    div: sp.csr_matrix
+    node_sum: sp.csr_matrix
+
+
+@lru_cache(maxsize=32)
+def strain_operators(g: Grid2D) -> StrainOperators:
+    """The strain geometry of g as Kronecker products of 1D pieces, built
+    once per grid; the Brinkman matrix and the viscous dissipation are both
+    evaluated from it."""
+    cell, node, touch = [], [], []
+    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
+        cell.append(_cell_difference(n, h))
+        # an end node takes the difference of its neighbour (one-sided)
+        node.append(_cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]])
+        touch.append(sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
+    nx, ny = g.nx, g.ny
+    d_xx = sp.kron(cell[0], sp.identity(ny))
+    d_yy = sp.kron(sp.identity(nx), cell[1])
+    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node[1]),
+                            sp.kron(node[0], sp.identity(ny + 1))])
+    return StrainOperators(
+        shear=_read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy])),
+        div=_read_only(sp.hstack([d_xx, d_yy])),
+        node_sum=_read_only(sp.kron(touch[0], touch[1])))

@@ -142,26 +142,23 @@ def _preconditioned_start(a, b, tol, bnorm, precond):
 
 
 def cg_solve(a, b, tol: float = 1e-10, max_iter: int | None = None,
-             mean_free: bool = False, precond=None):
+             precond=None):
     """Preconditioned conjugate gradients.
 
     ``precond`` applies an SPD approximation of A^-1 to a vector; the
     iteration then starts from x0 = precond(b) and returns it with 0
     iterations when its true residual already meets the tolerance.  Without
-    it, Jacobi preconditioning from a zero initial guess.
-    ``mean_free=True`` projects b onto the range of a singular Neumann-type
-    operator (subtracts the mean) before solving.  Returns (x, SolveStats);
-    the reported residual is the recomputed true residual ||Ax-b||_2.
+    it, Jacobi preconditioning from a zero initial guess.  Returns
+    (x, SolveStats); the reported residual is the recomputed true residual
+    ||Ax-b||_2.
     """
     a = _as_csr(a)
-    b = np.asarray(b, dtype=float).ravel().copy()
+    b = np.asarray(b, dtype=float).ravel()
     n = b.size
     if max_iter is None:
         max_iter = 10 * n
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if mean_free:
-        b -= b.mean()
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:

@@ -28,7 +28,7 @@ from .flow import (FlowSolution, face_average, solve_brinkman, solve_darcy,
 from .grid import (CellField, FaceField, Grid2D, advect_upwind,
                    boundary_flux_integral, div_m_grad, face_zeros,
                    gradient_to_faces, integrate_cells, laplacian_neumann,
-                   minus_laplacian)
+                   minus_laplacian, strain_operators)
 from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
@@ -242,13 +242,19 @@ def _solve_flow(g, phi, mu, sigma, spec, cfg) -> FlowSolution:
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     """phi0 from the descriptor, sigma0 from the Robin solve, mu0 from the
-    chemical-potential relation, v0 from one flow solve."""
+    chemical-potential relation, v0 from one flow solve.  Also builds the
+    grid's strain geometry, which every step's dissipation uses."""
     phi0 = build_phi0(spec.phi0, g)
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, 0.0)
     sigma0, _ = solve_nutrient_robin(g, phi0, spec, sig_inf,
                                      tol=cfg.tol_nutrient)
     mu0 = chemical_potential(g, phi0, sigma0, spec)
     flow0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
+    # built here rather than lazily in the first step: there its long-lived
+    # arrays fill the heap holes that the step's temporaries leave, and the
+    # CH update's temporaries then grow and trim the top of the heap on
+    # every later step (about 160 page faults per 64x64 Darcy step)
+    strain_operators(g)
     return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p)
 
 

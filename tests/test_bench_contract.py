@@ -1,0 +1,48 @@
+"""The traced benchmark run (perfbench/spans.py) binds package names by
+module attribute; a refactor that renames or drops one breaks the per-layer
+metrics.  The tracer patches modules in place, so it runs in a subprocess."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from chbrinkman import (Grid2D, ModelSpec, RandomPerturbation, StepConfig,
+                        initialize_state, step)
+g = Grid2D(8, 8)
+spec = ModelSpec(phi0=RandomPerturbation(seed=1, amplitude=0.1),
+                 sigma_inf=1.0)
+for mode in ("brinkman", "darcy"):
+    cfg = StepConfig(dt=1e-4, flow_mode=mode)
+    state = initialize_state(g, spec, cfg)
+    for _ in range(2):
+        state, _ = step(g, state, spec, cfg)
+print(json.dumps({"names": sorted({s[0] for s in tracer.spans}),
+                  "metrics": spans.layer_metrics(tracer.spans, 0.0, 1)}))
+"""
+
+
+def test_traced_benchmark_run_binds_every_layer():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    done = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert {"stepper.viscous_dissipation", "assemble:flow.brinkman",
+            "assemble:flow.darcy", "assemble:stepper.ch",
+            "assemble:elliptic.robin", "linalg.bicgstab"} <= set(out["names"])
+    assert out["metrics"] and all(math.isfinite(v)
+                                  for v in out["metrics"].values())

@@ -214,6 +214,19 @@ def test_solver_failure_reports_stage_and_step(tmp_path, capsys):
     assert "cahn-hilliard" in err and "step 1" in err
 
 
+def test_solver_failure_leaves_rows_reached(tmp_path):
+    raw = fixed_point_config(tmp_path)
+    raw["model"]["phi0"] = {"variant": "random", "seed": 1,
+                            "amplitude": 0.01}
+    raw["stepping"]["tol_ch"] = 1e-300  # CH fails at step 1
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfgpath)]) == 3
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == DIAGNOSTICS_HEADER
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
 def test_config_error_exit_code(tmp_path):
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text("{} garbage")

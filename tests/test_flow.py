@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
-                        constant_viscosity, face_zeros, gradient_to_faces,
-                        norm_l2_cells, solve_brinkman, solve_darcy,
-                        viscous_dissipation, zero_sources)
-from chbrinkman.flow import assemble_brinkman_system, shear_dissipation
+                        blended_viscosity, constant_viscosity,
+                        eval_source_gamma_v, face_zeros, gradient_to_faces,
+                        integrate_cells, norm_l2_cells, solve_brinkman,
+                        solve_darcy, viscous_dissipation, zero_sources)
+from chbrinkman.flow import (assemble_brinkman_system, brinkman_force,
+                             shear_dissipation)
+from chbrinkman.grid import face_volumes
 from chbrinkman.harness import brinkman_manufactured, passthrough_sources
 from conftest import dense_solve
 
@@ -133,14 +137,15 @@ def test_darcy_matches_dense_lu_oracle(rng):
     assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
 
 
-def test_darcy_limit_visc_reference_converges():
-    # the vanishing-viscosity study's Darcy reference at 64x64 with a disc of
-    # radius 0.26: Jacobi CG stalled at a residual of 3.6e-10 here
+def limit_visc_fields(n, radius=0.25):
+    """The fields and model of the vanishing-viscosity study at n x n, with
+    a disc of the given radius."""
     from chbrinkman.model import SourceSpec, smooth_blend
 
-    g = Grid2D(64, 64)
+    g = Grid2D(n, n)
     xc, yc = g.cell_centers()
-    phi = np.tanh((0.26 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
+    phi = np.tanh((radius - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2))
+                  / 0.1)
     mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
     sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
     spec = ModelSpec(params=ModelParams(nu=1.0, chi=0.5),
@@ -150,6 +155,13 @@ def test_darcy_limit_visc_reference_converges():
                                         b_phi=smooth_blend(0.0, 0.1),
                                         f_phi=smooth_blend(0.0, 0.0),
                                         h=smooth_blend(0.5, 1.0)))
+    return g, phi, mu, sigma, spec
+
+
+def test_darcy_limit_visc_reference_converges():
+    # the vanishing-viscosity study's Darcy reference at 64x64 with a disc of
+    # radius 0.26: Jacobi CG stalled at a residual of 3.6e-10 here
+    g, phi, mu, sigma, spec = limit_visc_fields(64, radius=0.26)
     sol = solve_darcy(g, phi, mu, sigma, spec)
     assert sol.stats.converged
     assert sol.div_residual <= 1e-10
@@ -204,20 +216,7 @@ def test_viscous_dissipation_pure_shear():
 def test_brinkman_darcy_degeneracy_direction():
     # lowering (eta, lam) monotonically closes the gap to the Darcy solve
     import dataclasses
-    g = Grid2D(32, 32)
-    xc, yc = g.cell_centers()
-    phi = np.tanh((0.25 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
-    mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
-    sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
-    from chbrinkman.model import SourceSpec, smooth_blend
-    spec = ModelSpec(params=ModelParams(nu=1.0, chi=0.5),
-                     viscosity=constant_viscosity(0.02, 0.01),
-                     sources=SourceSpec(
-                         b_v=smooth_blend(0.0, 0.2),
-                         f_v=smooth_blend(-0.05, 0.05),
-                         b_phi=smooth_blend(0.0, 0.1),
-                         f_phi=smooth_blend(0.0, 0.0),
-                         h=smooth_blend(0.5, 1.0)))
+    g, phi, mu, sigma, spec = limit_visc_fields(32)
     darcy = solve_darcy(g, phi, mu, sigma, spec)
     gaps = []
     for s in (1.0, 0.1, 0.01, 0.001):
@@ -233,3 +232,50 @@ def test_shear_dissipation_nonnegative(rng):
     vel = FaceField(rng.standard_normal((11, 10)),
                     rng.standard_normal((10, 11)))
     assert shear_dissipation(g, vel, np.zeros((10, 10)), flow_spec()) >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                 st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.01, 1.0),
+       st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_dissipation_is_the_assembled_energy_form(g, eta_a, eta_b, lam_b, nu,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-2, 2, (g.nx, g.ny))
+    spec = ModelSpec(params=ModelParams(nu=nu),
+                     viscosity=blended_viscosity(eta_a, eta_b, 0.0, lam_b),
+                     sources=zero_sources(1.0))
+    vel = FaceField(rng.standard_normal((g.nx + 1, g.ny)),
+                    rng.standard_normal((g.nx, g.ny + 1)))
+    system, scale = assemble_brinkman_system(g, phi, spec,
+                                             np.zeros((g.nx, g.ny)),
+                                             face_zeros(g))
+    a = system.matrix
+    assert abs(a - a.T).max() <= 1e-13 * abs(a).max()
+    nv = vel.x.size + vel.y.size
+    a_mom = a[:nv, :nv].toarray() / np.outer(scale[:nv], scale[:nv])
+    v = np.concatenate([vel.x.ravel(), vel.y.ravel()])
+    total = viscous_dissipation(g, vel, phi, spec)
+    assert total == pytest.approx(v @ a_mom @ v, rel=1e-12)
+    assert 0.0 <= shear_dissipation(g, vel, phi, spec) <= total
+
+
+@pytest.mark.parametrize("viscosity", [
+    constant_viscosity(0.02, 0.01),
+    blended_viscosity(0.005, 0.05, 0.002, 0.02)])
+def test_dissipation_balances_force_and_pressure_work(viscosity):
+    # v^T A v = int F.v + int p div(v) for the solved v; the reported
+    # dissipation is that energy form to round-off, not a re-quadrature
+    import dataclasses
+
+    g, phi, mu, sigma, spec = limit_visc_fields(32)
+    spec = dataclasses.replace(spec, viscosity=viscosity)
+    sol = solve_brinkman(g, phi, mu, sigma, spec)
+    force = brinkman_force(g, phi, mu, sigma, spec, None)
+    wx, wy = face_volumes(g)
+    work = (np.sum(wx * force.x * sol.vel.x) + np.sum(wy * force.y * sol.vel.y)
+            + integrate_cells(g, sol.p * eval_source_gamma_v(spec.sources,
+                                                             phi, sigma)))
+    total = viscous_dissipation(g, sol.vel, phi, spec)
+    assert abs(total - work) <= 1e-9 * total
