@@ -14,6 +14,15 @@ samples come from the cached ``grid.strain_operators`` and the dissipation
 diagnostics evaluate this same form, so they equal v^T A v.  Continuity rows
 enforce div(v) = Gamma_v exactly at every cell (solved, not penalized).
 
+The saddle point is solved by BiCGStab(4) with a block upper-triangular
+preconditioner built from the mean viscosities (Elman, Silvester & Wathen,
+Finite Elements and Fast Iterative Solvers, ch. 8): the diagonal velocity
+blocks are inverted exactly for constant viscosity by fast diagonalization
+(``grid.velocity_blocks``), and the inverse pressure Schur complement by
+minus the Cahouet-Chabard approximation ((2*eta + lam)*I + nu*L_D^-1)/vol,
+with L_D the Darcy pressure operator -- at eta = lam = 0 the exact Darcy
+solve, so the Brinkman->Darcy limit carries into the preconditioner.
+
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - grad p)/nu where the
 gradient uses the same p = 0 ghost on boundary faces so that
@@ -29,7 +38,7 @@ import scipy.sparse as sp
 
 from .grid import (CellField, FaceField, Grid2D, divergence_of_faces,
                    face_volumes, gradient_to_faces, minus_laplacian,
-                   norm_l2_cells, strain_operators)
+                   norm_l2_cells, strain_operators, velocity_blocks)
 from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,
                      cg_solve)
 from .model import eval_source_gamma_v
@@ -63,17 +72,47 @@ def _stacked(vel: FaceField) -> np.ndarray:
     return np.concatenate([vel.x.ravel(), vel.y.ravel()])
 
 
-def _shear_weights(g: Grid2D, phi: CellField, spec) -> np.ndarray:
+def _cell_values(f, phi: CellField) -> np.ndarray:
+    """A coefficient of phi as a flat cell array."""
+    return np.asarray(f(phi), dtype=float).ravel()
+
+
+def _shear_weights(g: Grid2D, eta: np.ndarray) -> np.ndarray:
     """Quadrature weights of the shear terms at the rows of
-    ``strain_operators(g).shear``: 2*eta*vol at cells (for dvx/dx, then for
-    dvy/dy) and 4*eta_n*w_n at nodes.  With eta_n the mean of the k cells
-    around a node and w_n = k*vol/4 its patch area, 4*eta_n*w_n is vol
-    times the sum of eta over those cells."""
+    ``strain_operators(g).shear`` for the flat cell viscosity eta:
+    2*eta*vol at cells (for dvx/dx, then for dvy/dy) and 4*eta_n*w_n at
+    nodes.  With eta_n the mean of the k cells around a node and
+    w_n = k*vol/4 its patch area, 4*eta_n*w_n is vol times the sum of eta
+    over those cells."""
     vol = g.cell_volume
-    eta = np.asarray(spec.viscosity.eta(phi), dtype=float).ravel()
     two_eta = 2.0 * vol * eta
     return np.concatenate([two_eta, two_eta,
                            vol * (strain_operators(g).node_sum @ eta)])
+
+
+def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
+                             nu: float, scale: np.ndarray):
+    """Block upper-triangular approximation of the inverse of the scaled
+    Brinkman system with pressure-gradient block ``grad`` (G), for the mean
+    viscosities eta and lam: with r = v/scale,
+    p = -((2*eta + lam)*r_p + nu*L_D^-1 r_p)/vol, then
+    u = A^-1 (r_u - G p) block by block, and [u; p]/scale."""
+    block_x, block_y = velocity_blocks(g)
+    darcy = minus_laplacian(g, np.inf)
+    vol = g.cell_volume
+    strain = 2.0 * eta + lam
+    nvx = (g.nx + 1) * g.ny
+    nv = grad.shape[0]
+
+    def apply(v):
+        r = v / scale
+        p = -(strain * r[nv:] + nu * darcy.solve(r[nv:])) / vol
+        r_u = r[:nv] - grad @ p
+        u_x = block_x.solve(r_u[:nvx], nu, (strain, eta))
+        u_y = block_y.solve(r_u[nvx:], nu, (eta, strain))
+        return np.concatenate([u_x / vol, u_y / vol, p]) / scale
+
+    return apply
 
 
 def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
@@ -84,15 +123,17 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     continuity rows scaled by -vol_c so the pressure blocks are mutual
     transposes), then symmetrically Jacobi-scaled.  Returns
     (LinearSystem, unknown_scale): physical unknowns are
-    unknown_scale * solution_of(LinearSystem).
+    unknown_scale * solution_of(LinearSystem).  The system carries the
+    block-triangular preconditioner of the scaled matrix.
     """
     nu = spec.params.nu
-    w_shear = _shear_weights(g, phi, spec)
+    eta = _cell_values(spec.viscosity.eta, phi)
+    w_shear = _shear_weights(g, eta)
     if nu <= 0 and np.max(w_shear) <= 0:
         raise ValueError("singular Brinkman assembly: nu <= 0 with eta <= 0")
 
     ops = strain_operators(g)
-    lam = np.asarray(spec.viscosity.lam(phi), dtype=float).ravel()
+    lam = _cell_values(spec.viscosity.lam, phi)
     vol_c = g.cell_volume
     wx, wy = face_volumes(g)
     vol_f = np.concatenate([wx.ravel(), wy.ravel()])
@@ -117,7 +158,9 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     scale /= np.sqrt(d)
     a_scaled = (sp.diags(scale) @ a_full @ sp.diags(scale)).tocsr()
     a_scaled.sort_indices()
-    return LinearSystem(a_scaled, rhs * scale), scale
+    precond = _brinkman_preconditioner(g, g_block, float(np.mean(eta)),
+                                       float(np.mean(lam)), nu, scale)
+    return LinearSystem(a_scaled, rhs * scale, precond), scale
 
 
 def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
@@ -145,7 +188,8 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     solve_tol = tol
     for _ in range(3):
         x_scaled, stats = bicgstab_solve(system.matrix, system.rhs,
-                                         tol=solve_tol, ell=4)
+                                         tol=solve_tol,
+                                         precond=system.precond, ell=4)
         if not stats.converged:
             raise SolverFailure(
                 f"Brinkman solve did not converge (residual "
@@ -215,14 +259,15 @@ def shear_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     dies out in the Darcy limit): the shear terms of the Brinkman energy
     form, diagonal strain at cells and off-diagonal at nodes."""
     strain = strain_operators(g).shear @ _stacked(vel)
-    return float(_shear_weights(g, phi, spec) @ strain**2)
+    w_shear = _shear_weights(g, _cell_values(spec.viscosity.eta, phi))
+    return float(w_shear @ strain**2)
 
 
 def viscous_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     """Discrete int 2*eta(phi)|Dv|^2 + lam(phi)(div v)^2 + nu|v|^2: the
     energy form v^T A v of the assembled Brinkman momentum block, from the
     same strain operators and quadrature weights."""
-    lam = np.asarray(spec.viscosity.lam(phi), dtype=float).ravel()
+    lam = _cell_values(spec.viscosity.lam, phi)
     div_v = strain_operators(g).div @ _stacked(vel)
     wx, wy = face_volumes(g)
     return (shear_dissipation(g, vel, phi, spec)

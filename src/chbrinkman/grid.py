@@ -338,23 +338,53 @@ class StrainOperators:
     node_sum: sp.csr_matrix
 
 
+def _strain_pieces(n: int, h: float):
+    """The 1D strain pieces along one axis of n cells of width h: the cell
+    difference (n x n+1), the one-sided node difference (n+1 x n; an end
+    node takes the difference of its neighbour) and the node touch
+    (n+1 x n; the cells around each node)."""
+    return (_cell_difference(n, h),
+            _cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
+            sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
+
+
 @lru_cache(maxsize=32)
 def strain_operators(g: Grid2D) -> StrainOperators:
     """The strain geometry of g as Kronecker products of 1D pieces, built
     once per grid; the Brinkman matrix and the viscous dissipation are both
     evaluated from it."""
-    cell, node, touch = [], [], []
-    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
-        cell.append(_cell_difference(n, h))
-        # an end node takes the difference of its neighbour (one-sided)
-        node.append(_cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]])
-        touch.append(sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
+    (cell_x, node_x, touch_x), (cell_y, node_y, touch_y) = (
+        _strain_pieces(g.nx, g.dx), _strain_pieces(g.ny, g.dy))
     nx, ny = g.nx, g.ny
-    d_xx = sp.kron(cell[0], sp.identity(ny))
-    d_yy = sp.kron(sp.identity(nx), cell[1])
-    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node[1]),
-                            sp.kron(node[0], sp.identity(ny + 1))])
+    d_xx = sp.kron(cell_x, sp.identity(ny))
+    d_yy = sp.kron(sp.identity(nx), cell_y)
+    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
+                            sp.kron(node_x, sp.identity(ny + 1))])
     return StrainOperators(
         shear=_read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy])),
         div=_read_only(sp.hstack([d_xx, d_yy])),
-        node_sum=_read_only(sp.kron(touch[0], touch[1])))
+        node_sum=_read_only(sp.kron(touch_x, touch_y)))
+
+
+@lru_cache(maxsize=32)
+def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
+    """(x-face block, y-face block): the diagonal blocks of the Brinkman
+    momentum matrix for constant viscosities, over the cell volume, as
+    ``KroneckerOperator`` on the flat face indices.  On x faces
+
+        T = Cx^T Cx (x) I  +  Hx (x) Ny^T diag(ty) Ny / 2,   M = Hx (x) I,
+
+    with C the cell difference, N the one-sided node difference, t the node
+    touch counts (1, 2, ..., 2, 1) and H = diag(1/2, 1, ..., 1, 1/2) the
+    face volume weights: the block is then vol times T solved with weights
+    (2*eta + lam, eta) and shift nu.  The y faces mirror it, with weights
+    (eta, 2*eta + lam)."""
+    normal, tangent, mass = [], [], []
+    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
+        cell, node, touch = _strain_pieces(n, h)
+        t = touch @ np.ones(n)
+        normal.append((cell.T @ cell).toarray())
+        tangent.append(0.5 * (node.T @ sp.diags(t) @ node).toarray())
+        mass.append(0.5 * t)  # H: the faces sit at the nodes of this axis
+    return (KroneckerOperator(normal[0], tangent[1], mx=mass[0]),
+            KroneckerOperator(tangent[0], normal[1], my=mass[1]))

@@ -10,13 +10,15 @@ under our control.
 
 The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
-symmetric tridiagonal 1D factors.  ``KroneckerOperator`` holds T both as
-the assembled CSR matrix and as its eigendecomposition (fast
-diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), which solves
-a*I + b*T, or a 2x2 block of such operators, exactly in O(nx*ny*(nx+ny))
-with numpy alone.  It preconditions the Krylov solves with the mean of the
-variable coefficient, so a constant-coefficient solve needs no iteration;
-the Brinkman saddle point keeps Jacobi.
+symmetric tridiagonal 1D factors, and so is each diagonal velocity block
+of the Brinkman momentum matrix, up to a diagonal face-volume mass.
+``KroneckerOperator`` holds T both as the assembled CSR matrix and as its
+eigendecomposition (fast diagonalization, Lynch, Rice & Thomas, Numer.
+Math. 6, 1964), which solves a*I + b*T, or a 2x2 block of such operators,
+exactly in O(nx*ny*(nx+ny)) with numpy alone.  It preconditions the Krylov
+solves with the mean of the variable coefficient, so a constant-coefficient
+solve needs no iteration; the Brinkman saddle point is preconditioned by a
+block-triangular solve built from it (see ``flow``).
 """
 
 from __future__ import annotations
@@ -71,29 +73,39 @@ def jacobi_diagonal(a: sp.csr_matrix) -> np.ndarray:
 
 
 class KroneckerOperator:
-    """T = Tx (x) I + I (x) Ty on flat cell indices (i*ny + j), from the
-    dense symmetric tridiagonal 1D factors tx (nx x nx) and ty (ny x ny).
+    """T = Tx (x) My + Mx (x) Ty on flat indices (i*ny + j), from the dense
+    symmetric tridiagonal 1D factors tx (nx x nx) and ty (ny x ny) and the
+    positive diagonal masses mx and my (vectors; identity when omitted),
+    with mass M = Mx (x) My.
 
     ``matrix`` is T assembled by kron; ``solve`` and ``solve_pair`` invert
-    operators built from T through T = Q diag(lam) Q^T, Q = Qx (x) Qy, with
-    one eigh per factor done here.  Both come from the same factors, so the
-    preconditioner is exactly the assembled operator.  Instances are shared
-    through caches: nothing here is written after construction.
+    operators built from T and M through the generalized eigenproblem
+    T = M Q diag(lam) Q^T M, Q^T M Q = I, Q = Qx (x) Qy, with one eigh per
+    factor (of M^-1/2 T M^-1/2) done here.  Both come from the same
+    factors, so the preconditioner is exactly the assembled operator.
+    Instances are shared through caches: nothing here is written after
+    construction.
     """
 
-    def __init__(self, tx: np.ndarray, ty: np.ndarray):
+    def __init__(self, tx: np.ndarray, ty: np.ndarray,
+                 mx: np.ndarray | None = None, my: np.ndarray | None = None):
         nx, ny = tx.shape[0], ty.shape[0]
         self._shape = (nx, ny)
-        self.matrix = _as_csr(sp.kron(tx, sp.identity(ny))
-                              + sp.kron(sp.identity(nx), ty))
+        mx = np.ones(nx) if mx is None else np.asarray(mx, dtype=float)
+        my = np.ones(ny) if my is None else np.asarray(my, dtype=float)
+        self.matrix = _as_csr(sp.kron(tx, sp.diags(my))
+                              + sp.kron(sp.diags(mx), ty))
         rows = np.repeat(np.arange(nx * ny), np.diff(self.matrix.indptr))
         self._diagonal = np.flatnonzero(self.matrix.indices == rows)
-        lam_x, self._qx = np.linalg.eigh(tx)
-        lam_y, self._qy = np.linalg.eigh(ty)
-        self.eigenvalues = lam_x[:, None] + lam_y[None, :]
+        rx, ry = 1.0 / np.sqrt(mx), 1.0 / np.sqrt(my)
+        lam_x, qx = np.linalg.eigh(rx[:, None] * tx * rx)
+        lam_y, qy = np.linalg.eigh(ry[:, None] * ty * ry)
+        self._qx, self._qy = rx[:, None] * qx, ry[:, None] * qy
+        self._lam_x, self._lam_y = lam_x[:, None], lam_y[None, :]
+        self.eigenvalues = self._lam_x + self._lam_y
         for arr in (self.matrix.data, self.matrix.indices,
                     self.matrix.indptr, self._diagonal, self._qx, self._qy,
-                    self.eigenvalues):
+                    self._lam_x, self._lam_y, self.eigenvalues):
             arr.flags.writeable = False
 
     def in_pattern(self, data: np.ndarray) -> sp.csr_matrix:
@@ -114,13 +126,17 @@ class KroneckerOperator:
     def _from_modes(self, c):
         return (self._qx @ c @ self._qy.T).ravel()
 
-    def solve(self, b, shift: float = 0.0) -> np.ndarray:
-        """x with (T + shift*I) x = b."""
-        return self._from_modes(self._to_modes(b) / (self.eigenvalues + shift))
+    def solve(self, b, shift: float = 0.0, weights=None) -> np.ndarray:
+        """x with (T + shift*M) x = b, or with
+        (wx*Tx (x) My + wy*Mx (x) Ty + shift*M) x = b for
+        weights = (wx, wy)."""
+        lam = self.eigenvalues if weights is None else \
+            weights[0] * self._lam_x + weights[1] * self._lam_y
+        return self._from_modes(self._to_modes(b) / (lam + shift))
 
     def solve_pair(self, b, blocks) -> np.ndarray:
         """[x1; x2] with [[A11, A12], [A21, A22]] [x1; x2] = b, where
-        blocks[i][j] = (alpha, beta) gives Aij = alpha*I + beta*T; each mode
+        blocks[i][j] = (alpha, beta) gives Aij = alpha*M + beta*T; each mode
         is a 2x2 solve by Cramer's rule."""
         n = b.size // 2
         f, g = self._to_modes(b[:n]), self._to_modes(b[n:])

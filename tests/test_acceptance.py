@@ -16,7 +16,8 @@ import numpy as np
 import chbrinkman as chb
 from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
                         StepConfig, cg_solve, bicgstab_solve,
-                        blended_mobility, constant_viscosity,
+                        blended_mobility, blended_viscosity,
+                        constant_viscosity,
                         initialize_state, norm_l2_cells, step, validate,
                         zero_sources)
 from chbrinkman.cli import main as cli_main
@@ -79,7 +80,7 @@ def test_criterion_2_mms_convergence():
     t0 = time.monotonic()
     nut = mms_convergence("nutrient", levels=3, base_n=32)    # 32..128
     dar = mms_convergence("darcy", levels=3, base_n=32)       # 32..128
-    bri = mms_convergence("brinkman", levels=3, base_n=16)    # 16..64
+    bri = mms_convergence("brinkman", levels=4, base_n=16)    # 16..128
     elapsed = time.monotonic() - t0
     ok = nut.slope >= 1.9 and dar.slope >= 1.9 and bri.slope >= 0.9 \
         and elapsed < 120.0
@@ -318,9 +319,15 @@ def test_criterion_9_oracle_equivalence(rng):
     system = assemble_darcy_pressure_system(g, gamma, vspec.params.nu, force)
     replay("darcy", system, cg_solve)
 
-    # Brinkman monolithic solve, BiCGStab(4), Jacobi only
+    # Brinkman monolithic solve, BiCGStab(4), constant viscosity and a
+    # blend of contrast 100
     system, _ = assemble_brinkman_system(g, phi, vspec, gamma, force)
     replay("brinkman", system, bicgstab_solve, ell=4)
+    bvspec = dataclasses.replace(vspec,
+                                 viscosity=blended_viscosity(0.01, 1.0, 0.0,
+                                                             0.5))
+    system, _ = assemble_brinkman_system(g, phi, bvspec, gamma, force)
+    replay("brinkman-blend-eta", system, bicgstab_solve, ell=4)
 
     # Cahn-Hilliard pair solve, BiCGStab(4), constant and blended mobility
     cspec = coupled_brinkman_spec()
