@@ -13,6 +13,9 @@ block is symmetric positive semidefinite by construction.  The strain
 samples come from the cached ``grid.strain_operators`` and the dissipation
 diagnostics evaluate this same form, so they equal v^T A v.  Continuity rows
 enforce div(v) = Gamma_v exactly at every cell (solved, not penalized).
+The saddle-point pattern depends on the grid alone: ``grid.saddle_pattern``
+builds it once from those rows, and each assembly only fills in the
+quadrature weights of phi.
 
 The saddle point is solved by BiCGStab(4) with a block upper-triangular
 preconditioner built from the mean viscosities (Elman, Silvester & Wathen,
@@ -38,7 +41,8 @@ import scipy.sparse as sp
 
 from .grid import (CellField, FaceField, Grid2D, divergence_of_faces,
                    face_volumes, gradient_to_faces, minus_laplacian,
-                   norm_l2_cells, strain_operators, velocity_blocks)
+                   norm_l2_cells, saddle_pattern, strain_operators,
+                   velocity_blocks)
 from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,
                      cg_solve)
 from .model import eval_source_gamma_v
@@ -119,9 +123,11 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
                              gamma_v: CellField, force: FaceField):
     """Monolithic staggered system in (vx, vy, p).
 
-    Assembled in the symmetric energy form (momentum rows volume-weighted,
-    continuity rows scaled by -vol_c so the pressure blocks are mutual
-    transposes), then symmetrically Jacobi-scaled.  Returns
+    The symmetric energy form (momentum rows volume-weighted, continuity
+    rows scaled by -vol_c so the pressure blocks are mutual transposes) is
+    filled into the cached ``grid.saddle_pattern``: the quadrature weights
+    of phi go through its scatter, and the result is symmetrically
+    Jacobi-scaled in place, sharing the pattern's index arrays.  Returns
     (LinearSystem, unknown_scale): physical unknowns are
     unknown_scale * solution_of(LinearSystem).  The system carries the
     block-triangular preconditioner of the scaled matrix.
@@ -132,33 +138,30 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     if nu <= 0 and np.max(w_shear) <= 0:
         raise ValueError("singular Brinkman assembly: nu <= 0 with eta <= 0")
 
-    ops = strain_operators(g)
+    pattern = saddle_pattern(g)
     lam = _cell_values(spec.viscosity.lam, phi)
     vol_c = g.cell_volume
     wx, wy = face_volumes(g)
     vol_f = np.concatenate([wx.ravel(), wy.ravel()])
-    a_mom = ops.shear.T @ sp.diags(w_shear) @ ops.shear \
-        + ops.div.T @ sp.diags(lam * vol_c) @ ops.div \
-        + sp.diags(nu * vol_f)
-
-    g_block = -(ops.div.T) * vol_c
-    a_full = sp.bmat([[a_mom, g_block],
-                      [g_block.T, None]], format="csr")
+    data = pattern.scatter @ np.concatenate([w_shear, lam * vol_c,
+                                             nu * vol_f])
+    data += pattern.const.data
     rhs = np.concatenate([vol_f * _stacked(force),
                           -vol_c * np.asarray(gamma_v, dtype=float).ravel()])
 
     # symmetric rescale: pressure columns and continuity rows by 1/dx so the
     # Krylov tolerance lands on the continuity block at the Gamma_v scale,
-    # then Jacobi-symmetric scaling of the whole system
-    alpha = 1.0 / min(g.dx, g.dy)
-    scale = np.ones(a_full.shape[0])
-    scale[a_mom.shape[0]:] = alpha
-    d = np.abs(a_full.diagonal()) * scale**2
+    # then Jacobi-symmetric scaling of the whole system (the continuity rows
+    # have no diagonal)
+    d = np.abs(data[pattern.diagonal])
     d[d == 0.0] = 1.0
-    scale /= np.sqrt(d)
-    a_scaled = (sp.diags(scale) @ a_full @ sp.diags(scale)).tocsr()
-    a_scaled.sort_indices()
-    precond = _brinkman_preconditioner(g, g_block, float(np.mean(eta)),
+    scale = np.concatenate([1.0 / np.sqrt(d),
+                            np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
+    data *= scale[pattern.rows]
+    data *= scale[pattern.const.indices]
+    a_scaled = sp.csr_matrix((data, pattern.const.indices,
+                              pattern.const.indptr), shape=pattern.const.shape)
+    precond = _brinkman_preconditioner(g, pattern.grad, float(np.mean(eta)),
                                        float(np.mean(lam)), nu, scale)
     return LinearSystem(a_scaled, rhs * scale, precond), scale
 

@@ -276,11 +276,27 @@ def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
 
 
 def _read_only(m) -> sp.csr_matrix:
+    """m as sorted CSR without stored zeros (kron of small factors stores
+    some), with read-only arrays."""
     m = sp.csr_matrix(m)
+    m.eliminate_zeros()
     m.sort_indices()
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
+
+
+def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
+    """Position in ``pattern.data`` of each stored entry (rows[k], cols[k])
+    of the sorted CSR ``pattern``, found by bisection in the sorted entry
+    keys row*n + col.  The keys are int64: at 128^2 the Brinkman system has
+    n = 49,408 columns, and row*n overflows int32."""
+    n = np.int64(pattern.shape[1])
+    keys = np.repeat(np.arange(pattern.shape[0], dtype=np.int64),
+                     np.diff(pattern.indptr)) * n + pattern.indices
+    wanted = np.multiply(rows, n, dtype=np.int64)
+    wanted += cols
+    return np.searchsorted(keys, wanted)
 
 
 @lru_cache(maxsize=32)
@@ -289,18 +305,13 @@ def _div_grad_scatter(g: Grid2D):
     flattened) to the data of div(w grad .) stored in the pattern of
     ``minus_laplacian(g).matrix``."""
     pattern = minus_laplacian(g).matrix
-    n = g.n_cells
-    cell = np.arange(n).reshape(g.nx, g.ny)
+    cell = np.arange(g.n_cells).reshape(g.nx, g.ny)
     lo = np.concatenate([cell[:-1, :].ravel(), cell[:, :-1].ravel()])
     hi = np.concatenate([cell[1:, :].ravel(), cell[:, 1:].ravel()])
-    rows = np.concatenate([lo, lo, hi, hi])
-    cols = np.concatenate([lo, hi, hi, lo])
     sign = np.repeat([-1.0, 1.0, -1.0, 1.0], lo.size)
-    # CSR entry keys row*n + col are sorted, so each (row, col) is found by
-    # bisection; duplicate slots (the diagonal) are summed
-    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n \
-        + pattern.indices
-    slot = np.searchsorted(keys, rows * n + cols)
+    # duplicate slots (the diagonal) are summed
+    slot = csr_slots(pattern, np.concatenate([lo, lo, hi, hi]),
+                     np.concatenate([lo, hi, hi, lo]))
     return _read_only(sp.csr_matrix(
         (sign, (slot, np.tile(np.arange(lo.size), 4))),
         shape=(pattern.nnz, lo.size)))
@@ -364,6 +375,58 @@ def strain_operators(g: Grid2D) -> StrainOperators:
         shear=_read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy])),
         div=_read_only(sp.hstack([d_xx, d_yy])),
         node_sum=_read_only(sp.kron(touch_x, touch_y)))
+
+
+@dataclass(frozen=True)
+class SaddlePattern:
+    """The Brinkman saddle-point matrix [[A, G], [G^T, 0]] of one grid as a
+    read-only pattern.  ``scatter`` maps the weights w of the energy form
+    v^T A v = sum_r w_r (E v)_r^2, E = [shear; div; I], to the data of A in
+    the pattern of ``const``, whose data holds G = -div^T*vol (``grad``) and
+    G^T; ``rows`` is the row of each stored entry, ``diagonal`` the slots
+    of A's diagonal."""
+
+    const: sp.csr_matrix
+    scatter: sp.csc_matrix
+    grad: sp.csr_matrix
+    rows: np.ndarray
+    diagonal: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def saddle_pattern(g: Grid2D) -> SaddlePattern:
+    """The pattern of g, from the rows E of ``strain_operators`` once per
+    grid: each pair of entries (r, i), (r, j) of E puts E[r,i]*E[r,j] at
+    the slot of (i, j) in scatter column r."""
+    ops = strain_operators(g)
+    nv = ops.div.shape[1]
+    energy = sp.vstack([ops.shear, ops.div, sp.identity(nv)], format="csr")
+    grad = _read_only(-(ops.div.T) * g.cell_volume)
+    full = sp.bmat([[abs(energy).T @ abs(energy), grad], [grad.T, None]],
+                   format="csr")
+    full.sort_indices()
+    rows = np.repeat(np.arange(full.shape[0], dtype=np.int32),
+                     np.diff(full.indptr))
+    full.data[(rows < nv) & (full.indices < nv)] = 0.0
+    # row r of E has count[r] entries and count[r]**2 consecutive pairs:
+    # each of its entries (left) meets every entry of the row (right)
+    count = np.diff(energy.indptr)
+    repeat = np.repeat(count, count)
+    first = np.cumsum(repeat, dtype=np.int32) - repeat  # first pair of left
+    left = np.repeat(np.arange(energy.nnz, dtype=np.int32), repeat)
+    right = np.arange(left.size, dtype=np.int32)
+    right -= np.repeat(first - np.repeat(energy.indptr[:-1], count), repeat)
+    slots = csr_slots(full, energy.indices[left],
+                      energy.indices[right]).astype(np.int32)
+    scatter = sp.csc_matrix(
+        (energy.data[left] * energy.data[right], slots,
+         np.concatenate([[0], np.cumsum(count**2)])),
+        shape=(full.nnz, energy.shape[0]))
+    diagonal = np.flatnonzero(full.indices == rows).astype(np.int32)
+    for arr in (full.data, full.indices, full.indptr, scatter.data,
+                scatter.indices, scatter.indptr, rows, diagonal):
+        arr.flags.writeable = False
+    return SaddlePattern(full, scatter, grad, rows, diagonal)
 
 
 @lru_cache(maxsize=32)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chbrinkman import (Grid2D, ModelParams, ModelSpec, boundary_trace,
                         solve_nutrient_dirichlet, solve_nutrient_robin,
@@ -128,6 +129,21 @@ def test_robin_matrix_symmetric_positive_definite(rng):
         h = rng.standard_normal(g.n_cells)
         assert f @ (a @ h) == pytest.approx(h @ (a @ f), rel=1e-12)
         assert f @ (a @ f) > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                 st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       st.floats(0.01, 1e4), st.integers(0, 2**32 - 1))
+def test_nutrient_matrix_symmetric(g, K, seed):
+    # random h(phi) >= 0 on the diagonal and the Robin closure keep it so
+    assume(g.lx != g.ly)
+    phi = np.random.default_rng(seed).uniform(-2, 2, (g.nx, g.ny))
+    spec = dataclasses.replace(
+        spec_with(0.0, K=K),
+        sources=dataclasses.replace(zero_sources(), h=np.abs))
+    a = assemble_nutrient_system(g, phi, spec, 1.0, mode="robin").matrix
+    assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
 def test_rejects_nonfinite_inputs():

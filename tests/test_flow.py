@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
@@ -7,9 +8,10 @@ from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
                         eval_source_gamma_v, face_zeros, gradient_to_faces,
                         integrate_cells, norm_l2_cells, solve_brinkman,
                         solve_darcy, viscous_dissipation, zero_sources)
-from chbrinkman.flow import (assemble_brinkman_system, brinkman_force,
-                             shear_dissipation)
-from chbrinkman.grid import face_volumes, velocity_blocks
+from chbrinkman.flow import (_shear_weights, assemble_brinkman_system,
+                             brinkman_force, shear_dissipation)
+from chbrinkman.grid import (face_volumes, saddle_pattern, strain_operators,
+                             velocity_blocks)
 from chbrinkman.harness import brinkman_manufactured, passthrough_sources
 from conftest import dense_solve
 
@@ -91,6 +93,97 @@ def test_brinkman_rejects_fully_singular_assembly():
                       sources=zero_sources())
     with pytest.raises(ValueError, match="singular"):
         solve_brinkman(g, zero, zero, zero, spec0)
+
+
+def saddle_reference(g, eta, lam, nu):
+    """The scaled Brinkman matrix and scale by sparse triple products:
+    S^T diag(w) S + D^T diag(lam*vol) D + nu*diag(vol_f), G = -D^T*vol."""
+    ops, vol = strain_operators(g), g.cell_volume
+    vol_f = np.concatenate([w.ravel() for w in face_volumes(g)])
+    a = (ops.shear.T @ sp.diags(_shear_weights(g, eta)) @ ops.shear
+         + ops.div.T @ sp.diags(lam * vol) @ ops.div + sp.diags(nu * vol_f))
+    full = sp.bmat([[a, -ops.div.T * vol], [-ops.div * vol, None]], "csr")
+    scale = np.concatenate([np.ones(vol_f.size),
+                            np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
+    d = np.abs(full.diagonal()) * scale**2
+    scale /= np.sqrt(np.where(d == 0.0, 1.0, d))
+    out = (sp.diags(scale) @ full @ sp.diags(scale)).tocsr()
+    out.sort_indices()
+    return out, scale
+
+
+def assemble_zero_data(g, phi, spec):
+    zero = np.zeros((g.nx, g.ny))
+    return assemble_brinkman_system(g, phi, spec, zero, face_zeros(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                 st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.01, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_brinkman_matrix_fills_the_energy_form(g, eta_a, eta_b, lam_a, lam_b,
+                                               nu, seed):
+    # the pattern fill equals the triple products to round-off, keeps the
+    # pattern of a generic positive viscosity (where no entry cancels) for
+    # every phi and stays symmetric
+    assume(g.lx != g.ly)
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-2, 2, (g.nx, g.ny))
+    viscosity = blended_viscosity(eta_a, eta_b, lam_a, lam_b)
+    system, scale = assemble_zero_data(
+        g, phi, ModelSpec(params=ModelParams(nu=nu), viscosity=viscosity,
+                          sources=zero_sources(1.0)))
+    ref, ref_scale = saddle_reference(g, viscosity.eta(phi).ravel(),
+                                      viscosity.lam(phi).ravel(), nu)
+    a = system.matrix
+    assert abs(a - ref).max() <= 1e-14 * abs(ref).max()
+    assert np.allclose(scale, ref_scale, rtol=1e-14, atol=0.0)
+    full, _ = saddle_reference(g, rng.uniform(1, 2, g.n_cells),
+                               rng.uniform(1, 2, g.n_cells), nu)
+    assert a.nnz == full.nnz
+    assert abs(a - a.T).max() <= 1e-15 * abs(a).max()
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_brinkman_matrix_exact_for_constant_viscosity(n):
+    # the viscosity of the tumour runs: the fill rounds like the triple
+    # products here, so such runs reproduce bit for bit
+    g = Grid2D(n, n)
+    spec = flow_spec(eta=0.05, lam=0.0, nu=1.0)
+    system, scale = assemble_zero_data(g, np.zeros((n, n)), spec)
+    ref, ref_scale = saddle_reference(g, np.full(g.n_cells, 0.05),
+                                      np.zeros(g.n_cells), 1.0)
+    a = system.matrix
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.array_equal(a.data, ref.data)
+    assert np.array_equal(scale, ref_scale)
+
+
+def test_brinkman_assembly_fills_one_cached_pattern():
+    # every assembly on a grid shares the cached read-only index arrays, so
+    # no step rebuilds them; 428,292 entries is the 128^2 saddle point
+    g = Grid2D(128, 128)
+    xc, _ = g.cell_centers()
+    spec = ModelSpec(params=ModelParams(nu=1.0),
+                     viscosity=blended_viscosity(0.01, 1.0, 0.0, 0.1),
+                     sources=zero_sources(1.0))
+    first, _ = assemble_zero_data(g, np.tanh(xc - 0.5), spec)
+    second, _ = assemble_zero_data(g, -np.tanh(xc - 0.5), spec)
+    assert not np.array_equal(first.matrix.data, second.matrix.data)
+    for name in ("indices", "indptr"):
+        one, two = (getattr(s.matrix, name) for s in (first, second))
+        assert np.shares_memory(one, two)
+        assert not one.flags.writeable
+    pattern = saddle_pattern(g)
+    for arr in (pattern.scatter.data, pattern.scatter.indices,
+                pattern.const.data, pattern.rows, pattern.diagonal,
+                pattern.grad.data):
+        assert not arr.flags.writeable
+    assert first.matrix.nnz == 428_292
 
 
 def test_darcy_zero_data():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from chbrinkman import (FaceField, Grid2D, advect_upwind,
                         boundary_flux_integral, divergence_of_faces,
                         face_zeros, gradient_to_faces, integrate_cells,
                         laplacian_neumann)
 from chbrinkman.grid import (boundary_face_lengths, boundary_pack,
-                            strain_operators)
+                            csr_slots, face_volumes, strain_operators)
+
+grids = st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                  st.floats(0.5, 2.0), st.floats(0.5, 2.0))
 
 
 def random_cell(g, rng):
@@ -68,17 +73,32 @@ def test_div_grad_equals_laplacian():
     assert np.allclose(composed, laplacian_neumann(g, f), atol=1e-13)
 
 
-def test_summation_by_parts(rng):
-    g = Grid2D(10, 13, 1.3, 0.7)
+@settings(max_examples=40, deadline=None)
+@given(grids, st.integers(0, 2**32 - 1))
+def test_summation_by_parts(g, seed):
+    # <div w, f> + <w, grad f> is the boundary flux of f*w, so div is the
+    # volume-weighted adjoint of -grad on face fields with w.n = 0
+    assume(g.lx != g.ly)
+    rng = np.random.default_rng(seed)
     f = random_cell(g, rng)
-    w = random_face(g, rng)
-    vol = g.cell_volume
-    lhs = np.sum(divergence_of_faces(g, w) * f) * vol
     grad = gradient_to_faces(g, f)
-    lhs += (np.sum(w.x * grad.x) + np.sum(w.y * grad.y)) * vol
+    wx, wy = face_volumes(g)
+
+    def pairing(w):
+        terms = np.concatenate([
+            (divergence_of_faces(g, w) * f).ravel() * g.cell_volume,
+            (wx * w.x * grad.x).ravel(), (wy * w.y * grad.y).ravel()])
+        return terms.sum(), np.abs(terms).sum()
+
+    w = random_face(g, rng)
+    total, size = pairing(w)
     boundary = (np.sum(w.x[-1, :] * f[-1, :]) - np.sum(w.x[0, :] * f[0, :])) * g.dy
     boundary += (np.sum(w.y[:, -1] * f[:, -1]) - np.sum(w.y[:, 0] * f[:, 0])) * g.dx
-    assert lhs == pytest.approx(boundary, abs=1e-12)
+    assert total == pytest.approx(boundary, abs=1e-14 * size)
+    w.x[[0, -1], :] = 0.0
+    w.y[:, [0, -1]] = 0.0
+    total, size = pairing(w)
+    assert abs(total) <= 1e-14 * size
 
 
 def test_laplacian_annihilates_constants():
@@ -152,13 +172,19 @@ def test_boundary_flux_unit_outward_normal():
     assert flux == pytest.approx(4.0)
 
 
-def test_boundary_flux_matches_advect_integral(rng):
-    g = Grid2D(11, 9, 1.4, 0.8)
+@settings(max_examples=40, deadline=None)
+@given(grids, st.integers(0, 2**32 - 1))
+def test_boundary_flux_matches_advect_integral(g, seed):
+    # the mass identity: the upwind advection telescopes to the boundary flux
+    assume(g.lx != g.ly)
+    rng = np.random.default_rng(seed)
     phi = random_cell(g, rng)
     vel = random_face(g, rng)
     lhs = integrate_cells(g, advect_upwind(g, phi, vel))
     rhs = boundary_flux_integral(g, phi, vel)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    size = np.max(np.abs(phi)) * (np.sum(np.abs(vel.x)) * g.dy
+                                  + np.sum(np.abs(vel.y)) * g.dx)
+    assert abs(lhs - rhs) <= 1e-14 * size
 
 
 def test_advect_zero_velocity():
@@ -251,3 +277,15 @@ def test_strain_operators_sample_linear_fields_exactly():
     assert count[0, 0] == 1.0 and count[0, 1] == 2.0 and count[1, 1] == 4.0
     assert count.sum() * g.cell_volume / 4.0 == pytest.approx(g.lx * g.ly)
     assert strain_operators(g) is ops and not ops.shear.data.flags.writeable
+
+
+def test_csr_slots_do_not_overflow_int32():
+    # n = 50,000 makes row*n pass 2^31 from row 42,950 on
+    n = 50_000
+    pattern = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
+                       format="csr")
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pattern.indptr))
+    pick = np.arange(pattern.nnz - 1, -1, -7)
+    slots = csr_slots(pattern, rows[pick], pattern.indices[pick])
+    assert pattern.indices.dtype == np.int32
+    assert np.array_equal(slots, pick)
