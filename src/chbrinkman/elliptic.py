@@ -66,8 +66,7 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
 
 def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol):
     system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs)
-    x, stats = cg_solve(system.matrix, system.rhs, tol=tol,
-                        precond=system.precond)
+    x, stats = cg_solve(system.matrix, system.rhs, system.precond, tol=tol)
     if not stats.converged:
         raise SolverFailure(
             f"nutrient {mode} solve did not converge "

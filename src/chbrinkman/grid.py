@@ -190,17 +190,6 @@ def boundary_pack(g: Grid2D, bottom, right, top, left) -> BoundaryField:
     return np.concatenate([bottom, right, top, left])
 
 
-def boundary_unpack(g: Grid2D, b: BoundaryField):
-    """Split a packed boundary field into (bottom, right, top, left)."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (g.n_boundary_faces(),):
-        raise ValueError(
-            f"boundary field must have length {g.n_boundary_faces()}, got {b.shape}"
-        )
-    nx, ny = g.nx, g.ny
-    return b[:nx], b[nx:nx + ny], b[nx + ny:2 * nx + ny], b[2 * nx + ny:]
-
-
 def boundary_constant(g: Grid2D, value: float) -> BoundaryField:
     return np.full(g.n_boundary_faces(), float(value))
 

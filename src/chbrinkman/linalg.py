@@ -6,7 +6,12 @@ exactly the compressed-row contract the rest of the package relies on).
 The Krylov loops are written out here rather than taken from
 scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
-under our control.
+under our control.  There is one path per solver: each takes a required
+preconditioner M^-1, starts from x0 = M^-1 b and accepts only a true
+residual.  CG solves the SPD nutrient systems; classical BiCGStab solves
+the nonsymmetric Cahn-Hilliard pair and the indefinite Brinkman saddle
+point.  The Darcy pressure operator is constant, so its exact solve needs
+no Krylov loop.
 
 The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
@@ -41,11 +46,11 @@ class SolveStats:
 class LinearSystem:
     """Assembled sparse operator and right-hand side, plus the
     preconditioner (a callable applying an approximation of A^-1) that the
-    assembly builds from the same factors; None means Jacobi."""
+    assembly builds from the same factors."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    precond: Callable[[np.ndarray], np.ndarray] | None = None
+    precond: Callable[[np.ndarray], np.ndarray]
 
 
 class SolverFailure(RuntimeError):
@@ -55,21 +60,6 @@ class SolverFailure(RuntimeError):
         super().__init__(message)
         self.stats = stats
         self.stage = stage
-
-
-def _as_csr(a) -> sp.csr_matrix:
-    a = sp.csr_matrix(a)
-    a.sort_indices()
-    return a
-
-
-def jacobi_diagonal(a: sp.csr_matrix) -> np.ndarray:
-    """Diagonal preconditioner entries; zero/non-finite diagonals fall back
-    to 1 (continuity rows of saddle-point systems have no diagonal)."""
-    d = np.asarray(a.diagonal(), dtype=float).copy()
-    bad = ~np.isfinite(d) | (d == 0.0)
-    d[bad] = 1.0
-    return d
 
 
 class KroneckerOperator:
@@ -93,8 +83,9 @@ class KroneckerOperator:
         self._shape = (nx, ny)
         mx = np.ones(nx) if mx is None else np.asarray(mx, dtype=float)
         my = np.ones(ny) if my is None else np.asarray(my, dtype=float)
-        self.matrix = _as_csr(sp.kron(tx, sp.diags(my))
-                              + sp.kron(sp.diags(mx), ty))
+        self.matrix = sp.csr_matrix(sp.kron(tx, sp.diags(my))
+                                    + sp.kron(sp.diags(mx), ty))
+        self.matrix.sort_indices()
         rows = np.repeat(np.arange(nx * ny), np.diff(self.matrix.indptr))
         self._diagonal = np.flatnonzero(self.matrix.indices == rows)
         rx, ry = 1.0 / np.sqrt(mx), 1.0 / np.sqrt(my)
@@ -148,47 +139,34 @@ class KroneckerOperator:
                                self._from_modes((a11 * g - a21 * f) / det)])
 
 
-def _preconditioned_start(a, b, tol, bnorm, precond):
-    """x0 = M^-1 b and its true residual; the solve is already done when
-    that residual meets the tolerance (an exact preconditioner)."""
-    x0 = precond(b)
-    r0 = b - a @ x0
-    res0 = float(np.linalg.norm(r0))
-    return x0, r0, res0, res0 <= tol * bnorm
-
-
-def cg_solve(a, b, tol: float = 1e-10, max_iter: int | None = None,
-             precond=None):
-    """Preconditioned conjugate gradients.
-
-    ``precond`` applies an SPD approximation of A^-1 to a vector; the
-    iteration then starts from x0 = precond(b) and returns it with 0
-    iterations when its true residual already meets the tolerance.  Without
-    it, Jacobi preconditioning from a zero initial guess.  Returns
-    (x, SolveStats); the reported residual is the recomputed true residual
-    ||Ax-b||_2.
-    """
-    a = _as_csr(a)
-    b = np.asarray(b, dtype=float).ravel()
-    n = b.size
-    if max_iter is None:
-        max_iter = 10 * n
+def _preconditioned_start(a, b, tol, precond):
+    """The flattened b, x0 = M^-1 b, its true residual r0 and ||r0||, and
+    the stopping target tol*||b||; b = 0 gives x0 = 0 at once."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    bnorm = np.linalg.norm(b)
+    b = np.asarray(b, dtype=float).ravel()
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, True)
+        return b, np.zeros(b.size), b, 0.0, 0.0
+    x = precond(b)
+    r = b - a @ x
+    return b, x, r, float(np.linalg.norm(r)), tol * bnorm
 
-    if precond is None:
-        dinv = 1.0 / jacobi_diagonal(a)
-        precond = lambda v: dinv * v  # noqa: E731
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x, r, res, done = _preconditioned_start(a, b, tol, bnorm, precond)
-        if done:
-            return x, SolveStats(0, res, True)
+
+def cg_solve(a, b, precond, tol: float = 1e-10, max_iter: int | None = None):
+    """Preconditioned conjugate gradients for SPD A.
+
+    ``precond`` applies an SPD approximation M^-1 of A^-1 to a vector; the
+    iteration starts from x0 = M^-1 b and returns it with 0 iterations when
+    its true residual already meets the tolerance.  One iteration is one
+    matrix-vector product.  Returns (x, SolveStats); the reported residual
+    is the recomputed true residual ||Ax-b||_2.
+    """
+    b, x, r, res, target = _preconditioned_start(a, b, tol, precond)
+    if res <= target:
+        return x, SolveStats(0, res, True)
+    if max_iter is None:
+        max_iter = 10 * b.size
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -199,10 +177,10 @@ def cg_solve(a, b, tol: float = 1e-10, max_iter: int | None = None,
         if pap <= 0.0:
             break
         alpha = rz / pap
-        x += alpha * p
+        x = x + alpha * p
         r -= alpha * ap
         it += 1
-        if np.linalg.norm(r) <= tol * bnorm:
+        if np.linalg.norm(r) <= target:
             break
         z = precond(r)
         rz_new = float(r @ z)
@@ -211,150 +189,71 @@ def cg_solve(a, b, tol: float = 1e-10, max_iter: int | None = None,
         p = z + beta * p
 
     res = float(np.linalg.norm(b - a @ x))
-    return x, SolveStats(it, res, res <= tol * bnorm)
+    return x, SolveStats(it, res, res <= target)
 
 
-def bicgstab_solve(a, b, tol: float = 1e-10, max_iter: int | None = None,
-                   precond=None, ell: int = 1):
-    """Right-preconditioned BiCGStab(ell).
+def bicgstab_solve(a, b, precond, tol: float = 1e-10,
+                   max_iter: int | None = None, ell: int = 1):
+    """Classical right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci.
+    Stat. Comput. 13, 1992).
 
-    ell = 1 is classical BiCGStab; ell = 2 (Sleijpen-Fokkema) is far more
-    robust on indefinite saddle-point systems, and the Brinkman and
-    Cahn-Hilliard solves use ell = 4.  Right preconditioning, so the
-    stopping rule sees true residuals.  ``precond`` applies an approximation
-    of A^-1; the iteration then starts from x0 = precond(b) and returns it
-    with 0 iterations when its true residual already meets the tolerance.
-    Without it, Jacobi preconditioning from a zero initial guess.
-    Deterministic: fixed shadow residual, restart on (near-)breakdown.
-    One reported iteration = one BiCG sweep (2*ell matrix-vector products).
-    Non-convergence comes back via converged=False, never silently.
+    ``precond`` applies an approximation M^-1 of A^-1 to a vector.  The
+    iteration runs on A M^-1 with x = M^-1 y, so its residuals are those of
+    A x = b.  It starts from x0 = M^-1 b and returns it with 0 iterations
+    when its true residual already meets the tolerance.  When the recursive
+    residual meets the tolerance the true residual is recomputed; if that
+    misses, or the method breaks down, the iteration restarts from the true
+    residual, which is also the new shadow residual.  Every iteration,
+    including one that breaks down, counts against ``max_iter``, so the
+    solve always ends; it ends at once when a cycle breaks down before x
+    moves, since a restart from the same x would repeat it.  One iteration
+    is two matrix-vector products (one when it converges half-way).
+    ``ell``, the BiCG steps per iteration, must be 1.  Returns
+    (x, SolveStats) with the true residual; non-convergence comes back as
+    converged=False, never silently.
     """
-    a = _as_csr(a)
-    b = np.asarray(b, dtype=float).ravel()
-    n = b.size
+    if ell != 1:
+        raise ValueError("ell must be 1: this is classical BiCGStab")
+    b, x, r, res, target = _preconditioned_start(a, b, tol, precond)
+    if res <= target:
+        return x, SolveStats(0, res, True)
     if max_iter is None:
-        max_iter = 10 * n
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, True)
-
-    # iterate y with x = M^-1 y; residuals are the true residuals of A x = b
-    if precond is None:
-        dinv = 1.0 / jacobi_diagonal(a)
-        precond = lambda v: dinv * v  # noqa: E731
-        y = np.zeros(n)
-        r0 = b.copy()
-    else:
-        x, r0, res, done = _preconditioned_start(a, b, tol, bnorm, precond)
-        if done:
-            return x, SolveStats(0, res, True)
-        y = b.copy()
-
-    def amul(v):
-        return a @ precond(v)
-
-    r = [r0] + [np.zeros(n) for _ in range(ell)]
-    u = [np.zeros(n) for _ in range(ell + 1)]
-    r_hat = r0.copy()
-    rho0, alpha, omega = 1.0, 0.0, 1.0
+        max_iter = 10 * b.size
     it = 0
-    restarts = 0
-    refinements = 0
-    rnorm = float(np.linalg.norm(r0))
-    best = rnorm
-    since_best = 0
-    broke = False
-
     while it < max_iter:
-        if rnorm <= tol * bnorm:
-            # recursive residual converged; accept only if the true residual
-            # agrees, otherwise restart from the current iterate (iterative
-            # refinement against recurrence drift)
-            true_r = b - amul(y)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= tol * bnorm or refinements >= 4:
+        x_start = x
+        r_hat = r.copy()
+        rho = alpha = omega = 1.0
+        p = v = np.zeros(b.size)
+        while it < max_iter:
+            it += 1
+            rho_new = float(r_hat @ r)
+            p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
+            rho = rho_new
+            p_hat = precond(p)
+            v = a @ p_hat
+            gamma = float(r_hat @ v)
+            if rho == 0.0 or gamma == 0.0 or not np.isfinite(gamma):
+                break  # breakdown
+            alpha = rho / gamma
+            x = x + alpha * p_hat
+            r = r - alpha * v
+            if np.linalg.norm(r) <= target:
                 break
-            refinements += 1
-            r[0] = true_r
-            r_hat = true_r.copy()
-            for i in range(1, ell + 1):
-                r[i][:] = 0.0
-            for i in range(ell + 1):
-                u[i][:] = 0.0
-            rho0, alpha, omega = 1.0, 0.0, 1.0
-            rnorm = true_norm
-            best = true_norm
-            since_best = 0
-            if rnorm <= tol * bnorm:
+            s_hat = precond(r)
+            t = a @ s_hat
+            tt = float(t @ t)
+            omega = float(t @ r) / tt if tt > 0.0 else 0.0
+            if omega == 0.0 or not np.isfinite(omega):
+                break  # breakdown
+            x = x + omega * s_hat
+            r = r - omega * t
+            if np.linalg.norm(r) <= target:
                 break
-        it += 1
-        rho0 = -omega * rho0
-        for j in range(ell):
-            rho1 = float(r_hat @ r[j])
-            if rho0 == 0.0 or not np.isfinite(rho1):
-                broke = True
-                break
-            beta = alpha * rho1 / rho0
-            rho0 = rho1
-            for i in range(j + 1):
-                u[i] = r[i] - beta * u[i]
-            u[j + 1] = amul(u[j])
-            gamma = float(r_hat @ u[j + 1])
-            if gamma == 0.0 or not np.isfinite(gamma):
-                broke = True
-                break
-            alpha = rho0 / gamma
-            for i in range(j + 1):
-                r[i] = r[i] - alpha * u[i + 1]
-            r[j + 1] = amul(r[j])
-            y += alpha * u[0]
-        if not broke:
-            # MR part: minimize ||r0 - sum g_i r_i|| over the ell new directions
-            rr = np.array([[float(r[i] @ r[k]) for k in range(1, ell + 1)]
-                           for i in range(1, ell + 1)])
-            rhs = np.array([float(r[0] @ r[k]) for k in range(1, ell + 1)])
-            try:
-                gam = np.linalg.solve(rr, rhs)
-            except np.linalg.LinAlgError:
-                broke = True
-            if not broke and np.all(np.isfinite(gam)) and gam[-1] != 0.0:
-                omega = gam[-1]
-                for i in range(ell):
-                    y += gam[i] * r[i]
-                    r[0] = r[0] - gam[i] * r[i + 1]
-                    u[0] = u[0] - gam[i] * u[i + 1]
-            else:
-                broke = True
-        rnorm = float(np.linalg.norm(r[0]))
-        if not np.isfinite(rnorm):
-            broke = True
-        if broke:
-            restarts += 1
-            if restarts > 100:
-                break
-            r[0] = b - amul(y)
-            r_hat = r[0].copy()
-            for i in range(1, ell + 1):
-                r[i][:] = 0.0
-            for i in range(ell + 1):
-                u[i][:] = 0.0
-            rho0, alpha, omega = 1.0, 0.0, 1.0
-            rnorm = float(np.linalg.norm(r[0]))
-            broke = False
-            continue
-        if rnorm < 0.9999 * best:
-            best = rnorm
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > 5000:
-                break  # stagnation: give up honestly
-
-    x = precond(y)
-    res = float(np.linalg.norm(b - a @ x))
-    return x, SolveStats(it, res, res <= tol * bnorm)
+        r = b - a @ x
+        res = float(np.linalg.norm(r))
+        if res <= target:
+            return x, SolveStats(it, res, True)
+        if x is x_start:
+            break
+    return x, SolveStats(it, res, False)

@@ -174,7 +174,8 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     mu scaling balances the off-diagonal blocks at sqrt(dt*eps)*|lap|,
     which keeps the attainable BiCGStab accuracy well below tolerance.
     The preconditioner is the exact solve of the same system with the
-    mobility replaced by its mean.
+    mobility replaced by its mean, so a constant-mobility step takes no
+    BiCGStab iteration.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -219,8 +220,8 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     caller is responsible for refreshing sigma first (step() does).
     """
     system, scale = assemble_ch_system(g, state, spec, cfg)
-    x, stats = bicgstab_solve(system.matrix, system.rhs, tol=cfg.tol_ch,
-                              precond=system.precond, ell=4)
+    x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
+                              tol=cfg.tol_ch)
     if not stats.converged:
         raise SolverFailure(
             f"Cahn-Hilliard solve did not converge (residual "

@@ -46,3 +46,7 @@ def test_traced_benchmark_run_binds_every_layer():
             "assemble:elliptic.robin", "linalg.bicgstab"} <= set(out["names"])
     assert out["metrics"] and all(math.isfinite(v)
                                   for v in out["metrics"].values())
+    # the solver wrappers still find the iteration counts and the keywords
+    # that turn them into matrix-vector products
+    assert out["metrics"]["linalg.matvecs"] > 0
+    assert out["metrics"]["flow.brinkman_iters"] > 0

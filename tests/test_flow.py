@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
-                        blended_viscosity, constant_viscosity,
+                        bicgstab_solve, blended_viscosity, constant_viscosity,
                         eval_source_gamma_v, face_zeros, gradient_to_faces,
                         integrate_cells, norm_l2_cells, solve_brinkman,
                         solve_darcy, viscous_dissipation, zero_sources)
@@ -224,7 +224,7 @@ def test_darcy_matches_dense_lu_oracle(rng):
     force = FaceField(rng.standard_normal((9, 8)), rng.standard_normal((8, 9)))
     system = assemble_darcy_pressure_system(g, gamma, 1.3, force)
     from chbrinkman import cg_solve
-    x, stats = cg_solve(system.matrix, system.rhs, tol=1e-12)
+    x, stats = cg_solve(system.matrix, system.rhs, system.precond, tol=1e-12)
     assert stats.converged
     x_lu = dense_solve(system.matrix, system.rhs)
     assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
@@ -403,19 +403,45 @@ def test_velocity_blocks_invert_the_momentum_blocks(g, eta, lam, nu, seed):
         assert np.linalg.norm(x_fd - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
 
 
-@pytest.mark.parametrize("viscosity, max_iters", [
+@pytest.mark.parametrize("viscosity, max_sweeps", [
     (constant_viscosity(0.02, 0.01), 5),
     (constant_viscosity(2e-5, 1e-5), 5),
     (blended_viscosity(0.01, 1.0), 15)])
-def test_brinkman_solve_iterations_at_64(viscosity, max_iters):
-    # the block-triangular preconditioner: a few BiCGStab(4) iterations for
+def test_brinkman_solve_iterations_at_64(viscosity, max_sweeps):
+    # the block-triangular preconditioner: few matrix-vector products for
     # constant viscosity (near the Darcy limit too) and for contrast 100,
-    # where Jacobi takes 1329, 176 and 950
+    # within max_sweeps BiCGStab(4) sweeps of 8 products each; a classical
+    # BiCGStab iteration takes 2
     import dataclasses
 
     g, phi, mu, sigma, spec = limit_visc_fields(64)
     spec = dataclasses.replace(spec, viscosity=viscosity)
     sol = solve_brinkman(g, phi, mu, sigma, spec)
     gnorm = norm_l2_cells(g, eval_source_gamma_v(spec.sources, phi, sigma))
-    assert sol.stats.converged and sol.stats.iterations <= max_iters
+    matvecs = 2 * sol.stats.iterations
+    assert sol.stats.converged and matvecs <= 8 * max_sweeps
     assert sol.div_residual <= 10.0 * 1e-9 * gnorm
+
+
+def test_brinkman_correction_pass_meets_the_divergence_target(monkeypatch):
+    # at this viscosity the first solve meets its Krylov tolerance but misses
+    # the divergence target, so a correction pass A*dx = b - A*x runs
+    import dataclasses
+
+    from chbrinkman import flow
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["tol"])
+        return bicgstab_solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "bicgstab_solve", counted)
+    g, phi, mu, sigma, spec = limit_visc_fields(16)
+    spec = dataclasses.replace(spec,
+                               viscosity=constant_viscosity(0.002, 0.001))
+    sol = flow.solve_brinkman(g, phi, mu, sigma, spec)
+    gnorm = norm_l2_cells(g, eval_source_gamma_v(spec.sources, phi, sigma))
+    assert 2 <= len(calls) <= 3
+    assert sol.stats.converged
+    assert sol.div_residual <= 5.0 * 1e-9 * gnorm

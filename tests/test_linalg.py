@@ -26,10 +26,21 @@ def neumann_laplacian_plus_identity(n, h=1.0):
     return (lap + h * sp.identity(n * n)).tocsr()
 
 
-def test_cg_identity_one_iteration(rng):
+def identity(v):
+    return v
+
+
+def jacobi(a):
+    """Test-side Jacobi preconditioner v -> D^-1 v."""
+    d = a.diagonal()
+    return lambda v: v / d
+
+
+def test_cg_identity_zero_iterations(rng):
+    # x0 = M^-1 b is exact, so no iteration runs
     b = rng.standard_normal(20)
-    x, stats = cg_solve(sp.identity(20, format="csr"), b)
-    assert stats.iterations == 1 and stats.converged
+    x, stats = cg_solve(sp.identity(20, format="csr"), b, identity)
+    assert stats.iterations == 0 and stats.converged
     assert np.allclose(x, b, atol=1e-14)
 
 
@@ -37,7 +48,7 @@ def test_cg_diagonal_system():
     n = 50
     d = np.arange(1.0, n + 1)
     b = np.ones(n)
-    x, stats = cg_solve(sp.diags(d).tocsr(), b, tol=1e-12)
+    x, stats = cg_solve(sp.diags(d).tocsr(), b, identity, tol=1e-12)
     assert stats.converged
     assert np.allclose(x, 1.0 / d, rtol=1e-10)
 
@@ -45,7 +56,7 @@ def test_cg_diagonal_system():
 def test_cg_matches_dense_lu_on_neumann_helmholtz(rng):
     a = neumann_laplacian_plus_identity(8)
     b = rng.standard_normal(64)
-    x, stats = cg_solve(a, b, tol=1e-12)
+    x, stats = cg_solve(a, b, jacobi(a), tol=1e-12)
     assert stats.converged
     assert np.linalg.norm(x - dense_solve(a, b)) < 1e-10
 
@@ -53,7 +64,7 @@ def test_cg_matches_dense_lu_on_neumann_helmholtz(rng):
 def test_cg_reported_residual_is_true_residual(rng):
     a = neumann_laplacian_plus_identity(8)
     b = rng.standard_normal(64)
-    x, stats = cg_solve(a, b, tol=1e-11)
+    x, stats = cg_solve(a, b, jacobi(a), tol=1e-11)
     recomputed = np.linalg.norm(b - a @ x)
     assert stats.residual == pytest.approx(recomputed, rel=1e-13, abs=1e-300)
 
@@ -66,7 +77,7 @@ def test_cg_error_monotone_in_a_norm(rng):
     x_star = dense_solve(a, b)
     errs = []
     for k in range(1, 15):
-        x, _ = cg_solve(a, b, tol=1e-30, max_iter=k)
+        x, _ = cg_solve(a, b, jacobi(a), tol=1e-30, max_iter=k)
         e = x_star - x
         errs.append(float(e @ (a @ e)))
     assert all(b2 <= a2 * (1 + 1e-10) for a2, b2 in zip(errs, errs[1:]))
@@ -75,26 +86,27 @@ def test_cg_error_monotone_in_a_norm(rng):
 def test_cg_determinism(rng):
     a = neumann_laplacian_plus_identity(8)
     b = rng.standard_normal(64)
-    x1, s1 = cg_solve(a, b, tol=1e-11)
-    x2, s2 = cg_solve(a, b, tol=1e-11)
+    x1, s1 = cg_solve(a, b, jacobi(a), tol=1e-11)
+    x2, s2 = cg_solve(a, b, jacobi(a), tol=1e-11)
     assert np.array_equal(x1, x2) and s1 == s2
 
 
 def test_cg_zero_rhs():
     a = neumann_laplacian_plus_identity(4)
-    x, stats = cg_solve(a, np.zeros(16))
+    x, stats = cg_solve(a, np.zeros(16), jacobi(a))
     assert np.all(x == 0.0) and stats.converged and stats.iterations == 0
 
 
 def test_cg_rejects_bad_tol():
     with pytest.raises(ValueError):
-        cg_solve(sp.identity(4, format="csr"), np.ones(4), tol=0.0)
+        cg_solve(sp.identity(4, format="csr"), np.ones(4), identity, tol=0.0)
 
 
-def test_bicgstab_identity_one_iteration(rng):
+def test_bicgstab_identity_zero_iterations(rng):
+    # x0 = M^-1 b is exact, so no iteration runs
     b = rng.standard_normal(15)
-    x, stats = bicgstab_solve(sp.identity(15, format="csr"), b)
-    assert stats.converged and stats.iterations == 1
+    x, stats = bicgstab_solve(sp.identity(15, format="csr"), b, identity)
+    assert stats.converged and stats.iterations == 0
     assert np.allclose(x, b, atol=1e-14)
 
 
@@ -104,7 +116,7 @@ def test_bicgstab_random_diagonally_dominant(rng):
     a += np.diag(np.abs(a).sum(axis=1) + 1.0)
     a_sp = sp.csr_matrix(a)
     b = rng.standard_normal(n)
-    x, stats = bicgstab_solve(a_sp, b, tol=1e-12)
+    x, stats = bicgstab_solve(a_sp, b, jacobi(a_sp), tol=1e-12)
     assert stats.converged
     x_lu = np.linalg.solve(a, b)
     assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) < 1e-8
@@ -144,7 +156,7 @@ def upwind_advection_diffusion(n, velocity=(1.0, 0.4), diffusion=None):
 def test_bicgstab_advection_diffusion_vs_dense_lu(rng):
     a = upwind_advection_diffusion(16)
     b = rng.standard_normal(16 * 16)
-    x, stats = bicgstab_solve(a, b, tol=1e-11)
+    x, stats = bicgstab_solve(a, b, jacobi(a), tol=1e-11)
     assert stats.converged
     x_lu = dense_solve(a, b)
     assert np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu) <= 1e-8
@@ -153,7 +165,7 @@ def test_bicgstab_advection_diffusion_vs_dense_lu(rng):
 def test_bicgstab_reports_nonconvergence(rng):
     a = upwind_advection_diffusion(8)
     b = rng.standard_normal(64)
-    x, stats = bicgstab_solve(a, b, tol=1e-12, max_iter=1)
+    x, stats = bicgstab_solve(a, b, jacobi(a), tol=1e-12, max_iter=1)
     assert not stats.converged
     assert stats.residual > 0
 
@@ -161,26 +173,37 @@ def test_bicgstab_reports_nonconvergence(rng):
 def test_bicgstab_determinism(rng):
     a = upwind_advection_diffusion(12)
     b = rng.standard_normal(144)
-    x1, s1 = bicgstab_solve(a, b, tol=1e-10)
-    x2, s2 = bicgstab_solve(a, b, tol=1e-10)
+    x1, s1 = bicgstab_solve(a, b, jacobi(a), tol=1e-10)
+    x2, s2 = bicgstab_solve(a, b, jacobi(a), tol=1e-10)
     assert np.array_equal(x1, x2) and s1 == s2
 
 
-def test_bicgstab_ell2_on_indefinite_saddle(rng):
-    # small symmetric saddle-point block: classical BiCGStab territory
+def test_bicgstab_on_indefinite_saddle(rng):
+    # small symmetric saddle-point block, unpreconditioned
     k = neumann_laplacian_plus_identity(5)
     bmat = sp.random(25, 10, density=0.3, random_state=7)
     a = sp.bmat([[k, bmat], [bmat.T, None]], format="csr")
     b = rng.standard_normal(35)
-    x, stats = bicgstab_solve(a, b, tol=1e-10, ell=2)
+    x, stats = bicgstab_solve(a, b, identity, tol=1e-10)
     assert stats.converged
     assert np.linalg.norm(x - dense_solve(a, b)) / np.linalg.norm(x) < 1e-7
 
 
 def test_bicgstab_zero_rhs():
     a = upwind_advection_diffusion(8)
-    x, stats = bicgstab_solve(a, np.zeros(64))
+    x, stats = bicgstab_solve(a, np.zeros(64), jacobi(a))
     assert np.all(x == 0.0) and stats.converged
+
+
+def test_bicgstab_ends_on_repeated_breakdown():
+    # r_hat . A r = 0 for every r when A is skew-symmetric, so every
+    # iteration breaks down and a restart cannot help; the solve still ends
+    # within max_iter (default 10*n = 20) and reports the failure
+    a = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    b = np.array([1.0, 0.0])
+    x, stats = bicgstab_solve(a, b, identity)
+    assert not stats.converged and 1 <= stats.iterations <= 20
+    assert stats.residual == pytest.approx(np.linalg.norm(b - a @ x))
 
 
 # fast-diagonalization preconditioner -------------------------------------
