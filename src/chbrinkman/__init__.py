@@ -6,8 +6,8 @@ experiment harness for the energy identity, the large-boundary-permeability
 limit, the vanishing-viscosity limit, and continuous dependence on data.
 """
 
-from .grid import (CellField, FaceField, Grid2D, advect_upwind,
-                   boundary_constant, boundary_flux_integral, boundary_pack,
+from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
+                   boundary_flux_integral, boundary_pack,
                    divergence_of_faces, face_zeros, gradient_to_faces,
                    integrate_cells, laplacian_neumann, norm_l2_cells)
 from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,

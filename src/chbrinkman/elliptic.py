@@ -13,20 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (BoundaryField, CellField, Grid2D, boundary_adjacent_cells,
+from .grid import (CellField, Grid2D, as_boundary, boundary_adjacent_cells,
                    boundary_face_lengths, boundary_normal_spacing,
                    boundary_transfer, minus_laplacian)
 from .linalg import LinearSystem, SolverFailure, cg_solve
-
-
-def _as_boundary(g: Grid2D, sigma_inf) -> BoundaryField:
-    arr = np.asarray(sigma_inf, dtype=float)
-    if arr.ndim == 0:
-        return np.full(g.n_boundary_faces(), float(arr))
-    if arr.shape != (g.n_boundary_faces(),):
-        raise ValueError(
-            f"sigma_inf must be scalar or length {g.n_boundary_faces()}")
-    return arr
 
 
 def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
@@ -36,7 +26,7 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     preconditioner is the exact solve with h replaced by its mean."""
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite phi passed to nutrient solve")
-    sig_inf = _as_boundary(g, sigma_inf)
+    sig_inf = as_boundary(g, sigma_inf)
     if not np.all(np.isfinite(sig_inf)):
         raise ValueError("non-finite sigma_inf passed to nutrient solve")
 
@@ -97,7 +87,7 @@ def boundary_trace(g: Grid2D, sigma: CellField, sigma_inf, K: float):
     so the gap is (sigma_c - sigma_inf)/(1 + K*delta/2).  K = inf gives a
     zero gap (Dirichlet trace).
     """
-    sig_inf = _as_boundary(g, sigma_inf)
+    sig_inf = as_boundary(g, sigma_inf)
     cells = boundary_adjacent_cells(g)
     delta = boundary_normal_spacing(g)
     sig_c = sigma.ravel()[cells]

@@ -190,8 +190,18 @@ def boundary_pack(g: Grid2D, bottom, right, top, left) -> BoundaryField:
     return np.concatenate([bottom, right, top, left])
 
 
-def boundary_constant(g: Grid2D, value: float) -> BoundaryField:
-    return np.full(g.n_boundary_faces(), float(value))
+def as_boundary(g: Grid2D, value) -> BoundaryField:
+    """value in packed boundary order: a scalar is broadcast to every
+    boundary face, an array must hold one value per face."""
+    arr = np.asarray(value, dtype=float)
+    n = g.n_boundary_faces()
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise ValueError(
+            f"boundary data must be scalar or length {n} (one value per "
+            f"boundary face), got shape {arr.shape}")
+    return arr
 
 
 def boundary_face_centers(g: Grid2D):

@@ -25,10 +25,10 @@ import scipy.sparse as sp
 from .elliptic import solve_nutrient_robin
 from .flow import (FlowSolution, face_average, solve_brinkman, solve_darcy,
                    viscous_dissipation)
-from .grid import (CellField, FaceField, Grid2D, advect_upwind,
+from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, div_m_grad, face_zeros,
                    gradient_to_faces, integrate_cells, laplacian_neumann,
-                   minus_laplacian, strain_operators)
+                   minus_laplacian)
 from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
@@ -36,11 +36,14 @@ from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
 
 @dataclass(frozen=True)
 class State:
-    """(t, phi, mu, sigma, v, p) at one time level.
+    """(t, phi, mu, sigma, v, p) at one time level, with the viscous
+    dissipation of v.
 
     sigma is the quasi-static nutrient that produced this state's (phi, mu);
     vel/p solve the flow problem for (phi, mu, sigma), so the state is
-    internally consistent.
+    internally consistent.  dissipation is that flow model's own viscous
+    form at (vel, phi): v^T A v of the assembled Brinkman momentum block,
+    nu*sum vol_f*v^2 for Darcy, 0 without flow.
     """
 
     t: float
@@ -49,6 +52,7 @@ class State:
     sigma: CellField
     vel: FaceField
     p: CellField
+    dissipation: float
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,11 @@ class CflViolation(RuntimeError):
 
 
 def sample_sigma_inf(sigma_inf, g: Grid2D, t: float) -> np.ndarray:
-    """Boundary datum at time t: constants broadcast, callables get t."""
+    """Boundary datum at time t: callables get t, and the value goes
+    through ``grid.as_boundary``."""
     if callable(sigma_inf):
         sigma_inf = sigma_inf(t)
-    arr = np.asarray(sigma_inf, dtype=float)
-    if arr.ndim == 0:
-        return np.full(g.n_boundary_faces(), float(arr))
-    return arr
+    return as_boundary(g, sigma_inf)
 
 
 def build_phi0(phi0, g: Grid2D) -> CellField:
@@ -232,31 +234,29 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     return x[:nc].reshape(g.nx, g.ny), x[nc:].reshape(g.nx, g.ny), stats
 
 
-def _solve_flow(g, phi, mu, sigma, spec, cfg) -> FlowSolution:
+def _solve_flow(g, phi, mu, sigma, spec, cfg) -> tuple[FlowSolution, float]:
+    """The flow solve of cfg.flow_mode and the viscous dissipation of its
+    velocity in that model's own form; returns (FlowSolution, dissipation)."""
     if cfg.flow_mode == "brinkman":
-        return solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        sol = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        return sol, viscous_dissipation(g, sol.vel, phi, spec)
     if cfg.flow_mode == "darcy":
-        return solve_darcy(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        sol = solve_darcy(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        return sol, spec.params.nu * sol.vel.norm_l2(g) ** 2
     return FlowSolution(face_zeros(g), np.zeros((g.nx, g.ny)),
-                        SolveStats(0, 0.0, True), 0.0)
+                        SolveStats(0, 0.0, True), 0.0), 0.0
 
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     """phi0 from the descriptor, sigma0 from the Robin solve, mu0 from the
-    chemical-potential relation, v0 from one flow solve.  Also builds the
-    grid's strain geometry, which every step's dissipation uses."""
+    chemical-potential relation, v0 from one flow solve."""
     phi0 = build_phi0(spec.phi0, g)
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, 0.0)
     sigma0, _ = solve_nutrient_robin(g, phi0, spec, sig_inf,
                                      tol=cfg.tol_nutrient)
     mu0 = chemical_potential(g, phi0, sigma0, spec)
-    flow0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
-    # built here rather than lazily in the first step: there its long-lived
-    # arrays fill the heap holes that the step's temporaries leave, and the
-    # CH update's temporaries then grow and trim the top of the heap on
-    # every later step (about 160 page faults per 64x64 Darcy step)
-    strain_operators(g)
-    return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p)
+    flow0, diss0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
+    return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p, diss0)
 
 
 def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
@@ -289,7 +289,7 @@ def _mobility_flux_integrals(g, phi_coeff, mu, sigma, spec):
 def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,
                     dt: float) -> float:
     """Defect of the discrete energy balance over one step:
-    |dE/dt + int m|grad mu|^2 + viscous dissipation - rhs| with
+    |dE/dt + int m|grad mu|^2 + prev.dissipation - rhs| with
 
     rhs = -chi int m grad mu . grad sigma
           + int (Gamma_phi - phi*Gamma_v)(mu + chi*sigma)
@@ -297,14 +297,15 @@ def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,
 
     (the pressure work stands in for the divergence-lifting terms the
     analysis removes; the simulator tests the momentum balance with v
-    itself).  Evaluated with the same lagged fields the scheme used, so the
-    defect measures time-splitting error: O(dt) on a fixed grid when v = 0.
+    itself).  prev.dissipation is the viscous form of the flow model that
+    produced prev.vel, so no flow form is evaluated here.  Evaluated with
+    the same lagged fields the scheme used, so the defect measures
+    time-splitting error: O(dt) on a fixed grid.
     """
     chi = spec.params.chi
     de = (energy(g, next_.phi, spec) - energy(g, prev.phi, spec)) / dt
     diss_ch, cross = _mobility_flux_integrals(g, prev.phi, next_.mu,
                                               next_.sigma, spec)
-    diss_visc = viscous_dissipation(g, prev.vel, prev.phi, spec)
 
     gamma_phi = eval_source_gamma_phi(spec.sources, prev.phi, next_.sigma)
     gamma_v = eval_source_gamma_v(spec.sources, prev.phi, next_.sigma)
@@ -314,7 +315,7 @@ def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,
     pressure_work = integrate_cells(g, prev.p * gamma_v_prev)
 
     rhs = -chi * cross + source_work + pressure_work
-    return abs(de + diss_ch + diss_visc - rhs)
+    return abs(de + diss_ch + prev.dissipation - rhs)
 
 
 def mass_balance_residual(g: Grid2D, prev: State, next_: State,
@@ -345,10 +346,10 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
         raise CflViolation(cfg.dt, cfl)
 
     phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
-    flow_sol = _solve_flow(g, phi1, mu1, sigma, spec, cfg)
+    flow_sol, diss_flow = _solve_flow(g, phi1, mu1, sigma, spec, cfg)
 
     new_state = State(state.t + cfg.dt, phi1, mu1, sigma,
-                      flow_sol.vel, flow_sol.p)
+                      flow_sol.vel, flow_sol.p, diss_flow)
 
     diss_ch, _ = _mobility_flux_integrals(g, phi1, mu1, sigma, spec)
     gamma_phi1 = eval_source_gamma_phi(spec.sources, phi1, sigma)
@@ -356,7 +357,7 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     diag = Diagnostics(
         energy=energy(g, phi1, spec),
         mass=integrate_cells(g, phi1),
-        dissipation=diss_ch + viscous_dissipation(g, flow_sol.vel, phi1, spec),
+        dissipation=diss_ch + diss_flow,
         boundary_flux=boundary_flux_integral(g, phi1, flow_sol.vel),
         source_mass=integrate_cells(g, gamma_phi1 - phi1 * gamma_v1),
         div_residual=flow_sol.div_residual,

@@ -91,7 +91,7 @@ def test_seed_override_applies_to_random_phi0():
 def test_vtk_writer_zero_state(tmp_path):
     g = Grid2D(4, 4)
     zero = np.zeros((4, 4))
-    state = State(0.0, zero, zero, zero, face_zeros(g), zero)
+    state = State(0.0, zero, zero, zero, face_zeros(g), zero, 0.0)
     path = tmp_path / "state.vtk"
     write_vtk(state, g, str(path))
     lines = path.read_text().splitlines()

@@ -90,17 +90,6 @@ def coupled_spec():
         sigma_inf=1.0)
 
 
-def test_viscosity_limit_full_trajectory_variant():
-    g = Grid2D(16, 16)
-    xc, yc = g.cell_centers()
-    phi0 = np.tanh((0.25 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
-    cfg = StepConfig(dt=5e-4)
-    result = viscosity_limit_study(g, phi0, None, None, coupled_spec(),
-                                   [1.0, 0.1, 0.01], full_trajectory=True,
-                                   cfg=cfg, n_steps=3)
-    assert result.checks["velocity_gap_decreasing"]
-
-
 def test_contdep_zero_delta_gives_zero_ratio():
     g = Grid2D(12, 12)
     phi0 = np.zeros((12, 12))

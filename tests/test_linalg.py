@@ -261,7 +261,8 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
     cfg = StepConfig(dt=dt, stabilization=s_stab, flow_mode="none")
     shape = (g.nx, g.ny)
     state = State(0.0, rng.uniform(-1.0, 1.0, shape), np.zeros(shape),
-                  rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape))
+                  rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape),
+                  0.0)
     system, _ = assemble_ch_system(g, state, spec, cfg)
     assert_exact_preconditioner(system)
 
@@ -269,7 +270,7 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
 def ch_state(g, phi):
     shape = (g.nx, g.ny)
     return State(0.0, phi, np.zeros(shape), np.full(shape, 0.5),
-                 face_zeros(g), np.zeros(shape))
+                 face_zeros(g), np.zeros(shape), 0.0)
 
 
 def test_constant_coefficient_solves_need_no_iteration():

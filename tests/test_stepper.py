@@ -9,6 +9,8 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
                         eval_source_gamma_v, initialize_state,
                         integrate_cells, norm_l2_cells, step,
                         suggest_cfl_dt, zero_sources)
+from chbrinkman.flow import brinkman_force
+from chbrinkman.grid import face_volumes
 from chbrinkman.model import SourceSpec, smooth_blend
 from chbrinkman.stepper import CflViolation, build_phi0, sample_sigma_inf
 
@@ -155,6 +157,32 @@ def test_energy_residual_vanishes_at_fixed_point():
     assert diag.energy_residual < 1e-10
 
 
+@pytest.mark.parametrize("flow_mode", ["brinkman", "darcy", "none"])
+def test_state_dissipation_is_its_flow_models_own_form(flow_mode):
+    # the velocity of each flow model dissipates the work of its force and
+    # of the pressure on the volume source: Brinkman v^T A v, Darcy
+    # nu*|v|^2 (not the Brinkman form, although the spec has eta > 0).  A
+    # random phase field: at the disc's near-equilibrium the force is almost
+    # a gradient, the work is 1/100 of |F||v|, and the Brinkman Krylov
+    # tolerance alone then shows at 3e-9 of it
+    spec = dataclasses.replace(
+        coupled_spec(), phi0=RandomPerturbation(seed=0, amplitude=0.3))
+    cfg = StepConfig(dt=1e-4, flow_mode=flow_mode)
+    for g in (Grid2D(32, 32, 1.0, 1.25), Grid2D(24, 24, 1.25, 1.0)):
+        state = initialize_state(g, spec, cfg)
+        if flow_mode == "none":
+            assert state.dissipation == 0.0
+            continue
+        force = brinkman_force(g, state.phi, state.mu, state.sigma, spec, None)
+        wx, wy = face_volumes(g)
+        gamma_v = eval_source_gamma_v(spec.sources, state.phi, state.sigma)
+        work = (np.sum(wx * force.x * state.vel.x)
+                + np.sum(wy * force.y * state.vel.y)
+                + integrate_cells(g, state.p * gamma_v))
+        assert state.dissipation > 0.0
+        assert abs(state.dissipation - work) <= 1e-9 * state.dissipation
+
+
 def test_energy_residual_first_order_without_sources():
     # fixed 32^2 grid, smooth low-mode data: the defect decays like dt
     g = Grid2D(32, 32, 2.0, 2.0)
@@ -174,9 +202,11 @@ def test_energy_residual_first_order_without_sources():
     assert order >= 0.9
 
 
-def test_energy_residual_first_order_with_sources():
+@pytest.mark.parametrize("flow_mode", ["brinkman", "darcy"])
+def test_energy_residual_first_order_with_sources(flow_mode):
     # mass sources on (chi = 0: a chemotaxis-coupled nutrient drives a real
-    # boundary layer in mu whose relaxation these dt cannot resolve)
+    # boundary layer in mu whose relaxation these dt cannot resolve); the
+    # spec's eta > 0, which the Darcy velocity does not dissipate
     g = Grid2D(24, 24, 2.0, 2.0)
     spec = ModelSpec(
         params=ModelParams(epsilon=0.15, nu=50.0, K=10.0, chi=0.0),
@@ -189,7 +219,7 @@ def test_energy_residual_first_order_with_sources():
         phi0=RandomPerturbation(seed=3, amplitude=1e-2, modes=1))
     worst = {}
     for dt in (4e-4, 2e-4, 1e-4):
-        cfg = StepConfig(dt=dt, flow_mode="brinkman")
+        cfg = StepConfig(dt=dt, flow_mode=flow_mode)
         st = initialize_state(g, spec, cfg)
         vals = []
         for _ in range(int(round(0.016 / dt))):
@@ -257,7 +287,7 @@ def test_nan_potential_rejected():
     cfg = StepConfig(dt=1e-3, flow_mode="none")
     with pytest.raises(ValueError, match="psi'"):
         st = State(0.0, np.full((8, 8), 0.1), np.zeros((8, 8)),
-                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)))
+                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), 0.0)
         ch_update(g, st, spec, cfg)
 
 
@@ -266,6 +296,9 @@ def test_sigma_inf_time_sampling():
     sampled = sample_sigma_inf(lambda t: 2.0 + t, g, 1.5)
     assert np.allclose(sampled, 3.5)
     assert sampled.shape == (g.n_boundary_faces(),)
+    with pytest.raises(ValueError, match=f"length {g.n_boundary_faces()}"):
+        sample_sigma_inf(lambda t: np.full(g.n_boundary_faces() - 1, t), g,
+                         1.5)
 
 
 def test_build_phi0_variants():
