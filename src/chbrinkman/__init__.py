@@ -7,9 +7,9 @@ limit, the vanishing-viscosity limit, and continuous dependence on data.
 """
 
 from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
-                   boundary_flux_integral, boundary_pack,
-                   divergence_of_faces, face_zeros, gradient_to_faces,
-                   integrate_cells, laplacian_neumann, norm_l2_cells)
+                   boundary_flux_integral, divergence_of_faces, face_zeros,
+                   gradient_to_faces, integrate_cells, laplacian_neumann,
+                   norm_l2_cells)
 from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,
                      cg_solve)
 from .model import (ModelParams, ModelSpec, MobilitySpec, PotentialSpec,

@@ -13,43 +13,11 @@ Flags: --config PATH, --out DIR, --seed N (overrides the config seed),
 --flow-mode {brinkman,darcy,none}.  Exit codes: 0 success, 2 config error,
 3 solver failure, 4 I/O error.
 
-Config format (strict JSON; unknown keys are errors):
-
-    {
-      "grid":   {"nx": 64, "ny": 64, "lx": 1.0, "ly": 1.0},
-      "model": {
-        "params":    {"epsilon": 0.05, "nu": 1.0, "K": 100.0,
-                      "chi": 0.0, "t_final": 1.0},
-        "potential": {"variant": "quartic"},
-        "viscosity": {"variant": "constant", "eta": 1.0, "lam": 0.0}
-                     | {"variant": "blend", "eta_a":.., "eta_b":..,
-                        "lam_a":.., "lam_b":..},
-        "mobility":  {"variant": "constant", "m": 1.0}
-                     | {"variant": "blend", "m_a":.., "m_b":..},
-        "sources":   {"variant": "zero", "h": 1.0}
-                     | {"variant": "linear", "b_v":.., "f_v":.., "b_phi":..,
-                        "f_phi":.., "h":..}       (tanh-bounded coefficients)
-        "sigma_inf": {"variant": "constant", "value": 0.0}
-                     | {"variant": "per_face", "values": [...]}
-                     | {"variant": "expression", "expr": "1.0 + 0.1*t"},
-        "phi0":      {"variant": "constant", "value": 0.0}
-                     | {"variant": "expression", "expr": "tanh((0.25-((x-0.5)**2+(y-0.5)**2)**0.5)/0.05)"}
-                     | {"variant": "random", "seed": 42, "amplitude": 0.01,
-                        "base": 0.0}
-      },
-      "stepping": {"dt": 1e-4, "n_steps": 200, "stabilization": 2.0,
-                   "flow_mode": "brinkman", "tol_ch": 1e-9,
-                   "tol_nutrient": 1e-10, "tol_flow": 1e-9,
-                   "strict_cfl": false},
-      "output":   {"directory": "out", "field_stride": 0,
-                   "diagnostics_stride": 1},
-      "seed": 42
-    }
-
-Defaults are the values shown above.  Expressions are evaluated with numpy
-in scope ("x", "y" cell-center arrays for phi0; "t" for sigma_inf) -- trusted
-configs only.  Floats serialize with shortest round-trip decimals, so re-runs
-of the same config are byte-identical.
+The config format, with every key and default, is documented under
+"Configuration" in README.md.  Unknown keys are errors, and the model
+sections are audited against assumptions (A1)-(A5) by ``model.validate``
+before a run starts.  Floats serialize with shortest round-trip decimals, so
+re-runs of the same config are byte-identical.
 
 Diagnostics CSV columns (one row per recorded step):
     step,t,energy,mass,dissipation,boundary_flux,source_mass,div_residual,energy_residual,mass_residual
@@ -69,7 +37,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,9 +46,10 @@ from .harness import (continuous_dependence_study, mms_convergence,
                       robin_limit_study, viscosity_limit_study)
 from .linalg import SolverFailure
 from .model import (ModelParams, ModelSpec, RandomPerturbation, SourceSpec,
-                    blended_mobility, blended_viscosity, constant_mobility,
-                    constant_viscosity, default_quartic_potential,
-                    smooth_blend, validate, zero_sources)
+                    ValidationReport, blended_mobility, blended_viscosity,
+                    constant_mobility, constant_viscosity,
+                    default_quartic_potential, smooth_blend, validate,
+                    zero_sources)
 from .stepper import (CflViolation, StepConfig, energy, initialize_state,
                       step)
 
@@ -91,6 +60,8 @@ EXIT_IO = 4
 
 DIAGNOSTICS_HEADER = ("step,t,energy,mass,dissipation,boundary_flux,"
                       "source_mass,div_residual,energy_residual,mass_residual")
+
+REQUIRED = object()   # the default of a key that must be present
 
 
 class ConfigError(ValueError):
@@ -120,6 +91,12 @@ def _find_key_location(text: str, key: str):
     return f" (line {line}, column {col})"
 
 
+def _finite(value) -> bool:
+    """A JSON number other than NaN, an infinity or an int beyond the float
+    range (json accepts all three); a bool is not a number here."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 class _Section:
     """Strict dict view: unknown keys raise, every read is type-checked."""
 
@@ -131,22 +108,26 @@ class _Section:
         self.text = text
         self.seen = set()
 
-    def get(self, key, kind, default=None, required=False):
+    def _error(self, key, problem):
+        return ConfigError(f"key '{self.path}.{key}' {problem}"
+                           f"{_find_key_location(self.text, key)}")
+
+    def get(self, key, kind, default=REQUIRED):
         self.seen.add(key)
         if key not in self.raw:
-            if required:
+            if default is REQUIRED:
                 raise ConfigError(f"missing required key '{self.path}.{key}'")
             return default
         value = self.raw[key]
         if kind is float and isinstance(value, (int, float)) \
                 and not isinstance(value, bool):
+            if not _finite(value):
+                raise self._error(key, "must be a finite number")
             return float(value)
         if kind is int and isinstance(value, int) and not isinstance(value, bool):
             return int(value)
         if not isinstance(value, kind):
-            raise ConfigError(
-                f"key '{self.path}.{key}' must be {kind.__name__}"
-                f"{_find_key_location(self.text, key)}")
+            raise self._error(key, f"must be {kind.__name__}")
         return value
 
     def section(self, key, required=False):
@@ -166,6 +147,20 @@ class _Section:
                 f"{_find_key_location(self.text, key)}")
 
 
+def _variant(sec: _Section, default: str, variants):
+    """The object a section describes.  Its "variant" key (``default`` when
+    absent) selects ``(constructor, {key: (type, default or REQUIRED)})``
+    from ``variants``; the constructor gets the keys' values in that order."""
+    name = sec.get("variant", str, default)
+    if name not in variants:
+        raise ConfigError(
+            f"unknown {sec.path.rsplit('.', 1)[-1]} variant '{name}'")
+    build, keys = variants[name]
+    values = [sec.get(key, kind, d) for key, (kind, d) in keys.items()]
+    sec.finish()
+    return build(*values)
+
+
 def _expression_phi0(expr: str):
     def evaluate(x, y):
         return eval(expr, {"__builtins__": {}},
@@ -183,35 +178,65 @@ def _expression_sigma_inf(expr: str):
     return evaluate
 
 
-def _build_sources(sec: _Section) -> SourceSpec:
-    variant = sec.get("variant", str, default="zero")
-    if variant == "zero":
-        h = sec.get("h", float, default=1.0)
-        if h < 0:
-            raise ConfigError("(A4): consumption rate h must be non-negative")
-        sec.finish()
-        return zero_sources(h)
-    if variant == "linear":
-        # each coefficient c becomes the bounded evaluator c*(1+tanh(s))/2
-        coeffs = {k: sec.get(k, float, default=0.0)
-                  for k in ("b_v", "f_v", "b_phi", "f_phi")}
-        h = sec.get("h", float, default=1.0)
-        if h < 0:
-            raise ConfigError("(A4): consumption rate h must be non-negative")
-        sec.finish()
-        return SourceSpec(
-            b_v=smooth_blend(0.0, 2.0 * coeffs["b_v"]),
-            f_v=smooth_blend(0.0, 2.0 * coeffs["f_v"]),
-            b_phi=smooth_blend(0.0, 2.0 * coeffs["b_phi"]),
-            f_phi=smooth_blend(0.0, 2.0 * coeffs["f_phi"]),
-            h=lambda s, hv=h: hv * np.ones_like(np.asarray(s, dtype=float)),
-            variant="linear")
-    raise ConfigError(f"unknown sources variant '{variant}'")
+def _linear_sources(b_v, f_v, b_phi, f_phi, h) -> SourceSpec:
+    """Each coefficient c becomes the bounded ramp c*(1+tanh(s)), which
+    ranges over [0, 2c]; h is a constant consumption rate."""
+    return SourceSpec(
+        b_v=smooth_blend(0.0, 2.0 * b_v), f_v=smooth_blend(0.0, 2.0 * f_v),
+        b_phi=smooth_blend(0.0, 2.0 * b_phi),
+        f_phi=smooth_blend(0.0, 2.0 * f_phi),
+        h=lambda s: h * np.ones_like(np.asarray(s, dtype=float)),
+        variant="linear")
+
+
+def _model_sections(grid: Grid2D):
+    """Each variant section of "model": the ModelSpec field it builds, its
+    default variant and its variants (README.md lists the same schema)."""
+    n = grid.n_boundary_faces()
+
+    def per_face(values):
+        if len(values) != n or not all(map(_finite, values)):
+            raise ConfigError(
+                f"sigma_inf per_face needs {n} finite numbers for a "
+                f"{grid.nx}x{grid.ny} grid, got {len(values)} entries")
+        return np.asarray(values, dtype=float)
+
+    return {
+        "potential": ("quartic", {
+            "quartic": (default_quartic_potential, {})}),
+        "viscosity": ("constant", {
+            "constant": (constant_viscosity,
+                         {"eta": (float, 1.0), "lam": (float, 0.0)}),
+            "blend": (blended_viscosity,
+                      {"eta_a": (float, REQUIRED), "eta_b": (float, REQUIRED),
+                       "lam_a": (float, 0.0), "lam_b": (float, 0.0)})}),
+        "mobility": ("constant", {
+            "constant": (constant_mobility, {"m": (float, 1.0)}),
+            "blend": (blended_mobility,
+                      {"m_a": (float, REQUIRED), "m_b": (float, REQUIRED)})}),
+        "sources": ("zero", {
+            "zero": (zero_sources, {"h": (float, 1.0)}),
+            "linear": (_linear_sources,
+                       {"b_v": (float, 0.0), "f_v": (float, 0.0),
+                        "b_phi": (float, 0.0), "f_phi": (float, 0.0),
+                        "h": (float, 1.0)})}),
+        "sigma_inf": ("constant", {
+            "constant": (float, {"value": (float, 0.0)}),
+            "per_face": (per_face, {"values": (list, REQUIRED)}),
+            "expression": (_expression_sigma_inf, {"expr": (str, REQUIRED)})}),
+        "phi0": ("constant", {
+            "constant": (float, {"value": (float, 0.0)}),
+            "expression": (_expression_phi0, {"expr": (str, REQUIRED)}),
+            "random": (RandomPerturbation,
+                       {"seed": (int, 0), "amplitude": (float, 0.01),
+                        "base": (float, 0.0), "modes": (int, 2)})}),
+    }
 
 
 def parse_config(text: str) -> SimConfig:
     """Strict JSON config parser; raises ConfigError with the offending key
-    path (and a best-effort line:column) or the violated assumption."""
+    path (and a best-effort line:column) or the failed entries of the
+    assumption audit ``validate``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -219,8 +244,8 @@ def parse_config(text: str) -> SimConfig:
     root = _Section(raw, "config", text)
 
     gsec = root.section("grid", required=True)
-    nx = gsec.get("nx", int, required=True)
-    ny = gsec.get("ny", int, required=True)
+    nx = gsec.get("nx", int)
+    ny = gsec.get("ny", int)
     lx = gsec.get("lx", float, default=1.0)
     ly = gsec.get("ly", float, default=1.0)
     gsec.finish()
@@ -231,113 +256,20 @@ def parse_config(text: str) -> SimConfig:
 
     msec = root.section("model")
     psec = msec.section("params")
-    params = ModelParams(
-        epsilon=psec.get("epsilon", float, default=0.05),
-        nu=psec.get("nu", float, default=1.0),
-        K=psec.get("K", float, default=100.0),
-        chi=psec.get("chi", float, default=0.0),
-        t_final=psec.get("t_final", float, default=1.0))
+    params = ModelParams(**{f.name: psec.get(f.name, float, f.default)
+                            for f in fields(ModelParams)})
     psec.finish()
-    if params.epsilon <= 0 or params.nu <= 0 or params.K <= 0 \
-            or params.t_final <= 0 or params.chi < 0:
-        raise ConfigError(
-            "(A1): epsilon, nu, K, t_final must be positive and chi "
-            f"non-negative; got epsilon={params.epsilon}, nu={params.nu}, "
-            f"K={params.K}, chi={params.chi}, t_final={params.t_final}")
-
-    potsec = msec.section("potential")
-    pot_variant = potsec.get("variant", str, default="quartic")
-    potsec.finish()
-    if pot_variant != "quartic":
-        raise ConfigError(f"unknown potential variant '{pot_variant}' "
-                          "(custom potentials are library-only)")
-    potential = default_quartic_potential()
-
-    vsec = msec.section("viscosity")
-    v_variant = vsec.get("variant", str, default="constant")
-    if v_variant == "constant":
-        eta = vsec.get("eta", float, default=1.0)
-        lam = vsec.get("lam", float, default=0.0)
-        vsec.finish()
-        if eta <= 0 or lam < 0:
-            raise ConfigError("(A3): eta must be positive and lam non-negative")
-        viscosity = constant_viscosity(eta, lam)
-    elif v_variant == "blend":
-        ea = vsec.get("eta_a", float, required=True)
-        eb = vsec.get("eta_b", float, required=True)
-        la = vsec.get("lam_a", float, default=0.0)
-        lb = vsec.get("lam_b", float, default=0.0)
-        vsec.finish()
-        if min(ea, eb) <= 0 or min(la, lb) < 0:
-            raise ConfigError("(A3): eta bounds must be positive and lam "
-                              "bounds non-negative")
-        viscosity = blended_viscosity(ea, eb, la, lb)
-    else:
-        raise ConfigError(f"unknown viscosity variant '{v_variant}'")
-
-    mobsec = msec.section("mobility")
-    m_variant = mobsec.get("variant", str, default="constant")
-    if m_variant == "constant":
-        m = mobsec.get("m", float, default=1.0)
-        mobsec.finish()
-        if m <= 0:
-            raise ConfigError("(A2): mobility must be positive")
-        mobility = constant_mobility(m)
-    elif m_variant == "blend":
-        ma = mobsec.get("m_a", float, required=True)
-        mb = mobsec.get("m_b", float, required=True)
-        mobsec.finish()
-        if min(ma, mb) <= 0:
-            raise ConfigError("(A2): mobility bounds must be positive")
-        mobility = blended_mobility(ma, mb)
-    else:
-        raise ConfigError(f"unknown mobility variant '{m_variant}'")
-
-    sources = _build_sources(msec.section("sources"))
-
-    ssec = msec.section("sigma_inf")
-    s_variant = ssec.get("variant", str, default="constant")
-    if s_variant == "constant":
-        sigma_inf = ssec.get("value", float, default=0.0)
-        ssec.finish()
-    elif s_variant == "per_face":
-        values = ssec.get("values", list, required=True)
-        ssec.finish()
-        sigma_inf = np.asarray(values, dtype=float)
-        if sigma_inf.shape != (grid.n_boundary_faces(),):
-            raise ConfigError(
-                f"sigma_inf per_face needs {grid.n_boundary_faces()} values "
-                f"for a {nx}x{ny} grid, got {sigma_inf.size}")
-    elif s_variant == "expression":
-        expr = ssec.get("expr", str, required=True)
-        ssec.finish()
-        sigma_inf = _expression_sigma_inf(expr)
-    else:
-        raise ConfigError(f"unknown sigma_inf variant '{s_variant}'")
-
-    isec = msec.section("phi0")
-    i_variant = isec.get("variant", str, default="constant")
-    if i_variant == "constant":
-        phi0 = isec.get("value", float, default=0.0)
-        isec.finish()
-    elif i_variant == "expression":
-        expr = isec.get("expr", str, required=True)
-        isec.finish()
-        phi0 = _expression_phi0(expr)
-    elif i_variant == "random":
-        phi0 = RandomPerturbation(
-            seed=isec.get("seed", int, default=0),
-            amplitude=isec.get("amplitude", float, default=0.01),
-            base=isec.get("base", float, default=0.0),
-            modes=isec.get("modes", int, default=2))
-        isec.finish()
-    else:
-        raise ConfigError(f"unknown phi0 variant '{i_variant}'")
+    spec = ModelSpec(params=params, **{
+        name: _variant(msec.section(name), default, variants)
+        for name, (default, variants) in _model_sections(grid).items()})
     msec.finish()
-
-    spec = ModelSpec(params=params, potential=potential, viscosity=viscosity,
-                     mobility=mobility, sources=sources, sigma_inf=sigma_inf,
-                     phi0=phi0)
+    try:
+        report = validate(spec)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if not report.passed:
+        raise ConfigError("model assumptions not met:\n"
+                          + str(ValidationReport(tuple(report.failures()))))
 
     stsec = root.section("stepping")
     try:
@@ -388,25 +320,25 @@ def _diagnostics_line(row) -> str:
     return ",".join([str(int(row[0]))] + [_fmt(v) for v in row[1:]]) + "\n"
 
 
-def write_csv_diagnostics(rows, path: str):
-    """The header and one line per row, in the format ``run`` streams."""
+def _write_csv(path: str, what: str, header: str, lines):
     try:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(DIAGNOSTICS_HEADER + "\n")
-            f.writelines(_diagnostics_line(row) for row in rows)
+            f.write(header + "\n")
+            f.writelines(lines)
     except OSError as err:
-        raise IOError(f"cannot write diagnostics CSV {path!r}: {err}") from err
+        raise IOError(f"cannot write {what} {path!r}: {err}") from err
+
+
+def write_csv_diagnostics(rows, path: str):
+    """The header and one line per row, in the format ``run`` streams."""
+    _write_csv(path, "diagnostics CSV", DIAGNOSTICS_HEADER,
+               (_diagnostics_line(row) for row in rows))
 
 
 def write_sweep_csv(result, path: str):
     header, rows = result.table()
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as err:
-        raise IOError(f"cannot write sweep CSV {path!r}: {err}") from err
+    _write_csv(path, "sweep CSV", ",".join(header),
+               (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def write_vtk(state, grid: Grid2D, path: str):
@@ -512,10 +444,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config, args)
-    report = validate(cfg.spec)
-    print(report)
-    return EXIT_OK if report.passed else EXIT_CONFIG
+    cfg = _load_config(args.config, args)   # a failed audit raises here
+    print(validate(cfg.spec))
+    return EXIT_OK
 
 
 def _cmd_mms(args) -> int:
@@ -647,9 +578,6 @@ def main(argv=None) -> int:
     except SolverFailure as err:
         print(f"solver failure in stage '{err.stage}': {err}", file=sys.stderr)
         code = EXIT_SOLVER
-    except FileNotFoundError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        code = EXIT_IO
     except IOError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         code = EXIT_IO

@@ -86,19 +86,11 @@ class FaceField:
     x: np.ndarray
     y: np.ndarray
 
-    def copy(self) -> "FaceField":
-        return FaceField(self.x.copy(), self.y.copy())
-
     def __add__(self, other: "FaceField") -> "FaceField":
         return FaceField(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "FaceField") -> "FaceField":
         return FaceField(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, a: float) -> "FaceField":
-        return FaceField(self.x * a, self.y * a)
-
-    __rmul__ = __mul__
 
     def norm_l2(self, g: Grid2D) -> float:
         """Discrete L2 norm with half cell volumes on boundary faces."""
@@ -181,14 +173,6 @@ def boundary_flux_integral(g: Grid2D, phi: CellField, vel: FaceField) -> float:
 
 
 # boundary face bookkeeping -------------------------------------------------
-
-def boundary_pack(g: Grid2D, bottom, right, top, left) -> BoundaryField:
-    bottom = np.broadcast_to(np.asarray(bottom, dtype=float), (g.nx,))
-    top = np.broadcast_to(np.asarray(top, dtype=float), (g.nx,))
-    right = np.broadcast_to(np.asarray(right, dtype=float), (g.ny,))
-    left = np.broadcast_to(np.asarray(left, dtype=float), (g.ny,))
-    return np.concatenate([bottom, right, top, left])
-
 
 def as_boundary(g: Grid2D, value) -> BoundaryField:
     """value in packed boundary order: a scalar is broadcast to every

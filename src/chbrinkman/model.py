@@ -23,7 +23,6 @@ class ModelParams:
     nu: float = 1.0
     K: float = 100.0
     chi: float = 0.0
-    t_final: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -279,14 +278,12 @@ def validate(spec: ModelSpec, sample_range=(-5.0, 5.0),
     entries = []
 
     p = spec.params
-    a1_ok = (p.epsilon > 0 and p.nu > 0 and p.K > 0 and p.t_final > 0
-             and p.chi >= 0)
+    a1_ok = p.epsilon > 0 and p.nu > 0 and p.K > 0 and p.chi >= 0
     entries.append(CheckResult(
         "(A1)", a1_ok,
-        "epsilon, nu, K, t_final positive and chi non-negative"
-        if a1_ok else
+        "epsilon, nu, K positive and chi non-negative" if a1_ok else
         f"bad constants: epsilon={p.epsilon}, nu={p.nu}, K={p.K}, "
-        f"chi={p.chi}, t_final={p.t_final}"))
+        f"chi={p.chi}"))
 
     # (A2) mobility bounds
     mv = _eval_array(spec.mobility.m, s)

@@ -97,8 +97,7 @@ def spinodal_benchmark_spec():
     """Zero sources, chi = 0, band-limited seeded noise; flow disabled so
     the discrete energy identity is exercised without advective coupling."""
     return ModelSpec(
-        params=ModelParams(epsilon=0.15, nu=1.0, K=100.0, chi=0.0,
-                           t_final=0.02),
+        params=ModelParams(epsilon=0.15, nu=1.0, K=100.0, chi=0.0),
         sources=zero_sources(1.0), sigma_inf=0.0,
         phi0=RandomPerturbation(seed=42, amplitude=1e-2, modes=1))
 
@@ -347,8 +346,7 @@ def test_criterion_10_determinism(tmp_path):
     config = {
         "grid": SPINODAL_GRID,
         "model": {
-            "params": {"epsilon": 0.15, "nu": 1.0, "K": 100.0, "chi": 0.0,
-                       "t_final": 0.02},
+            "params": {"epsilon": 0.15, "nu": 1.0, "K": 100.0, "chi": 0.0},
             "sources": {"variant": "zero", "h": 1.0},
             "sigma_inf": {"variant": "constant", "value": 0.0},
             "phi0": {"variant": "random", "seed": 42, "amplitude": 0.01,

@@ -1,13 +1,22 @@
+import dataclasses
 import json
+import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chbrinkman import Grid2D, RandomPerturbation, State, face_zeros
+from chbrinkman import (Grid2D, RandomPerturbation, SourceSpec, State,
+                        blended_mobility, blended_viscosity,
+                        constant_mobility, constant_viscosity,
+                        default_quartic_potential, face_zeros, zero_sources)
 from chbrinkman.cli import (ConfigError, DIAGNOSTICS_HEADER, main,
                             parse_config, write_csv_diagnostics, write_vtk)
+
+S = np.linspace(-3.0, 3.0, 13)
 
 
 def minimal_config(**stepping):
@@ -37,6 +46,109 @@ def test_negative_k_names_assumption():
         parse_config(json.dumps(raw))
 
 
+def assert_same(got, want, *args):
+    """Equal dataclass fields, with callables compared by their values at
+    ``args`` (the sample points S by default)."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), *args)
+    elif callable(want):
+        args = args or (S,)
+        np.testing.assert_allclose(got(*args), want(*args),
+                                   rtol=1e-14, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration", 1)[1]
+    block = block.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    documented = parse_config(re.sub(r"//.*", "", block))
+    assert_same(documented, parse_config('{"grid": {"nx": 64, "ny": 64}}'))
+
+
+def ramp(c):
+    """The "linear" sources coefficient c*(1+tanh(s))."""
+    return lambda s: c * (1.0 + np.tanh(s))
+
+
+VARIANT_CASES = {
+    "potential-quartic": ("potential", {"variant": "quartic"},
+                          default_quartic_potential()),
+    "viscosity-constant": ("viscosity", {"eta": 0.3},
+                           constant_viscosity(0.3, 0.0)),
+    "viscosity-blend": ("viscosity", {"variant": "blend", "eta_a": 0.3,
+                                      "eta_b": 2.0, "lam_b": 0.4},
+                        blended_viscosity(0.3, 2.0, 0.0, 0.4)),
+    "mobility-constant": ("mobility", {}, constant_mobility(1.0)),
+    "mobility-blend": ("mobility", {"variant": "blend", "m_a": 0.7,
+                                    "m_b": 1.3}, blended_mobility(0.7, 1.3)),
+    "sources-zero": ("sources", {"h": 0.4}, zero_sources(0.4)),
+    "sources-linear": ("sources", {"variant": "linear", "b_v": 0.2,
+                                   "f_phi": -0.1, "h": 2.0},
+                       SourceSpec(b_v=ramp(0.2), f_v=ramp(0.0),
+                                  b_phi=ramp(0.0), f_phi=ramp(-0.1),
+                                  h=lambda s: 2.0 + 0.0 * s,
+                                  variant="linear")),
+    "sigma_inf-constant": ("sigma_inf", {"value": 0.8}, 0.8),
+    "sigma_inf-per_face": ("sigma_inf", {"variant": "per_face",
+                                         "values": list(range(64))},
+                           np.arange(64.0)),
+    "sigma_inf-expression": ("sigma_inf", {"variant": "expression",
+                                           "expr": "1.0 + 0.1*t"},
+                             lambda t: 1.0 + 0.1 * t),
+    "phi0-constant": ("phi0", {}, 0.0),
+    "phi0-expression": ("phi0", {"variant": "expression", "expr": "x + 2*y"},
+                        lambda x, y: x + 2 * y),
+    "phi0-random": ("phi0", {"variant": "random", "amplitude": 0.02},
+                    RandomPerturbation(seed=0, amplitude=0.02, base=0.0,
+                                       modes=2)),
+}
+
+
+@pytest.mark.parametrize("case", VARIANT_CASES)
+def test_variant_builds_the_model_object(case):
+    section, entry, want = VARIANT_CASES[case]
+    raw = json.loads(minimal_config())
+    raw["model"][section] = entry
+    got = getattr(parse_config(json.dumps(raw)).spec, section)
+    assert_same(got, want, *((S, S[::-1]) if case == "phi0-expression"
+                             else ()))
+
+
+ASSUMPTION_CASES = [
+    ("params", {"K": 0.0}, "(A1)"),
+    ("params", {"nu": -1.0}, "(A1)"),
+    ("params", {"epsilon": 0.0}, "(A1)"),
+    ("params", {"chi": -0.1}, "(A1)"),
+    ("viscosity", {"eta": 0.0}, "(A3)"),
+    ("viscosity", {"variant": "blend", "eta_a": -1.0, "eta_b": 1.0}, "(A3)"),
+    ("viscosity", {"lam": -0.1}, "(A3)"),
+    ("mobility", {"m": 0.0}, "(A2)"),
+    ("mobility", {"variant": "blend", "m_a": -1.0, "m_b": 1.0}, "(A2)"),
+    ("sources", {"h": -1.0}, "(A4)"),
+    ("sources", {"variant": "linear", "h": -1.0}, "(A4)"),
+]
+
+
+@pytest.mark.parametrize("section,entry,tag", ASSUMPTION_CASES)
+def test_assumption_violation_names_its_tag(section, entry, tag):
+    raw = json.loads(minimal_config())
+    raw["model"][section] = entry
+    with pytest.raises(ConfigError, match=re.escape(tag)):
+        parse_config(json.dumps(raw))
+
+
+def test_t_final_is_an_unknown_key():
+    raw = json.loads(minimal_config())
+    raw["model"]["params"] = {"t_final": 1.0}
+    with pytest.raises(ConfigError,
+                       match=r"unknown key 'config\.model\.params\.t_final'"):
+        parse_config(json.dumps(raw))
+
+
 def test_unknown_key_reports_location():
     raw = json.loads(minimal_config())
     raw["model"]["viscocity"] = {"variant": "constant"}
@@ -55,6 +167,15 @@ def test_wrong_per_face_length_rejected():
     raw = json.loads(minimal_config())
     raw["model"]["sigma_inf"] = {"variant": "per_face", "values": [1.0, 2.0]}
     with pytest.raises(ConfigError, match="64"):
+        parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("bad", [math.nan, "1.5", True, 10**400])
+def test_per_face_values_must_be_finite_numbers(bad):
+    raw = json.loads(minimal_config())
+    raw["model"]["sigma_inf"] = {"variant": "per_face",
+                                 "values": [1.0] * 63 + [bad]}
+    with pytest.raises(ConfigError, match="64 finite numbers"):
         parse_config(json.dumps(raw))
 
 
@@ -196,6 +317,32 @@ def test_validate_subcommand(tmp_path, capsys):
     cfgpath.write_text(json.dumps(fixed_point_config(tmp_path)))
     assert main(["validate", "--config", str(cfgpath)]) == 0
     assert "(A5)" in capsys.readouterr().out
+
+
+def test_validate_subcommand_rejects_failed_assumption(tmp_path, capsys):
+    raw = fixed_point_config(tmp_path)
+    raw["model"]["params"]["K"] = -1.0
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfgpath)]) == 2
+    assert "(A1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("section,key,value", [
+    ("stepping", "dt", math.nan), ("params", "epsilon", math.inf),
+    ("viscosity", "eta", math.nan), ("grid", "lx", -math.inf)])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command,
+                                             section, key, value):
+    raw = fixed_point_config(tmp_path)
+    parent = raw["model"] if section in ("params", "viscosity") else raw
+    parent.setdefault(section, {})[key] = value
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))   # writes NaN / Infinity tokens
+    assert main([command, "--config", str(cfgpath)]) == 2
+    assert f".{section}.{key}' must be a finite number" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path):

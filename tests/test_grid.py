@@ -7,8 +7,8 @@ from chbrinkman import (FaceField, Grid2D, advect_upwind,
                         boundary_flux_integral, divergence_of_faces,
                         face_zeros, gradient_to_faces, integrate_cells,
                         laplacian_neumann)
-from chbrinkman.grid import (boundary_face_lengths, boundary_pack,
-                            csr_slots, face_volumes, strain_operators)
+from chbrinkman.grid import (boundary_face_lengths, csr_slots, face_volumes,
+                            strain_operators)
 
 grids = st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
                   st.floats(0.5, 2.0), st.floats(0.5, 2.0))
@@ -231,12 +231,8 @@ def test_operators_linear(rng):
                        + b * divergence_of_faces(g, w2), atol=1e-12)
 
 
-def test_boundary_pack_order():
+def test_boundary_face_lengths_sum_to_perimeter():
     g = Grid2D(3, 4)
-    packed = boundary_pack(g, 1.0, 2.0, 3.0, 4.0)
-    assert packed.shape == (2 * (3 + 4),)
-    assert np.all(packed[:3] == 1.0) and np.all(packed[3:7] == 2.0)
-    assert np.all(packed[7:10] == 3.0) and np.all(packed[10:] == 4.0)
     lengths = boundary_face_lengths(g)
     assert lengths.sum() == pytest.approx(2 * (g.lx + g.ly))
 
