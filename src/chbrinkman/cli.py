@@ -77,7 +77,6 @@ class SimConfig:
     out_dir: str
     field_stride: int
     diagnostics_stride: int
-    seed: int
 
 
 def _find_key_location(text: str, key: str):
@@ -185,8 +184,7 @@ def _linear_sources(b_v, f_v, b_phi, f_phi, h) -> SourceSpec:
         b_v=smooth_blend(0.0, 2.0 * b_v), f_v=smooth_blend(0.0, 2.0 * f_v),
         b_phi=smooth_blend(0.0, 2.0 * b_phi),
         f_phi=smooth_blend(0.0, 2.0 * f_phi),
-        h=lambda s: h * np.ones_like(np.asarray(s, dtype=float)),
-        variant="linear")
+        h=lambda s: h * np.ones_like(np.asarray(s, dtype=float)))
 
 
 def _model_sections(grid: Grid2D):
@@ -231,6 +229,13 @@ def _model_sections(grid: Grid2D):
                        {"seed": (int, 0), "amplitude": (float, 0.01),
                         "base": (float, 0.0), "modes": (int, 2)})}),
     }
+
+
+def _with_seed(spec: ModelSpec, seed: int) -> ModelSpec:
+    """spec with a random phi0 drawn from ``seed``; other phi0 unchanged."""
+    if isinstance(spec.phi0, RandomPerturbation):
+        return replace(spec, phi0=replace(spec.phi0, seed=seed))
+    return spec
 
 
 def parse_config(text: str) -> SimConfig:
@@ -299,11 +304,11 @@ def parse_config(text: str) -> SimConfig:
 
     seed = root.get("seed", int, default=0)
     root.finish()
-    if isinstance(spec.phi0, RandomPerturbation) and seed != 0:
-        spec = replace(spec, phi0=replace(spec.phi0, seed=seed))
+    if seed != 0:
+        spec = _with_seed(spec, seed)
     return SimConfig(grid=grid, spec=spec, stepping=stepping, n_steps=n_steps,
                      out_dir=out_dir, field_stride=field_stride,
-                     diagnostics_stride=diag_stride, seed=seed)
+                     diagnostics_stride=diag_stride)
 
 
 # output ----------------------------------------------------------------------
@@ -428,10 +433,7 @@ def _load_config(path: str, args) -> SimConfig:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
-        spec = cfg.spec
-        if isinstance(spec.phi0, RandomPerturbation):
-            spec = replace(spec, phi0=replace(spec.phi0, seed=args.seed))
-        cfg = replace(cfg, seed=args.seed, spec=spec)
+        cfg = replace(cfg, spec=_with_seed(cfg.spec, args.seed))
     if args.flow_mode is not None:
         cfg = replace(cfg,
                       stepping=replace(cfg.stepping, flow_mode=args.flow_mode))

@@ -9,25 +9,26 @@ The momentum operator is assembled from the discrete energy form
 (one-sided tangential differences at boundary nodes).  The traction-free
 condition is then the natural boundary condition and comes out identical to
 the half-cell flux closure with boundary traction set to zero; the velocity
-block is symmetric positive semidefinite by construction.  The strain
-samples come from the cached ``grid.strain_operators`` and the dissipation
-diagnostics evaluate this same form, so they equal v^T A v.  Continuity rows
-enforce div(v) = Gamma_v exactly at every cell (solved, not penalized).
-The saddle-point pattern depends on the grid alone: ``grid.saddle_pattern``
-builds it once from those rows, and each assembly only fills in the
-quadrature weights of phi.
+block is symmetric positive semidefinite by construction.  The form is
+defined once, in ``brinkman_form``: its rows E = [shear; div; I] are built
+once per grid together with the saddle-point pattern (``grid.form_pattern``),
+and ``_form_weights`` gives the quadrature weights w of phi in E's row
+order, so a(v,v) = sum_r w_r (E v)_r^2.  Each assembly only scatters w
+into the pattern, and the dissipation diagnostics evaluate the same sum,
+so they equal v^T A v.  Continuity rows enforce div(v) = Gamma_v exactly
+at every cell (solved, not penalized).
 
 The saddle point is solved by classical BiCGStab with a block
 upper-triangular preconditioner built from the mean viscosities (Elman,
 Silvester & Wathen, Finite Elements and Fast Iterative Solvers, ch. 8): the
 diagonal velocity blocks are inverted exactly for constant viscosity by
-fast diagonalization (``grid.velocity_blocks``), and the inverse pressure
+fast diagonalization (``velocity_blocks``), and the inverse pressure
 Schur complement by minus the Cahouet-Chabard approximation
 ((2*eta + lam)*I + nu*L_D^-1)/vol, with L_D the Darcy pressure operator --
 at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
-carries into the preconditioner.  If the Krylov tolerance lands unevenly on
-the continuity rows and div(v) misses Gamma_v, up to two correction passes
-solve A*dx = b - A*x, each to one more digit.
+carries into the preconditioner.  One Krylov solve runs per call: its
+tolerance is worked out from the inputs so that the continuity block of
+the residual also meets the divergence target (see ``solve_brinkman``).
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - grad p)/nu where the
@@ -40,15 +41,16 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import (CellField, FaceField, Grid2D, divergence_of_faces,
-                   face_volumes, gradient_to_faces, minus_laplacian,
-                   norm_l2_cells, saddle_pattern, strain_operators,
-                   velocity_blocks)
-from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
+                   face_volumes, form_pattern, gradient_to_faces,
+                   minus_laplacian, norm_l2_cells)
+from .linalg import (KroneckerOperator, LinearSystem, SolveStats,
+                     SolverFailure, bicgstab_solve)
 from .model import eval_source_gamma_v
 
 
@@ -85,17 +87,123 @@ def _cell_values(f, phi: CellField) -> np.ndarray:
     return np.asarray(f(phi), dtype=float).ravel()
 
 
-def _shear_weights(g: Grid2D, eta: np.ndarray) -> np.ndarray:
-    """Quadrature weights of the shear terms at the rows of
-    ``strain_operators(g).shear`` for the flat cell viscosity eta:
-    2*eta*vol at cells (for dvx/dx, then for dvy/dy) and 4*eta_n*w_n at
-    nodes.  With eta_n the mean of the k cells around a node and
-    w_n = k*vol/4 its patch area, 4*eta_n*w_n is vol times the sum of eta
-    over those cells."""
+# the Brinkman energy form --------------------------------------------------
+
+def _read_only(m) -> sp.csr_matrix:
+    """m as sorted CSR without stored zeros (kron of small factors stores
+    some), with read-only arrays."""
+    m = sp.csr_matrix(m)
+    m.eliminate_zeros()
+    m.sort_indices()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
+def _cell_difference(n: int, h: float) -> sp.csr_matrix:
+    """(n x n+1): difference across each of n cells of width h."""
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
+                    format="csr")
+
+
+def _strain_pieces(n: int, h: float):
+    """The 1D strain pieces along one axis of n cells of width h: the cell
+    difference (n x n+1), the one-sided node difference (n+1 x n; an end
+    node takes the difference of its neighbour) and the node touch
+    (n+1 x n; the cells around each node)."""
+    return (_cell_difference(n, h),
+            _cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
+            sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
+
+
+@dataclass(frozen=True)
+class BrinkmanForm:
+    """The Brinkman energy form v^T A v = sum_r w_r (E v)_r^2 of one grid,
+    read-only, on the stacked face unknowns (x faces, then y faces, each
+    flattened C-order).
+
+    The rows of ``energy`` E are dvx/dx and dvy/dy at cells, then
+    (dvx/dy + dvy/dx)/2 at nodes (one-sided at boundary nodes) -- the
+    first ``n_shear`` rows -- then div v at cells, then v itself.
+    ``node_sum`` maps a flattened cell field to the sum of the cell values
+    around each node; ``grad`` is G = -div^T*vol.  ``pattern`` is the
+    saddle-point matrix [[A, G], [G^T, 0]] with G's data, ``scatter`` maps
+    the weights w to the data of A in it, ``rows`` is the row of each
+    stored entry and ``diagonal`` the slots of A's diagonal."""
+
+    energy: sp.csr_matrix
+    n_shear: int
+    node_sum: sp.csr_matrix
+    grad: sp.csr_matrix
+    pattern: sp.csr_matrix
+    scatter: sp.csc_matrix
+    rows: np.ndarray
+    diagonal: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def brinkman_form(g: Grid2D) -> BrinkmanForm:
+    """The energy form of g as Kronecker products of 1D pieces, built once
+    per grid; the Brinkman matrix and the viscous dissipation are both
+    evaluated from it."""
+    (cell_x, node_x, touch_x), (cell_y, node_y, touch_y) = (
+        _strain_pieces(g.nx, g.dx), _strain_pieces(g.ny, g.dy))
+    nx, ny = g.nx, g.ny
+    d_xx = sp.kron(cell_x, sp.identity(ny))
+    d_yy = sp.kron(sp.identity(nx), cell_y)
+    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
+                            sp.kron(node_x, sp.identity(ny + 1))])
+    div = _read_only(sp.hstack([d_xx, d_yy]))
+    energy = _read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy, div,
+                                   sp.identity(div.shape[1])]))
+    grad = _read_only(-(div.T) * g.cell_volume)
+    pattern = form_pattern(energy, sp.bmat([[None, grad], [grad.T, None]],
+                                           format="csr"))
+    return BrinkmanForm(energy, 2 * g.n_cells + (nx + 1) * (ny + 1),
+                        _read_only(sp.kron(touch_x, touch_y)), grad, *pattern)
+
+
+def _form_weights(g: Grid2D, phi: CellField, spec):
+    """(w, eta, lam): the quadrature weights w of the energy form in the
+    row order of ``brinkman_form(g).energy`` -- 2*eta*vol at cells (for
+    dvx/dx, then for dvy/dy), 4*eta_n*w_n at nodes, lam*vol at cells and
+    nu*vol_f at faces -- and the flat cell viscosities they come from.
+    With eta_n the mean of the k cells around a node and w_n = k*vol/4 its
+    patch area, 4*eta_n*w_n is vol times the sum of eta over those
+    cells."""
+    eta = _cell_values(spec.viscosity.eta, phi)
+    lam = _cell_values(spec.viscosity.lam, phi)
     vol = g.cell_volume
     two_eta = 2.0 * vol * eta
-    return np.concatenate([two_eta, two_eta,
-                           vol * (strain_operators(g).node_sum @ eta)])
+    vol_f = _stacked(FaceField(*face_volumes(g)))
+    w = np.concatenate([two_eta, two_eta,
+                        vol * (brinkman_form(g).node_sum @ eta), lam * vol,
+                        spec.params.nu * vol_f])
+    return w, eta, lam
+
+
+@lru_cache(maxsize=32)
+def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
+    """(x-face block, y-face block): the diagonal blocks of the Brinkman
+    momentum matrix for constant viscosities, over the cell volume, as
+    ``KroneckerOperator`` on the flat face indices.  On x faces
+
+        T = Cx^T Cx (x) I  +  Hx (x) Ny^T diag(ty) Ny / 2,   M = Hx (x) I,
+
+    with C the cell difference, N the one-sided node difference, t the node
+    touch counts (1, 2, ..., 2, 1) and H = diag(1/2, 1, ..., 1, 1/2) the
+    face volume weights: the block is then vol times T solved with weights
+    (2*eta + lam, eta) and shift nu.  The y faces mirror it, with weights
+    (eta, 2*eta + lam)."""
+    normal, tangent, mass = [], [], []
+    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
+        cell, node, touch = _strain_pieces(n, h)
+        t = touch @ np.ones(n)
+        normal.append((cell.T @ cell).toarray())
+        tangent.append(0.5 * (node.T @ sp.diags(t) @ node).toarray())
+        mass.append(0.5 * t)  # H: the faces sit at the nodes of this axis
+    return (KroneckerOperator(normal[0], tangent[1], mx=mass[0]),
+            KroneckerOperator(tangent[0], normal[1], my=mass[1]))
 
 
 def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
@@ -129,10 +237,10 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
 
     The symmetric energy form (momentum rows volume-weighted, continuity
     rows scaled by -vol_c so the pressure blocks are mutual transposes) is
-    filled into the cached ``grid.saddle_pattern``: the quadrature weights
-    of phi go through its scatter, and the result is symmetrically
-    Jacobi-scaled in place, sharing the pattern's index arrays.  Returns
-    (LinearSystem, unknown_scale): physical unknowns are
+    filled into the cached ``brinkman_form`` pattern: the weights of
+    ``_form_weights`` go through its scatter, and the result is
+    symmetrically Jacobi-scaled in place, sharing the pattern's index
+    arrays.  Returns (LinearSystem, unknown_scale): physical unknowns are
     unknown_scale * solution_of(LinearSystem).  The system carries the
     block-triangular preconditioner of the scaled matrix.
     """
@@ -141,33 +249,28 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
         # the rigid motions lie in the kernel of the strain, so the friction
         # nu*|v|^2 alone holds them: at nu = 0 the system is singular
         raise ValueError("(A1): singular Brinkman assembly: needs nu > 0")
-    eta = _cell_values(spec.viscosity.eta, phi)
-    w_shear = _shear_weights(g, eta)
-
-    pattern = saddle_pattern(g)
-    lam = _cell_values(spec.viscosity.lam, phi)
-    vol_c = g.cell_volume
-    wx, wy = face_volumes(g)
-    vol_f = np.concatenate([wx.ravel(), wy.ravel()])
-    data = pattern.scatter @ np.concatenate([w_shear, lam * vol_c,
-                                             nu * vol_f])
-    data += pattern.const.data
-    rhs = np.concatenate([vol_f * _stacked(force),
-                          -vol_c * np.asarray(gamma_v, dtype=float).ravel()])
+    form = brinkman_form(g)
+    w, eta, lam = _form_weights(g, phi, spec)
+    data = form.scatter @ w
+    data += form.pattern.data
+    rhs = np.concatenate([_stacked(FaceField(*face_volumes(g)))
+                          * _stacked(force),
+                          -g.cell_volume
+                          * np.asarray(gamma_v, dtype=float).ravel()])
 
     # symmetric rescale: pressure columns and continuity rows by 1/dx so the
     # Krylov tolerance lands on the continuity block at the Gamma_v scale,
     # then Jacobi-symmetric scaling of the whole system (the continuity rows
     # have no diagonal)
-    d = np.abs(data[pattern.diagonal])
+    d = np.abs(data[form.diagonal])
     d[d == 0.0] = 1.0
     scale = np.concatenate([1.0 / np.sqrt(d),
                             np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
-    data *= scale[pattern.rows]
-    data *= scale[pattern.const.indices]
-    a_scaled = sp.csr_matrix((data, pattern.const.indices,
-                              pattern.const.indptr), shape=pattern.const.shape)
-    precond = _brinkman_preconditioner(g, pattern.grad, float(np.mean(eta)),
+    data *= scale[form.rows]
+    data *= scale[form.pattern.indices]
+    a_scaled = sp.csr_matrix((data, form.pattern.indices,
+                              form.pattern.indptr), shape=form.pattern.shape)
+    precond = _brinkman_preconditioner(g, form.grad, float(np.mean(eta)),
                                        float(np.mean(lam)), nu, scale)
     return LinearSystem(a_scaled, rhs * scale, precond), scale
 
@@ -186,40 +289,37 @@ def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
 def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                    spec, extra_force: FaceField | None = None,
                    tol: float = 1e-9) -> FlowSolution:
+    """One Krylov solve of the Brinkman system, to a relative residual that
+    also meets the divergence target ||div v - Gamma_v|| <= 5*tol*||Gamma_v||.
+
+    Continuity row i of the scaled residual is s_p*vol*(div v - Gamma_v)_i
+    with s_p = 1/min(dx, dy), so a scaled residual of at most
+    5*tol*||Gamma_v||*s_p*sqrt(vol) meets the target.  The relative
+    tolerance is that bound over the scaled rhs norm, at most tol and at
+    least 0.01*tol; with Gamma_v = 0 it is tol."""
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force)
     gnorm = norm_l2_cells(g, np.asarray(gamma_v, dtype=float)
                           + np.zeros((g.nx, g.ny)))
-
+    solve_tol = tol
+    if gnorm > 0.0:
+        target = (5.0 * tol * gnorm * np.sqrt(g.cell_volume)
+                  / (min(g.dx, g.dy) * np.linalg.norm(system.rhs)))
+        solve_tol = min(tol, max(target, 0.01 * tol))
+    x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
+                              tol=solve_tol)
+    if not stats.converged:
+        raise SolverFailure(
+            f"Brinkman solve did not converge (residual {stats.residual:.3e} "
+            f"after {stats.iterations} iterations)", stats, stage="flow")
+    x = scale * x
     nvx = (g.nx + 1) * g.ny
     nvy = g.nx * (g.ny + 1)
-    bnorm = np.linalg.norm(system.rhs)
-    x_scaled = np.zeros(system.rhs.size)
-    residual, solve_tol, iterations = system.rhs, tol, 0
-    for _ in range(3):
-        # the correction A*dx = residual, to solve_tol relative to the rhs
-        rnorm = np.linalg.norm(residual)
-        dx, stats = bicgstab_solve(
-            system.matrix, residual, system.precond,
-            tol=solve_tol * (bnorm / rnorm if rnorm > 0.0 else 1.0))
-        iterations += stats.iterations
-        if not stats.converged:
-            raise SolverFailure(
-                f"Brinkman solve did not converge (residual "
-                f"{stats.residual:.3e} after {iterations} iterations)",
-                SolveStats(iterations, stats.residual, False), stage="flow")
-        x_scaled = x_scaled + dx
-        x = scale * x_scaled
-        vel = FaceField(x[:nvx].reshape(g.nx + 1, g.ny),
-                        x[nvx:nvx + nvy].reshape(g.nx, g.ny + 1))
-        p = x[nvx + nvy:].reshape(g.nx, g.ny)
-        div_res = norm_l2_cells(g, divergence_of_faces(g, vel) - gamma_v)
-        if gnorm == 0.0 or div_res <= 5.0 * tol * gnorm:
-            break
-        residual = system.rhs - system.matrix @ x_scaled
-        solve_tol *= 0.1
-    stats = SolveStats(iterations, stats.residual, True)
+    vel = FaceField(x[:nvx].reshape(g.nx + 1, g.ny),
+                    x[nvx:nvx + nvy].reshape(g.nx, g.ny + 1))
+    p = x[nvx + nvy:].reshape(g.nx, g.ny)
+    div_res = norm_l2_cells(g, divergence_of_faces(g, vel) - gamma_v)
     return FlowSolution(vel, p, stats, div_res)
 
 
@@ -271,21 +371,17 @@ def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
 
 def shear_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     """int 2*eta(phi)*|Dv|^2 alone (the part of the viscous energy that
-    dies out in the Darcy limit): the shear terms of the Brinkman energy
-    form, diagonal strain at cells and off-diagonal at nodes."""
-    strain = strain_operators(g).shear @ _stacked(vel)
-    w_shear = _shear_weights(g, _cell_values(spec.viscosity.eta, phi))
-    return float(w_shear @ strain**2)
+    dies out in the Darcy limit): the energy form over its shear rows,
+    diagonal strain at cells and off-diagonal at nodes."""
+    form = brinkman_form(g)
+    w, _, _ = _form_weights(g, phi, spec)
+    strain = (form.energy @ _stacked(vel))[:form.n_shear]
+    return float(w[:form.n_shear] @ strain**2)
 
 
 def viscous_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     """Discrete int 2*eta(phi)|Dv|^2 + lam(phi)(div v)^2 + nu|v|^2: the
-    energy form v^T A v of the assembled Brinkman momentum block, from the
-    same strain operators and quadrature weights."""
-    lam = _cell_values(spec.viscosity.lam, phi)
-    div_v = strain_operators(g).div @ _stacked(vel)
-    wx, wy = face_volumes(g)
-    return (shear_dissipation(g, vel, phi, spec)
-            + g.cell_volume * float(lam @ div_v**2)
-            + spec.params.nu * float(np.sum(wx * vel.x**2)
-                                     + np.sum(wy * vel.y**2)))
+    energy form v^T A v of the assembled Brinkman momentum block,
+    sum_r w_r (E v)_r^2 with the weights of the assembly."""
+    w, _, _ = _form_weights(g, phi, spec)
+    return float(w @ (brinkman_form(g).energy @ _stacked(vel))**2)

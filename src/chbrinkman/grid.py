@@ -258,17 +258,6 @@ def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
                              _second_difference(g.ny, g.dy, end_y))
 
 
-def _read_only(m) -> sp.csr_matrix:
-    """m as sorted CSR without stored zeros (kron of small factors stores
-    some), with read-only arrays."""
-    m = sp.csr_matrix(m)
-    m.eliminate_zeros()
-    m.sort_indices()
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
-
-
 def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
     """Position in ``pattern.data`` of each stored entry (rows[k], cols[k])
     of the sorted CSR ``pattern``, found by bisection in the sorted entry
@@ -282,115 +271,25 @@ def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
     return np.searchsorted(keys, wanted)
 
 
-@lru_cache(maxsize=32)
-def _div_grad_scatter(g: Grid2D):
-    """Sparse map from interior-face weights (x faces, then y faces, each
-    flattened) to the data of div(w grad .) stored in the pattern of
-    ``minus_laplacian(g).matrix``."""
-    pattern = minus_laplacian(g).matrix
-    cell = np.arange(g.n_cells).reshape(g.nx, g.ny)
-    lo = np.concatenate([cell[:-1, :].ravel(), cell[:, :-1].ravel()])
-    hi = np.concatenate([cell[1:, :].ravel(), cell[:, 1:].ravel()])
-    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], lo.size)
-    # duplicate slots (the diagonal) are summed
-    slot = csr_slots(pattern, np.concatenate([lo, lo, hi, hi]),
-                     np.concatenate([lo, hi, hi, lo]))
-    return _read_only(sp.csr_matrix(
-        (sign, (slot, np.tile(np.arange(lo.size), 4))),
-        shape=(pattern.nnz, lo.size)))
+def form_pattern(energy: sp.csr_matrix, const: sp.csr_matrix):
+    """The pattern of E^T diag(w) E + C for every weight vector w, as
+    read-only arrays built once: E (``energy``, sorted CSR) acts on the
+    leading unknowns of the square C (``const``).
 
-
-def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
-    """div(m grad .) with zero-flux boundary faces on flat cell indices,
-    in the pattern of ``minus_laplacian(g).matrix``; symmetric NSD."""
-    w = np.concatenate([(m_face.x[1:-1, :] / g.dx**2).ravel(),
-                        (m_face.y[:, 1:-1] / g.dy**2).ravel()])
-    return minus_laplacian(g).in_pattern(_div_grad_scatter(g) @ w)
-
-
-# staggered strain geometry -------------------------------------------------
-
-def _cell_difference(n: int, h: float) -> sp.csr_matrix:
-    """(n x n+1): difference across each of n cells of width h."""
-    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
-                    format="csr")
-
-
-@dataclass(frozen=True)
-class StrainOperators:
-    """The staggered strain geometry of one grid, read-only, on the stacked
-    face unknowns (x faces, then y faces, each flattened C-order).
-
-    ``shear`` maps stacked v to dvx/dx and dvy/dy at cells, then
-    (dvx/dy + dvy/dx)/2 at nodes (one-sided at boundary nodes); ``div``
-    maps it to div v at cells; ``node_sum`` maps a flattened cell field to
-    the sum of the cell values around each node.
-    """
-
-    shear: sp.csr_matrix
-    div: sp.csr_matrix
-    node_sum: sp.csr_matrix
-
-
-def _strain_pieces(n: int, h: float):
-    """The 1D strain pieces along one axis of n cells of width h: the cell
-    difference (n x n+1), the one-sided node difference (n+1 x n; an end
-    node takes the difference of its neighbour) and the node touch
-    (n+1 x n; the cells around each node)."""
-    return (_cell_difference(n, h),
-            _cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
-            sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
-
-
-@lru_cache(maxsize=32)
-def strain_operators(g: Grid2D) -> StrainOperators:
-    """The strain geometry of g as Kronecker products of 1D pieces, built
-    once per grid; the Brinkman matrix and the viscous dissipation are both
-    evaluated from it."""
-    (cell_x, node_x, touch_x), (cell_y, node_y, touch_y) = (
-        _strain_pieces(g.nx, g.dx), _strain_pieces(g.ny, g.dy))
-    nx, ny = g.nx, g.ny
-    d_xx = sp.kron(cell_x, sp.identity(ny))
-    d_yy = sp.kron(sp.identity(nx), cell_y)
-    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
-                            sp.kron(node_x, sp.identity(ny + 1))])
-    return StrainOperators(
-        shear=_read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy])),
-        div=_read_only(sp.hstack([d_xx, d_yy])),
-        node_sum=_read_only(sp.kron(touch_x, touch_y)))
-
-
-@dataclass(frozen=True)
-class SaddlePattern:
-    """The Brinkman saddle-point matrix [[A, G], [G^T, 0]] of one grid as a
-    read-only pattern.  ``scatter`` maps the weights w of the energy form
-    v^T A v = sum_r w_r (E v)_r^2, E = [shear; div; I], to the data of A in
-    the pattern of ``const``, whose data holds G = -div^T*vol (``grad``) and
-    G^T; ``rows`` is the row of each stored entry, ``diagonal`` the slots
-    of A's diagonal."""
-
-    const: sp.csr_matrix
-    scatter: sp.csc_matrix
-    grad: sp.csr_matrix
-    rows: np.ndarray
-    diagonal: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def saddle_pattern(g: Grid2D) -> SaddlePattern:
-    """The pattern of g, from the rows E of ``strain_operators`` once per
-    grid: each pair of entries (r, i), (r, j) of E puts E[r,i]*E[r,j] at
-    the slot of (i, j) in scatter column r."""
-    ops = strain_operators(g)
-    nv = ops.div.shape[1]
-    energy = sp.vstack([ops.shear, ops.div, sp.identity(nv)], format="csr")
-    grad = _read_only(-(ops.div.T) * g.cell_volume)
-    full = sp.bmat([[abs(energy).T @ abs(energy), grad], [grad.T, None]],
-                   format="csr")
+    Returns (pattern, scatter, rows, diagonal): ``pattern`` is the sorted
+    CSR pattern holding C's data (0 elsewhere), ``scatter`` maps w to the
+    data of E^T diag(w) E in it (each pair of entries (r, i), (r, j) of E
+    puts E[r,i]*E[r,j] at the slot of (i, j) in column r), ``rows`` is the
+    row of each stored entry and ``diagonal`` the slots of the diagonal."""
+    energy = sp.csr_matrix((energy.data, energy.indices, energy.indptr),
+                           shape=(energy.shape[0], const.shape[1]))
+    full = sp.csr_matrix(abs(energy).T @ abs(energy) + abs(const))
     full.sort_indices()
     rows = np.repeat(np.arange(full.shape[0], dtype=np.int32),
                      np.diff(full.indptr))
-    full.data[(rows < nv) & (full.indices < nv)] = 0.0
+    const = sp.coo_matrix(const)
+    full.data[:] = 0.0
+    full.data[csr_slots(full, const.row, const.col)] = const.data
     # row r of E has count[r] entries and count[r]**2 consecutive pairs:
     # each of its entries (left) meets every entry of the row (right)
     count = np.diff(energy.indptr)
@@ -409,28 +308,25 @@ def saddle_pattern(g: Grid2D) -> SaddlePattern:
     for arr in (full.data, full.indices, full.indptr, scatter.data,
                 scatter.indices, scatter.indptr, rows, diagonal):
         arr.flags.writeable = False
-    return SaddlePattern(full, scatter, grad, rows, diagonal)
+    return full, scatter, rows, diagonal
 
 
 @lru_cache(maxsize=32)
-def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
-    """(x-face block, y-face block): the diagonal blocks of the Brinkman
-    momentum matrix for constant viscosities, over the cell volume, as
-    ``KroneckerOperator`` on the flat face indices.  On x faces
+def _face_difference_scatter(g: Grid2D) -> sp.csc_matrix:
+    """The ``form_pattern`` scatter of the undivided differences across the
+    interior faces (x faces, then y faces, each flattened), with no
+    constant part; its pattern is that of ``minus_laplacian(g).matrix``."""
+    def diff(n):
+        return sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))
 
-        T = Cx^T Cx (x) I  +  Hx (x) Ny^T diag(ty) Ny / 2,   M = Hx (x) I,
+    faces = sp.vstack([sp.kron(diff(g.nx), sp.identity(g.ny)),
+                       sp.kron(sp.identity(g.nx), diff(g.ny))], format="csr")
+    return form_pattern(faces, sp.csr_matrix((g.n_cells, g.n_cells)))[1]
 
-    with C the cell difference, N the one-sided node difference, t the node
-    touch counts (1, 2, ..., 2, 1) and H = diag(1/2, 1, ..., 1, 1/2) the
-    face volume weights: the block is then vol times T solved with weights
-    (2*eta + lam, eta) and shift nu.  The y faces mirror it, with weights
-    (eta, 2*eta + lam)."""
-    normal, tangent, mass = [], [], []
-    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
-        cell, node, touch = _strain_pieces(n, h)
-        t = touch @ np.ones(n)
-        normal.append((cell.T @ cell).toarray())
-        tangent.append(0.5 * (node.T @ sp.diags(t) @ node).toarray())
-        mass.append(0.5 * t)  # H: the faces sit at the nodes of this axis
-    return (KroneckerOperator(normal[0], tangent[1], mx=mass[0]),
-            KroneckerOperator(tangent[0], normal[1], my=mass[1]))
+
+def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
+    """div(m grad .) with zero-flux boundary faces on flat cell indices,
+    in the pattern of ``minus_laplacian(g).matrix``; symmetric NSD."""
+    w = np.concatenate([(m_face.x[1:-1, :] / g.dx**2).ravel(),
+                        (m_face.y[:, 1:-1] / g.dy**2).ravel()])
+    return minus_laplacian(g).in_pattern(_face_difference_scatter(g) @ -w)

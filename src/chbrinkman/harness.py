@@ -31,7 +31,6 @@ class SweepResult:
     norms: dict
     primary: str
     slope: float
-    monotonic: bool
     checks: dict
 
     def table(self):
@@ -78,7 +77,7 @@ def passthrough_sources() -> SourceSpec:
     """Gamma_v = clip(phi): lets MMS drivers prescribe an arbitrary bounded
     mass source by storing it in the phi argument."""
     return SourceSpec(b_v=_zeros, f_v=_clip_identity, b_phi=_zeros,
-                      f_phi=_zeros, h=_ones, variant="passthrough")
+                      f_phi=_zeros, h=_ones)
 
 
 # manufactured solutions ------------------------------------------------------
@@ -228,7 +227,6 @@ def mms_convergence(problem: str, levels: int = 3,
         parameter="n", values=ns,
         norms={"dx": dxs, **norms},
         primary=primary, slope=order,
-        monotonic=_strictly_decreasing(norms[primary]),
         checks={"observed_order": order,
                 "order_at_least_required": bool(order >= floor)},
     )
@@ -262,16 +260,14 @@ def robin_limit_study(g: Grid2D, phi: CellField, spec: ModelSpec,
         parameter="K", values=K_values,
         norms={"boundary_gap_l2": gaps, "interior_distance_l2": dists,
                "gap_times_sqrt_k": gap_sqrt_k},
-        primary="boundary_gap_l2", slope=slope,
-        monotonic=checks["gap_strictly_decreasing"], checks=checks)
+        primary="boundary_gap_l2", slope=slope, checks=checks)
 
 
 def _scaled_viscosity(base: ViscositySpec, s: float) -> ViscositySpec:
     return ViscositySpec(
         eta=lambda t, f=base.eta: s * np.asarray(f(t), dtype=float),
         lam=lambda t, f=base.lam: s * np.asarray(f(t), dtype=float),
-        eta0=s * base.eta0, eta1=s * base.eta1, lam0=s * base.lam0,
-        variant=f"{base.variant}_x{s:g}")
+        eta0=s * base.eta0, eta1=s * base.eta1, lam0=s * base.lam0)
 
 
 def viscosity_limit_study(g: Grid2D, phi: CellField, mu: CellField,
@@ -303,8 +299,7 @@ def viscosity_limit_study(g: Grid2D, phi: CellField, mu: CellField,
         parameter="scale", values=scales,
         norms={"velocity_gap_l2": v_gaps, "pressure_gap_l2": p_gaps,
                "viscous_energy": energies},
-        primary="velocity_gap_l2", slope=slope,
-        monotonic=checks["velocity_gap_decreasing"], checks=checks)
+        primary="velocity_gap_l2", slope=slope, checks=checks)
 
 
 def _run_trajectory(g, spec, cfg, n_steps):
@@ -377,4 +372,4 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
         norms={"difference_ratio": ratios},
         primary="difference_ratio",
         slope=_loglog_slope([d for d in deltas if d > 0], nonzero),
-        monotonic=_strictly_decreasing(nonzero), checks=checks)
+        checks=checks)

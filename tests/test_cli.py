@@ -36,7 +36,10 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.spec.params.epsilon == 0.05
     assert cfg.stepping.stabilization == 2.0
     assert cfg.diagnostics_stride == 1
-    assert cfg.seed == 0
+    # the default root seed 0 leaves a random phi0 its own seed
+    raw = json.loads(minimal_config())
+    raw["model"]["phi0"] = {"variant": "random", "seed": 5}
+    assert parse_config(json.dumps(raw)).spec.phi0.seed == 5
 
 
 def test_negative_k_names_assumption():
@@ -90,8 +93,7 @@ VARIANT_CASES = {
                                    "f_phi": -0.1, "h": 2.0},
                        SourceSpec(b_v=ramp(0.2), f_v=ramp(0.0),
                                   b_phi=ramp(0.0), f_phi=ramp(-0.1),
-                                  h=lambda s: 2.0 + 0.0 * s,
-                                  variant="linear")),
+                                  h=lambda s: 2.0 + 0.0 * s)),
     "sigma_inf-constant": ("sigma_inf", {"value": 0.8}, 0.8),
     "sigma_inf-per_face": ("sigma_inf", {"variant": "per_face",
                                          "values": list(range(64))},
@@ -326,6 +328,19 @@ def test_validate_subcommand_rejects_failed_assumption(tmp_path, capsys):
     cfgpath.write_text(json.dumps(raw))
     assert main(["validate", "--config", str(cfgpath)]) == 2
     assert "(A1)" in capsys.readouterr().err
+
+
+def test_validate_subcommand_rejects_a_negative_lambda_blend_end(tmp_path,
+                                                                capsys):
+    # lam(s) = lam_a + (lam_b - lam_a)*(1 + tanh s)/2 reaches lam_a < 0 only
+    # where tanh(s) rounds to -1, from about s = -19 on
+    raw = fixed_point_config(tmp_path)
+    raw["model"]["viscosity"] = {"variant": "blend", "eta_a": 1.0,
+                                 "eta_b": 1.0, "lam_a": -1e-6, "lam_b": 1.0}
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(cfgpath)]) == 2
+    assert "(A3): 0 <= lambda(s) <= lambda0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

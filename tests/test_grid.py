@@ -7,8 +7,8 @@ from chbrinkman import (FaceField, Grid2D, advect_upwind,
                         boundary_flux_integral, divergence_of_faces,
                         face_zeros, gradient_to_faces, integrate_cells,
                         laplacian_neumann)
-from chbrinkman.grid import (boundary_face_lengths, csr_slots, face_volumes,
-                            strain_operators)
+from chbrinkman.grid import (boundary_face_lengths, csr_slots, div_m_grad,
+                            face_volumes, minus_laplacian)
 
 grids = st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
                   st.floats(0.5, 2.0), st.floats(0.5, 2.0))
@@ -237,44 +237,6 @@ def test_boundary_face_lengths_sum_to_perimeter():
     assert lengths.sum() == pytest.approx(2 * (g.lx + g.ly))
 
 
-def test_strain_operators_sample_linear_fields_exactly():
-    g = Grid2D(5, 7, 1.3, 0.7)
-    ops = strain_operators(g)
-    nc, nn = g.n_cells, (g.nx + 1) * (g.ny + 1)
-
-    def strain(vel):
-        s = ops.shear @ np.concatenate([vel.x.ravel(), vel.y.ravel()])
-        return (s[:nc], s[nc:2 * nc],
-                s[2 * nc:].reshape(g.nx + 1, g.ny + 1))
-
-    xfx, yfx = g.xface_centers()
-    xfy, yfy = g.yface_centers()
-    vel = FaceField(0.3 * xfx + 1.1 * yfx, -0.7 * xfy + 0.4 * yfy)
-    dxx, dyy, dxy = strain(vel)
-    assert ops.shear.shape[0] == 2 * nc + nn
-    assert np.allclose(dxx, 0.3, atol=1e-12)
-    assert np.allclose(dyy, 0.4, atol=1e-12)
-    assert np.allclose(dxy, 0.5 * (1.1 - 0.7), atol=1e-12)
-    v = np.concatenate([vel.x.ravel(), vel.y.ravel()])
-    assert np.allclose(ops.div @ v, divergence_of_faces(g, vel).ravel(),
-                       atol=1e-12)
-    # boundary nodes take their neighbour's (one-sided) difference
-    _, _, dxy = strain(FaceField(yfx**2, np.zeros_like(xfy)))
-    assert np.array_equal(dxy[:, 0], dxy[:, 1])
-    assert np.array_equal(dxy[:, -1], dxy[:, -2])
-    # four cells around an interior node, two on an edge, one at a corner
-    xc, yc = g.cell_centers()
-    xn, yn = np.meshgrid(np.arange(g.nx + 1) * g.dx,
-                         np.arange(g.ny + 1) * g.dy, indexing="ij")
-    nodes = (ops.node_sum @ (2.0 * xc + 3.0 * yc).ravel()).reshape(xn.shape)
-    assert np.allclose(nodes[1:-1, 1:-1],
-                       4.0 * (2.0 * xn + 3.0 * yn)[1:-1, 1:-1], atol=1e-12)
-    count = (ops.node_sum @ np.ones(nc)).reshape(xn.shape)
-    assert count[0, 0] == 1.0 and count[0, 1] == 2.0 and count[1, 1] == 4.0
-    assert count.sum() * g.cell_volume / 4.0 == pytest.approx(g.lx * g.ly)
-    assert strain_operators(g) is ops and not ops.shear.data.flags.writeable
-
-
 def test_csr_slots_do_not_overflow_int32():
     # n = 50,000 makes row*n pass 2^31 from row 42,950 on
     n = 50_000
@@ -285,3 +247,29 @@ def test_csr_slots_do_not_overflow_int32():
     slots = csr_slots(pattern, rows[pick], pattern.indices[pick])
     assert pattern.indices.dtype == np.int32
     assert np.array_equal(slots, pick)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.integers(0, 2**32 - 1))
+def test_div_m_grad_is_the_face_difference_form(g, seed):
+    # div(m grad .) = -D^T diag(m/h^2) D with D the undivided differences
+    # across the interior faces, bit for bit, in the Laplacian's pattern
+    rng = np.random.default_rng(seed)
+    m = FaceField(rng.uniform(0.1, 2.0, (g.nx + 1, g.ny)),
+                  rng.uniform(0.1, 2.0, (g.nx, g.ny + 1)))
+    cell = np.arange(g.n_cells).reshape(g.nx, g.ny)
+    lo = np.concatenate([cell[:-1, :].ravel(), cell[:, :-1].ravel()])
+    hi = np.concatenate([cell[1:, :].ravel(), cell[:, 1:].ravel()])
+    w = np.concatenate([(m.x[1:-1, :] / g.dx**2).ravel(),
+                        (m.y[:, 1:-1] / g.dy**2).ravel()])
+    ref = np.zeros((g.n_cells, g.n_cells))
+    for a, b, wk in zip(lo, hi, w):
+        ref[a, a] -= wk
+        ref[b, b] -= wk
+        ref[a, b] += wk
+        ref[b, a] += wk
+    out = div_m_grad(g, m)
+    assert np.array_equal(out.toarray(), ref)
+    laplacian = minus_laplacian(g).matrix
+    assert np.shares_memory(out.indices, laplacian.indices)
+    assert np.shares_memory(out.indptr, laplacian.indptr)

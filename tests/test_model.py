@@ -139,6 +139,17 @@ def test_smooth_blend_bounded():
     assert np.all(f(s) >= 0.5 - 1e-12) and np.all(f(s) <= 2.0 + 1e-12)
 
 
+def test_audit_samples_the_ends_of_a_blend():
+    # lam_a = -1e-6 is within 4.5e-5*(lam_b - lam_a) of lam(s) at s = -5,
+    # so only samples where tanh(s) is exactly -1 see it
+    spec = dataclasses.replace(default_model_spec(),
+                               viscosity=blended_viscosity(1.0, 1.0, -1e-6,
+                                                           1.0))
+    report = validate(spec)
+    assert report.failed_assumptions() == ["(A3)"]
+    assert report.failures()[0].worst_value == -1e-6
+
+
 def test_blended_viscosity_passes_audit():
     spec = dataclasses.replace(default_model_spec(),
                                viscosity=blended_viscosity(0.5, 2.0, 0.0, 0.3))
