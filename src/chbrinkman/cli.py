@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grid import Grid2D, integrate_cells
+from .grid import Grid2D
 from .harness import (continuous_dependence_study, mms_convergence,
                       robin_limit_study, viscosity_limit_study)
 from .linalg import SolverFailure
@@ -50,8 +50,8 @@ from .model import (ModelParams, ModelSpec, RandomPerturbation, SourceSpec,
                     constant_mobility, constant_viscosity,
                     default_quartic_potential, smooth_blend, validate,
                     zero_sources)
-from .stepper import (CflViolation, StepConfig, energy, initialize_state,
-                      step)
+from .stepper import (CflViolation, StepConfig, initialize_state,
+                      level_diagnostics, step)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -398,9 +398,9 @@ def run_simulation(cfg: SimConfig) -> int:
                 csv.write(_diagnostics_line(row))
                 csv.flush()
 
-            record((0, state.t, energy(g, state.phi, cfg.spec),
-                    integrate_cells(g, state.phi),
-                    0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            # the initial level has no step behind it: no residuals
+            record((0, state.t, *level_diagnostics(g, state, cfg.spec),
+                    0.0, 0.0))
             if cfg.field_stride:
                 write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
             for k in range(1, cfg.n_steps + 1):

@@ -22,13 +22,18 @@ The saddle point is solved by classical BiCGStab with a block
 upper-triangular preconditioner built from the mean viscosities (Elman,
 Silvester & Wathen, Finite Elements and Fast Iterative Solvers, ch. 8): the
 diagonal velocity blocks are inverted exactly for constant viscosity by
-fast diagonalization (``velocity_blocks``), and the inverse pressure
-Schur complement by minus the Cahouet-Chabard approximation
+fast diagonalization (``velocity_blocks``) in one block Gauss-Seidel sweep
+over the two velocity components (Benzi, Golub & Liesen, Acta Numerica 14,
+2005), whose y-by-x coupling eta*C_eta + lam*C_lam is exact for constant
+viscosity (``velocity_coupling``), and the inverse pressure Schur
+complement by minus the Cahouet-Chabard approximation
 ((2*eta + lam)*I + nu*L_D^-1)/vol, with L_D the Darcy pressure operator --
 at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
 carries into the preconditioner.  One Krylov solve runs per call: its
 tolerance is worked out from the inputs so that the continuity block of
-the residual also meets the divergence target (see ``solve_brinkman``).
+the residual also meets the divergence target (see ``solve_brinkman``),
+and it starts from a given nearby flow (a time step passes the previous
+level's) or else from the preconditioned right-hand side.
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - grad p)/nu where the
@@ -46,9 +51,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (CellField, FaceField, Grid2D, divergence_of_faces,
-                   face_volumes, form_pattern, gradient_to_faces,
-                   minus_laplacian, norm_l2_cells)
+from .grid import (CellField, FaceField, Grid2D, csr_slots,
+                   divergence_of_faces, face_volumes, form_pattern,
+                   gradient_to_faces, minus_laplacian, norm_l2_cells)
 from .linalg import (KroneckerOperator, LinearSystem, SolveStats,
                      SolverFailure, bicgstab_solve)
 from .model import eval_source_gamma_v
@@ -206,14 +211,53 @@ def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
             KroneckerOperator(tangent[0], normal[1], my=mass[1]))
 
 
+@lru_cache(maxsize=32)
+def velocity_coupling(g: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(C_eta, C_lam): the y-face-by-x-face block of the Brinkman momentum
+    matrix is eta*C_eta + lam*C_lam for constant viscosities.  Both come
+    from the rows of ``brinkman_form(g).energy`` that see both velocity
+    components -- the node shear rows, weighted by vol times the number of
+    cells around the node, and the divergence rows, weighted by vol -- and
+    are stored in one sorted pattern (the union of theirs, explicit zeros
+    kept), so a weighted sum is a sum of their data.  Read-only, built once
+    per grid."""
+    form = brinkman_form(g)
+    nc = g.n_cells
+    nvx = (g.nx + 1) * g.ny
+    node = form.energy[2 * nc:form.n_shear]
+    div = form.energy[form.n_shear:form.n_shear + nc]
+    touch = form.node_sum @ np.ones(nc)
+    pieces = [sp.coo_matrix(g.cell_volume * (rows[:, nvx:].T @ sp.diags(w)
+                                             @ rows[:, :nvx]))
+              for rows, w in ((node, touch), (div, np.ones(nc)))]
+    union = sp.csr_matrix(abs(pieces[0]) + abs(pieces[1]))
+    union.sort_indices()
+    out = []
+    for piece in pieces:
+        data = np.zeros(union.nnz)
+        data[csr_slots(union, piece.row, piece.col)] = piece.data
+        data.flags.writeable = False
+        out.append(sp.csr_matrix((data, union.indices, union.indptr),
+                                 shape=union.shape))
+    for arr in (union.indices, union.indptr):
+        arr.flags.writeable = False
+    return out[0], out[1]
+
+
 def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
                              nu: float, scale: np.ndarray):
     """Block upper-triangular approximation of the inverse of the scaled
     Brinkman system with pressure-gradient block ``grad`` (G), for the mean
     viscosities eta and lam: with r = v/scale,
-    p = -((2*eta + lam)*r_p + nu*L_D^-1 r_p)/vol, then
-    u = A^-1 (r_u - G p) block by block, and [u; p]/scale."""
+    p = -((2*eta + lam)*r_p + nu*L_D^-1 r_p)/vol, then u solves
+    A u = r_u - G p by one block Gauss-Seidel sweep over the velocity
+    components -- u_x from the x-face block, then u_y from the y-face block
+    with the coupling eta*C_eta + lam*C_lam times u_x taken to the right
+    (``velocity_coupling``) -- and [u; p]/scale."""
     block_x, block_y = velocity_blocks(g)
+    c_eta, c_lam = velocity_coupling(g)
+    coupling = sp.csr_matrix((eta * c_eta.data + lam * c_lam.data,
+                              c_eta.indices, c_eta.indptr), shape=c_eta.shape)
     darcy = minus_laplacian(g, np.inf)
     vol = g.cell_volume
     strain = 2.0 * eta + lam
@@ -224,9 +268,10 @@ def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
         r = v / scale
         p = -(strain * r[nv:] + nu * darcy.solve(r[nv:])) / vol
         r_u = r[:nv] - grad @ p
-        u_x = block_x.solve(r_u[:nvx], nu, (strain, eta))
-        u_y = block_y.solve(r_u[nvx:], nu, (eta, strain))
-        return np.concatenate([u_x / vol, u_y / vol, p]) / scale
+        u_x = block_x.solve(r_u[:nvx], nu, (strain, eta)) / vol
+        u_y = block_y.solve(r_u[nvx:] - coupling @ u_x, nu,
+                            (eta, strain)) / vol
+        return np.concatenate([u_x, u_y, p]) / scale
 
     return apply
 
@@ -288,7 +333,9 @@ def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
 
 def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                    spec, extra_force: FaceField | None = None,
-                   tol: float = 1e-9) -> FlowSolution:
+                   tol: float = 1e-9,
+                   start: tuple[FaceField, CellField] | None = None
+                   ) -> FlowSolution:
     """One Krylov solve of the Brinkman system, to a relative residual that
     also meets the divergence target ||div v - Gamma_v|| <= 5*tol*||Gamma_v||.
 
@@ -296,7 +343,9 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     with s_p = 1/min(dx, dy), so a scaled residual of at most
     5*tol*||Gamma_v||*s_p*sqrt(vol) meets the target.  The relative
     tolerance is that bound over the scaled rhs norm, at most tol and at
-    least 0.01*tol; with Gamma_v = 0 it is tol."""
+    least 0.01*tol; with Gamma_v = 0 it is tol.  ``start`` = (vel, p), a
+    nearby flow such as the previous time level's, is the Krylov start;
+    without it the solve starts from the preconditioned rhs."""
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force)
@@ -307,8 +356,12 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
         target = (5.0 * tol * gnorm * np.sqrt(g.cell_volume)
                   / (min(g.dx, g.dy) * np.linalg.norm(system.rhs)))
         solve_tol = min(tol, max(target, 0.01 * tol))
+    x0 = None
+    if start is not None:
+        vel0, p0 = start
+        x0 = np.concatenate([_stacked(vel0), np.ravel(p0)]) / scale
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
-                              tol=solve_tol)
+                              tol=solve_tol, x0=x0)
     if not stats.converged:
         raise SolverFailure(
             f"Brinkman solve did not converge (residual {stats.residual:.3e} "

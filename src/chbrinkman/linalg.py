@@ -7,7 +7,8 @@ The Krylov loops are written out here rather than taken from
 scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
 under our control.  There is one path per solver: each takes a required
-preconditioner M^-1, starts from x0 = M^-1 b and accepts only a true
+preconditioner M^-1, starts from x0 = M^-1 b (BiCGStab from a given x0
+instead, when the caller holds a nearby solution) and accepts only a true
 residual.  CG solves the SPD nutrient systems; classical BiCGStab solves
 the nonsymmetric Cahn-Hilliard pair and the indefinite Brinkman saddle
 point.  The Darcy pressure operator is constant, so its exact solve needs
@@ -23,7 +24,8 @@ Math. 6, 1964), which solves a*I + b*T, or a 2x2 block of such operators,
 exactly in O(nx*ny*(nx+ny)) with numpy alone.  It preconditions the Krylov
 solves with the mean of the variable coefficient, so a constant-coefficient
 solve needs no iteration; the Brinkman saddle point is preconditioned by a
-block-triangular solve built from it (see ``flow``).
+block-triangular solve built from it, with one block Gauss-Seidel sweep
+over the two velocity blocks (see ``flow``).
 """
 
 from __future__ import annotations
@@ -139,16 +141,17 @@ class KroneckerOperator:
                                self._from_modes((a11 * g - a21 * f) / det)])
 
 
-def _preconditioned_start(a, b, tol, precond):
-    """The flattened b, x0 = M^-1 b, its true residual r0 and ||r0||, and
-    the stopping target tol*||b||; b = 0 gives x0 = 0 at once."""
+def _preconditioned_start(a, b, tol, precond, x0=None):
+    """The flattened b, the start x0 (M^-1 b when none is given), its true
+    residual r0 and ||r0||, and the stopping target tol*||b||; b = 0 gives
+    x0 = 0 at once."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float).ravel()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return b, np.zeros(b.size), b, 0.0, 0.0
-    x = precond(b)
+    x = precond(b) if x0 is None else np.array(x0, dtype=float).ravel()
     r = b - a @ x
     return b, x, r, float(np.linalg.norm(r)), tol * bnorm
 
@@ -193,14 +196,16 @@ def cg_solve(a, b, precond, tol: float = 1e-10, max_iter: int | None = None):
 
 
 def bicgstab_solve(a, b, precond, tol: float = 1e-10,
-                   max_iter: int | None = None, ell: int = 1):
+                   max_iter: int | None = None, ell: int = 1, x0=None):
     """Classical right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci.
     Stat. Comput. 13, 1992).
 
     ``precond`` applies an approximation M^-1 of A^-1 to a vector.  The
     iteration runs on A M^-1 with x = M^-1 y, so its residuals are those of
-    A x = b.  It starts from x0 = M^-1 b and returns it with 0 iterations
-    when its true residual already meets the tolerance.  When the recursive
+    A x = b.  It starts from ``x0``, a nearby solution such as the previous
+    time level's, or from M^-1 b when none is given, and returns the start
+    with 0 iterations when its true residual already meets the tolerance;
+    b = 0 returns zeros whatever the start.  When the recursive
     residual meets the tolerance the true residual is recomputed; if that
     misses, or the method breaks down, the iteration restarts from the true
     residual, which is also the new shadow residual.  Every iteration,
@@ -214,7 +219,7 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     """
     if ell != 1:
         raise ValueError("ell must be 1: this is classical BiCGStab")
-    b, x, r, res, target = _preconditioned_start(a, b, tol, precond)
+    b, x, r, res, target = _preconditioned_start(a, b, tol, precond, x0)
     if res <= target:
         return x, SolveStats(0, res, True)
     if max_iter is None:

@@ -52,9 +52,9 @@ def default_quartic_potential() -> PotentialSpec:
     so psi1'' = 3s^2+1, psi2'' = -2, rho=4, (r1, r2, r3) = (1, 3, 2)."""
     return PotentialSpec(
         psi=lambda s: 0.25 * (1.0 - s**2) ** 2,
-        dpsi=lambda s: s**3 - s,
+        dpsi=lambda s: s * s * s - s,  # numpy's **3 goes through pow
         ddpsi=lambda s: 3.0 * s**2 - 1.0,
-        dpsi1=lambda s: s**3 + s,
+        dpsi1=lambda s: s * s * s + s,
         dpsi2=lambda s: -2.0 * s,
         ddpsi1=lambda s: 3.0 * s**2 + 1.0,
         ddpsi2=lambda s: -2.0 * np.ones_like(np.asarray(s, dtype=float)),

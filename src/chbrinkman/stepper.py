@@ -37,13 +37,14 @@ from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
 @dataclass(frozen=True)
 class State:
     """(t, phi, mu, sigma, v, p) at one time level, with the viscous
-    dissipation of v.
+    dissipation and the divergence residual of v.
 
     sigma is the quasi-static nutrient that produced this state's (phi, mu);
     vel/p solve the flow problem for (phi, mu, sigma), so the state is
     internally consistent.  dissipation is that flow model's own viscous
     form at (vel, phi): v^T A v of the assembled Brinkman momentum block,
-    nu*sum vol_f*v^2 for Darcy, 0 without flow.
+    nu*sum vol_f*v^2 for Darcy, 0 without flow.  div_residual is the flow
+    solve's ||div v - Gamma_v|| (0 without flow).
     """
 
     t: float
@@ -53,6 +54,7 @@ class State:
     vel: FaceField
     p: CellField
     dissipation: float
+    div_residual: float
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,15 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     return x[:nc].reshape(g.nx, g.ny), x[nc:].reshape(g.nx, g.ny), stats
 
 
-def _solve_flow(g, phi, mu, sigma, spec, cfg) -> tuple[FlowSolution, float]:
+def _solve_flow(g, phi, mu, sigma, spec, cfg,
+                start=None) -> tuple[FlowSolution, float]:
     """The flow solve of cfg.flow_mode and the viscous dissipation of its
-    velocity in that model's own form; returns (FlowSolution, dissipation)."""
+    velocity in that model's own form; returns (FlowSolution, dissipation).
+    ``start`` = (vel, p) of the previous level starts the Brinkman Krylov
+    solve; the Darcy solve is direct and needs none."""
     if cfg.flow_mode == "brinkman":
-        sol = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        sol = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
+                             start=start)
         return sol, viscous_dissipation(g, sol.vel, phi, spec)
     if cfg.flow_mode == "darcy":
         sol = solve_darcy(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
@@ -256,7 +262,8 @@ def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
                                      tol=cfg.tol_nutrient)
     mu0 = chemical_potential(g, phi0, sigma0, spec)
     flow0, diss0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
-    return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p, diss0)
+    return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p, diss0,
+                 flow0.div_residual)
 
 
 def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
@@ -328,6 +335,24 @@ def mass_balance_residual(g: Grid2D, prev: State, next_: State,
                - integrate_cells(g, gamma_phi))
 
 
+def level_diagnostics(g: Grid2D, state: State, spec: ModelSpec):
+    """(energy, mass, dissipation, boundary_flux, source_mass,
+    div_residual) of one time level, in the order of ``Diagnostics``:
+    dissipation is int m|grad mu|^2 plus the state's viscous dissipation,
+    boundary_flux the convective outflow of phi, source_mass
+    int Gamma_phi - phi*Gamma_v.  ``step`` reports them for each new level,
+    and the same values describe the initial one."""
+    diss_ch, _ = _mobility_flux_integrals(g, state.phi, state.mu,
+                                          state.sigma, spec)
+    gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, state.sigma)
+    gamma_v = eval_source_gamma_v(spec.sources, state.phi, state.sigma)
+    return (energy(g, state.phi, spec), integrate_cells(g, state.phi),
+            diss_ch + state.dissipation,
+            boundary_flux_integral(g, state.phi, state.vel),
+            integrate_cells(g, gamma_phi - state.phi * gamma_v),
+            state.div_residual)
+
+
 def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     """Advance one time level; returns (new_state, Diagnostics).
 
@@ -346,21 +371,13 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
         raise CflViolation(cfg.dt, cfl)
 
     phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
-    flow_sol, diss_flow = _solve_flow(g, phi1, mu1, sigma, spec, cfg)
+    flow_sol, diss_flow = _solve_flow(g, phi1, mu1, sigma, spec, cfg,
+                                      start=(state.vel, state.p))
 
-    new_state = State(state.t + cfg.dt, phi1, mu1, sigma,
-                      flow_sol.vel, flow_sol.p, diss_flow)
-
-    diss_ch, _ = _mobility_flux_integrals(g, phi1, mu1, sigma, spec)
-    gamma_phi1 = eval_source_gamma_phi(spec.sources, phi1, sigma)
-    gamma_v1 = eval_source_gamma_v(spec.sources, phi1, sigma)
+    new_state = State(state.t + cfg.dt, phi1, mu1, sigma, flow_sol.vel,
+                      flow_sol.p, diss_flow, flow_sol.div_residual)
     diag = Diagnostics(
-        energy=energy(g, phi1, spec),
-        mass=integrate_cells(g, phi1),
-        dissipation=diss_ch + diss_flow,
-        boundary_flux=boundary_flux_integral(g, phi1, flow_sol.vel),
-        source_mass=integrate_cells(g, gamma_phi1 - phi1 * gamma_v1),
-        div_residual=flow_sol.div_residual,
+        *level_diagnostics(g, new_state, spec),
         energy_residual=energy_residual(g, state, new_state, spec, cfg.dt),
         mass_residual=mass_balance_residual(g, state, new_state, spec, cfg.dt),
         cfl_dt=cfl,

@@ -214,7 +214,7 @@ def test_seed_override_applies_to_random_phi0():
 def test_vtk_writer_zero_state(tmp_path):
     g = Grid2D(4, 4)
     zero = np.zeros((4, 4))
-    state = State(0.0, zero, zero, zero, face_zeros(g), zero, 0.0)
+    state = State(0.0, zero, zero, zero, face_zeros(g), zero, 0.0, 0.0)
     path = tmp_path / "state.vtk"
     write_vtk(state, g, str(path))
     lines = path.read_text().splitlines()
@@ -290,6 +290,10 @@ def test_run_rerun_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
         outputs.append((out / "diagnostics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+    # row 0 describes the initial level, whose flow solve already moves:
+    # its dissipation is that of the step formulas, with no residuals
+    row0 = [float(v) for v in outputs[0].decode().splitlines()[1].split(",")]
+    assert row0[4] > 0.0 and row0[8:] == [0.0, 0.0]
 
 
 def test_strict_cfl_violation_exits_with_config_error(tmp_path, capsys):

@@ -195,6 +195,24 @@ def test_bicgstab_zero_rhs():
     assert np.all(x == 0.0) and stats.converged
 
 
+def test_bicgstab_warm_start():
+    # a start at the solution needs no iteration, a perturbed one converges
+    # on the true residual, and b = 0 still gives zeros
+    a = upwind_advection_diffusion(8)
+    b = a @ np.linspace(-1.0, 1.0, 64)
+    exact = dense_solve(a, b)
+    x, stats = bicgstab_solve(a, b, jacobi(a), tol=1e-8, x0=exact)
+    assert stats.converged and stats.iterations == 0
+    assert np.array_equal(x, exact)
+    x, stats = bicgstab_solve(a, b, jacobi(a), tol=1e-10,
+                              x0=exact + 1e-3 * np.cos(np.arange(64)))
+    assert stats.converged and stats.iterations > 0
+    assert stats.residual == np.linalg.norm(b - a @ x)
+    assert stats.residual <= 1e-10 * np.linalg.norm(b)
+    x, stats = bicgstab_solve(a, np.zeros(64), jacobi(a), x0=exact)
+    assert np.all(x == 0.0) and stats.converged
+
+
 def test_bicgstab_ends_on_repeated_breakdown():
     # r_hat . A r = 0 for every r when A is skew-symmetric, so every
     # iteration breaks down and a restart cannot help; the solve still ends
@@ -262,7 +280,7 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
     shape = (g.nx, g.ny)
     state = State(0.0, rng.uniform(-1.0, 1.0, shape), np.zeros(shape),
                   rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape),
-                  0.0)
+                  0.0, 0.0)
     system, _ = assemble_ch_system(g, state, spec, cfg)
     assert_exact_preconditioner(system)
 
@@ -270,7 +288,7 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
 def ch_state(g, phi):
     shape = (g.nx, g.ny)
     return State(0.0, phi, np.zeros(shape), np.full(shape, 0.5),
-                 face_zeros(g), np.zeros(shape), 0.0)
+                 face_zeros(g), np.zeros(shape), 0.0, 0.0)
 
 
 def test_constant_coefficient_solves_need_no_iteration():

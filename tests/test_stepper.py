@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,7 +292,8 @@ def test_nan_potential_rejected():
     cfg = StepConfig(dt=1e-3, flow_mode="none")
     with pytest.raises(ValueError, match="psi'"):
         st = State(0.0, np.full((8, 8), 0.1), np.zeros((8, 8)),
-                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), 0.0)
+                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), 0.0,
+                   0.0)
         ch_update(g, st, spec, cfg)
 
 
@@ -324,3 +330,32 @@ def test_step_config_validation():
         StepConfig(dt=1e-3, flow_mode="stokes")
     with pytest.raises(ValueError):
         StepConfig(dt=1e-3, stabilization=-1.0)
+
+
+NO_SCIPY_SOLVERS = """
+import json, sys
+from chbrinkman import (Grid2D, ModelSpec, RandomPerturbation, StepConfig,
+                        initialize_state, step)
+g = Grid2D(8, 8)
+spec = ModelSpec(phi0=RandomPerturbation(seed=1, amplitude=0.1),
+                 sigma_inf=1.0)
+for mode in ("brinkman", "darcy"):
+    cfg = StepConfig(dt=1e-4, flow_mode=mode)
+    step(g, initialize_state(g, spec, cfg), spec, cfg)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.sparse.linalg",
+                                         "scipy.linalg")))))
+"""
+
+
+def test_steps_never_import_scipy_solvers():
+    # every solve is numpy or a Krylov loop of our own: importing
+    # scipy.sparse.linalg or scipy.linalg would add about 10 MB of RSS
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SOLVERS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
