@@ -14,6 +14,7 @@ import numpy as np
 import chbrinkman as chb
 from chbrinkman.cli import write_csv_diagnostics, write_vtk
 from chbrinkman.model import ModelParams, SourceSpec, smooth_blend
+from chbrinkman.stepper import level_diagnostics
 
 grid = chb.Grid2D(48, 48)
 spec = chb.ModelSpec(
@@ -36,8 +37,8 @@ area0 = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
 print(f"initial tumour area {area0:.4f}")
 write_vtk(state, grid, "tumour_000.vtk")
 
-rows = [(0, 0.0, chb.energy(grid, state.phi, spec),
-         chb.integrate_cells(grid, state.phi), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+# the initial level has no step behind it: no residuals
+rows = [(0, state.t, *level_diagnostics(grid, state, spec), 0.0, 0.0)]
 for k in range(1, 301):
     state, diag = chb.step(grid, state, spec, cfg)
     rows.append((k, state.t, diag.energy, diag.mass, diag.dissipation,

@@ -1,17 +1,24 @@
 """Configuration, entry points and output serialization.
 
-Subcommands
------------
-run         time loop from a JSON config (--config required)
-validate    model assumption audit only
-mms         manufactured-solution convergence sweep (--problem)
-limit-k     Robin -> Dirichlet boundary-permeability sweep
-limit-visc  Brinkman -> Darcy vanishing-viscosity sweep
-contdep     continuous-dependence perturbation sweep
+Subcommands and the flags each one reads
+----------------------------------------
+run         time loop from a JSON config: --config PATH (required), --out DIR
+            (overrides the config's output directory), --seed N (overrides
+            the config seed), --flow-mode {brinkman,darcy,none}
+validate    model assumption audit only: --config PATH (required)
+mms         manufactured-solution convergence sweep:
+            --problem {nutrient,brinkman,darcy} (required), --levels N (>= 3,
+            default 3), --out DIR
+limit-k     Robin -> Dirichlet boundary-permeability sweep: --out DIR
+limit-visc  Brinkman -> Darcy vanishing-viscosity sweep: --out DIR
+contdep     continuous-dependence perturbation sweep: --perturb
+            {phi0,sigma_inf} (default phi0), --steps N (>= 0, default 50),
+            --flow-mode (default brinkman), --out DIR
 
-Flags: --config PATH, --out DIR, --seed N (overrides the config seed),
---flow-mode {brinkman,darcy,none}.  Exit codes: 0 success, 2 config error,
-3 solver failure, 4 I/O error.
+A study subcommand writes its sweep CSV into --out (default ".", created if
+missing), prints one summary line, and passes when every boolean check of
+the study holds.  Exit codes: 0 success, 2 config or argument error,
+3 solver failure or failed study check, 4 I/O error.
 
 The config format, with every key and default, is documented under
 "Configuration" in README.md.  Unknown keys are errors, and the model
@@ -21,8 +28,9 @@ re-runs of the same config are byte-identical.
 
 Diagnostics CSV columns (one row per recorded step):
     step,t,energy,mass,dissipation,boundary_flux,source_mass,div_residual,energy_residual,mass_residual
-Sweep CSVs (harness subcommands) carry a header of the swept parameter plus
-every recorded norm, one row per parameter value:
+Sweep CSVs (mms_<problem>.csv, limit_k.csv, limit_visc.csv and
+contdep_<perturb>.csv) carry a header of the swept parameter plus every
+recorded norm, one row per parameter value:
     mms nutrient : n,dx,sigma_l2_error
     mms darcy    : n,dx,pressure_l2_error,velocity_l2_error
     mms brinkman : n,dx,velocity_l2_error,pressure_l2_error
@@ -375,20 +383,21 @@ def write_vtk(state, grid: Grid2D, path: str):
         raise IOError(f"cannot write VTK file {path!r}: {err}") from err
 
 
+def _make_out_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise IOError(f"cannot create output directory: {err}") from err
+
+
 def run_simulation(cfg: SimConfig) -> int:
     """Execute the time loop; returns the process exit status.  Each
     diagnostics row is written and flushed as it is produced, so a run that
     stops early leaves the rows it reached."""
     g = cfg.grid
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as err:
-        print(f"I/O error: cannot create output directory: {err}",
-              file=sys.stderr)
-        return EXIT_IO
-
     k = 0
     try:
+        _make_out_dir(cfg.out_dir)
         state = initialize_state(g, cfg.spec, cfg.stepping)
         with open(f"{cfg.out_dir}/diagnostics.csv", "w",
                   encoding="utf-8") as csv:
@@ -425,63 +434,33 @@ def run_simulation(cfg: SimConfig) -> int:
     return EXIT_OK
 
 
-# subcommands -------------------------------------------------------------------
+# studies -------------------------------------------------------------------
 
-def _load_config(path: str, args) -> SimConfig:
-    with open(path, encoding="utf-8") as f:
-        cfg = parse_config(f.read())
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, spec=_with_seed(cfg.spec, args.seed))
-    if args.flow_mode is not None:
-        cfg = replace(cfg,
-                      stepping=replace(cfg.stepping, flow_mode=args.flow_mode))
-    return cfg
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args)
-    return run_simulation(cfg)
-
-
-def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config, args)   # a failed audit raises here
-    print(validate(cfg.spec))
-    return EXIT_OK
-
-
-def _cmd_mms(args) -> int:
-    result = mms_convergence(args.problem, levels=args.levels)
-    out = args.out or "."
-    write_sweep_csv(result, f"{out}/mms_{args.problem}.csv")
-    print(f"{args.problem}: observed order {result.slope:.3f} "
-          f"({'OK' if result.checks['order_at_least_required'] else 'LOW'})")
-    return EXIT_OK if result.checks["order_at_least_required"] else EXIT_SOLVER
+K_VALUES = (10.0, 100.0, 1000.0, 10000.0)
+VISCOSITY_SCALES = (1.0, 0.1, 0.01, 0.001)
+CONTDEP_DELTAS = (1e-2, 1e-3, 1e-4)
 
 
 def _default_limit_setup(n=64):
+    """The n x n unit-square grid and the phase field of a centred disc
+    (radius 0.25, interface width 0.1) that the studies start from."""
     g = Grid2D(n, n)
     xc, yc = g.cell_centers()
     phi = np.tanh((0.25 - np.sqrt((xc - 0.5)**2 + (yc - 0.5)**2)) / 0.1)
     return g, phi
 
 
-def _cmd_limit_k(args) -> int:
-    g, phi = _default_limit_setup()
-    spec = ModelSpec(sources=zero_sources(1.0))
-    result = robin_limit_study(g, phi, spec, [10.0, 100.0, 1000.0, 10000.0],
-                               sigma_inf=1.0)
-    out = args.out or "."
-    write_sweep_csv(result, f"{out}/limit_k.csv")
-    ok = all(v for v in result.checks.values() if isinstance(v, bool))
-    print(f"limit-k: slope {result.slope:.3f}, checks "
-          f"{ {k: v for k, v in result.checks.items()} }")
-    return EXIT_OK if ok else EXIT_SOLVER
+def limit_k_problem(n=64):
+    """(g, phi, spec) of the Robin -> Dirichlet sweep ``limit-k``."""
+    g, phi = _default_limit_setup(n)
+    return g, phi, ModelSpec(sources=zero_sources(1.0))
 
 
-def _cmd_limit_visc(args) -> int:
-    g, phi = _default_limit_setup()
+def limit_visc_problem(n=64):
+    """(g, phi, mu, sigma, spec) of the Brinkman -> Darcy sweep
+    ``limit-visc``: frozen fields and a model with sources and Korteweg
+    force, viscosities (0.02, 0.01) at scale 1."""
+    g, phi = _default_limit_setup(n)
     xc, yc = g.cell_centers()
     mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
     sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
@@ -493,19 +472,13 @@ def _cmd_limit_visc(args) -> int:
                          b_phi=smooth_blend(0.0, 0.1),
                          f_phi=smooth_blend(0.0, 0.0),
                          h=smooth_blend(0.5, 1.0)))
-    result = viscosity_limit_study(g, phi, mu, sigma, spec,
-                                   [1.0, 0.1, 0.01, 0.001])
-    out = args.out or "."
-    write_sweep_csv(result, f"{out}/limit_visc.csv")
-    ok = all(v for v in result.checks.values() if isinstance(v, bool))
-    print(f"limit-visc: checks { {k: v for k, v in result.checks.items()} }")
-    return EXIT_OK if ok else EXIT_SOLVER
+    return g, phi, mu, sigma, spec
 
 
-def _cmd_contdep(args) -> int:
-    g = Grid2D(32, 32)
-    xc, yc = g.cell_centers()
-    phi0 = np.tanh((0.25 - np.sqrt((xc - 0.5)**2 + (yc - 0.5)**2)) / 0.1)
+def contdep_problem(flow_mode="brinkman"):
+    """(g, spec, phi0, cfg) of the continuous-dependence sweep ``contdep``:
+    the coupled model on 32 x 32 at dt 5e-4."""
+    g, phi0 = _default_limit_setup(32)
     spec = ModelSpec(params=ModelParams(epsilon=0.1, nu=1.0, K=10.0, chi=0.2),
                      viscosity=constant_viscosity(0.1, 0.0),
                      sources=SourceSpec(
@@ -515,16 +488,79 @@ def _cmd_contdep(args) -> int:
                          f_phi=smooth_blend(0.0, 0.0),
                          h=smooth_blend(0.5, 1.0)),
                      sigma_inf=1.0)
-    cfg = StepConfig(dt=5e-4, flow_mode=args.flow_mode or "brinkman")
-    result = continuous_dependence_study(
-        g, spec, phi0, [1e-2, 1e-3, 1e-4], n_steps=args.steps, cfg=cfg,
-        perturb=args.perturb)
-    out = args.out or "."
-    write_sweep_csv(result, f"{out}/contdep_{args.perturb}.csv")
-    ok = result.checks["ratio_spread_at_most_10"]
-    print(f"contdep ({args.perturb}): ratio spread "
-          f"{result.checks['ratio_spread']:.3f} ({'OK' if ok else 'UNSTABLE'})")
-    return EXIT_OK if ok else EXIT_SOLVER
+    return g, spec, phi0, StepConfig(dt=5e-4, flow_mode=flow_mode)
+
+
+def _mms(args):
+    return (f"mms_{args.problem}",
+            mms_convergence(args.problem, levels=args.levels))
+
+
+def _limit_k(args):
+    return "limit_k", robin_limit_study(*limit_k_problem(), K_VALUES)
+
+
+def _limit_visc(args):
+    return "limit_visc", viscosity_limit_study(*limit_visc_problem(),
+                                               VISCOSITY_SCALES)
+
+
+def _contdep(args):
+    g, spec, phi0, cfg = contdep_problem(args.flow_mode)
+    return (f"contdep_{args.perturb}",
+            continuous_dependence_study(g, spec, phi0, CONTDEP_DELTAS,
+                                        n_steps=args.steps, cfg=cfg,
+                                        perturb=args.perturb))
+
+
+# subcommands -------------------------------------------------------------------
+
+def _read_config(path: str) -> SimConfig:
+    with open(path, encoding="utf-8") as f:
+        return parse_config(f.read())
+
+
+def _cmd_run(args) -> int:
+    cfg = _read_config(args.config)
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
+    if args.seed is not None:
+        cfg = replace(cfg, spec=_with_seed(cfg.spec, args.seed))
+    if args.flow_mode is not None:
+        cfg = replace(cfg,
+                      stepping=replace(cfg.stepping, flow_mode=args.flow_mode))
+    return run_simulation(cfg)
+
+
+def _cmd_validate(args) -> int:
+    cfg = _read_config(args.config)   # a failed audit raises here
+    print(validate(cfg.spec))
+    return EXIT_OK
+
+
+def _cmd_study(args) -> int:
+    """One harness study: its sweep CSV in --out and one summary line; the
+    study passes when every boolean check holds."""
+    _make_out_dir(args.out)
+    name, result = args.study(args)
+    write_sweep_csv(result, f"{args.out}/{name}.csv")
+    failed = [key for key, value in result.checks.items() if value is False]
+    print(f"{name}: {result.primary} slope {result.slope:.3f}, "
+          + ("OK" if result.passed else "FAILED " + ", ".join(failed)))
+    return EXIT_OK if result.passed else EXIT_SOLVER
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    return parse
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -533,47 +569,48 @@ def make_parser() -> argparse.ArgumentParser:
         description="Cahn-Hilliard-Brinkman tumour-growth simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
-        p.add_argument("--config", required=needs_config,
+    def config(p):
+        p.add_argument("--config", required=True,
                        help="JSON configuration file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--flow-mode", dest="flow_mode", default=None,
+
+    def flow_mode(p, default):
+        p.add_argument("--flow-mode", dest="flow_mode", default=default,
                        choices=["brinkman", "darcy", "none"])
 
-    common(sub.add_parser("run", help="run a simulation"), True)
-    common(sub.add_parser("validate", help="model assumption audit"), True)
-    p = sub.add_parser("mms", help="manufactured-solution convergence")
-    common(p, False)
+    p = sub.add_parser("run", help="run a simulation")
+    p.set_defaults(handler=_cmd_run)
+    config(p)
+    p.add_argument("--out", help="output directory (overrides the config's)")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    flow_mode(p, None)
+    p = sub.add_parser("validate", help="model assumption audit")
+    p.set_defaults(handler=_cmd_validate)
+    config(p)
+
+    def study(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_study, study=run)
+        p.add_argument("--out", default=".",
+                       help="output directory (created if missing)")
+        return p
+
+    p = study("mms", _mms, "manufactured-solution convergence")
     p.add_argument("--problem", choices=["nutrient", "brinkman", "darcy"],
                    required=True)
-    p.add_argument("--levels", type=int, default=3)
-    common(sub.add_parser("limit-k", help="Robin->Dirichlet limit sweep"),
-           False)
-    common(sub.add_parser("limit-visc", help="Brinkman->Darcy limit sweep"),
-           False)
-    p = sub.add_parser("contdep", help="continuous-dependence sweep")
-    common(p, False)
+    p.add_argument("--levels", type=_int_at_least(3), default=3)
+    study("limit-k", _limit_k, "Robin->Dirichlet limit sweep")
+    study("limit-visc", _limit_visc, "Brinkman->Darcy limit sweep")
+    p = study("contdep", _contdep, "continuous-dependence sweep")
+    flow_mode(p, "brinkman")
     p.add_argument("--perturb", choices=["phi0", "sigma_inf"], default="phi0")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_int_at_least(0), default=50)
     return parser
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "validate": _cmd_validate,
-    "mms": _cmd_mms,
-    "limit-k": _cmd_limit_k,
-    "limit-visc": _cmd_limit_visc,
-    "contdep": _cmd_contdep,
-}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         code = EXIT_CONFIG

@@ -4,8 +4,9 @@ vanishing-viscosity (Brinkman -> Darcy) limit, and continuous dependence on
 the initial/boundary data.
 
 Every study is deterministic, returns a SweepResult with all recorded norms,
-the fitted log-log slope of its primary norm, and named boolean checks; the
-cli module serializes results to CSV.
+the fitted log-log slope of its primary norm, and named checks (the study
+passes when every boolean one holds); the cli module serializes results to
+CSV.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ class SweepResult:
     primary: str
     slope: float
     checks: dict
+
+    @property
+    def passed(self) -> bool:
+        """Every boolean check holds; the numeric checks only report."""
+        return all(v for v in self.checks.values() if isinstance(v, bool))
 
     def table(self):
         """(header, rows) for CSV serialization."""

@@ -4,7 +4,8 @@ tolerance and runtime budget.
 
 Shared benchmark configurations live at module scope so the divergence
 criterion can audit every flow solve performed by the mass-identity and
-viscosity-limit runs.
+viscosity-limit runs.  Criteria 5-7 run the problems and sweep values of
+the study subcommands, built by ``chbrinkman.cli``.
 """
 
 import dataclasses
@@ -20,6 +21,9 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
                         constant_viscosity,
                         initialize_state, norm_l2_cells, step, validate,
                         zero_sources)
+from chbrinkman.cli import (CONTDEP_DELTAS, K_VALUES, VISCOSITY_SCALES,
+                            contdep_problem, limit_k_problem,
+                            limit_visc_problem)
 from chbrinkman.cli import main as cli_main
 from chbrinkman.elliptic import assemble_nutrient_system
 from chbrinkman.flow import (assemble_brinkman_system,
@@ -176,12 +180,7 @@ def test_criterion_4_mass_identity():
 
 def test_criterion_5_robin_dirichlet_limit():
     t0 = time.monotonic()
-    g = Grid2D(64, 64)
-    xc, yc = g.cell_centers()
-    phi = np.tanh((0.25 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
-    spec = ModelSpec(sources=zero_sources(1.0))
-    result = robin_limit_study(g, phi, spec, [10.0, 100.0, 1000.0, 10000.0],
-                               sigma_inf=1.0)
+    result = robin_limit_study(*limit_k_problem(), K_VALUES)
     elapsed = time.monotonic() - t0
     ok = (result.checks["gap_strictly_decreasing"]
           and result.checks["gap_slope_at_most_-0.45"]
@@ -195,28 +194,10 @@ def test_criterion_5_robin_dirichlet_limit():
 
 # ---------------------------------------------------------------- criterion 6
 
-def viscosity_limit_setup():
-    g = Grid2D(64, 64)
-    xc, yc = g.cell_centers()
-    phi = np.tanh((0.25 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
-    mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
-    sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
-    spec = ModelSpec(params=ModelParams(nu=1.0, chi=0.5),
-                     viscosity=constant_viscosity(0.02, 0.01),
-                     sources=SourceSpec(
-                         b_v=smooth_blend(0.0, 0.2),
-                         f_v=smooth_blend(-0.05, 0.05),
-                         b_phi=smooth_blend(0.0, 0.1),
-                         f_phi=smooth_blend(0.0, 0.0),
-                         h=smooth_blend(0.5, 1.0)))
-    return g, phi, mu, sigma, spec
-
-
 def test_criterion_6_vanishing_viscosity_limit():
     t0 = time.monotonic()
-    g, phi, mu, sigma, spec = viscosity_limit_setup()
-    result = viscosity_limit_study(g, phi, mu, sigma, spec,
-                                   [1.0, 0.1, 0.01, 0.001])
+    g, phi, mu, sigma, spec = limit_visc_problem()
+    result = viscosity_limit_study(g, phi, mu, sigma, spec, VISCOSITY_SCALES)
     gamma = eval_source_gamma_v(spec.sources, phi, sigma)
     gnorm = norm_l2_cells(g, gamma)
     for s, vgap in zip(result.values, result.norms["velocity_gap_l2"]):
@@ -244,23 +225,12 @@ def test_criterion_6_vanishing_viscosity_limit():
 
 def test_criterion_7_continuous_dependence():
     t0 = time.monotonic()
-    g = Grid2D(32, 32)
-    xc, yc = g.cell_centers()
-    phi0 = np.tanh((0.25 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
-    spec = ModelSpec(
-        params=ModelParams(epsilon=0.1, nu=1.0, K=10.0, chi=0.2),
-        viscosity=constant_viscosity(0.1, 0.0),
-        sources=SourceSpec(
-            b_v=smooth_blend(0.0, 0.1), f_v=smooth_blend(-0.02, 0.02),
-            b_phi=smooth_blend(0.0, 0.1), f_phi=smooth_blend(0.0, 0.0),
-            h=smooth_blend(0.5, 1.0)),
-        sigma_inf=1.0)
-    cfg = StepConfig(dt=5e-4, flow_mode="brinkman")
-    deltas = [1e-2, 1e-3, 1e-4]
-    r_phi = continuous_dependence_study(g, spec, phi0, deltas, n_steps=50,
-                                        cfg=cfg, perturb="phi0")
-    r_sig = continuous_dependence_study(g, spec, phi0, deltas, n_steps=50,
-                                        cfg=cfg, perturb="sigma_inf")
+    g, spec, phi0, cfg = contdep_problem()
+    r_phi = continuous_dependence_study(g, spec, phi0, CONTDEP_DELTAS,
+                                        n_steps=50, cfg=cfg, perturb="phi0")
+    r_sig = continuous_dependence_study(g, spec, phi0, CONTDEP_DELTAS,
+                                        n_steps=50, cfg=cfg,
+                                        perturb="sigma_inf")
     elapsed = time.monotonic() - t0
     ok = (r_phi.checks["ratio_spread_at_most_10"]
           and r_sig.checks["ratio_spread_at_most_10"]
@@ -300,7 +270,7 @@ def test_criterion_9_oracle_equivalence(rng):
 
     # nutrient solves (Robin and Dirichlet), CG; h varies with phi
     spec = ModelSpec(params=ModelParams(K=2.5), sources=zero_sources(1.0))
-    vspec = viscosity_limit_setup()[4]
+    vspec = limit_visc_problem(8)[4]
     for mode in ("robin", "dirichlet"):
         system = assemble_nutrient_system(g, phi, spec, 1.0, mode=mode)
         replay(f"nutrient-{mode}", system, cg_solve)
@@ -314,8 +284,8 @@ def test_criterion_9_oracle_equivalence(rng):
     system = assemble_darcy_pressure_system(g, gamma, vspec.params.nu, force)
     replay("darcy", system, cg_solve)
 
-    # Brinkman monolithic solve, BiCGStab, constant viscosity and a
-    # blend of contrast 100
+    # Brinkman monolithic solve, BiCGStab, constant viscosity and the
+    # blend 0.01 to 1 (contrast 6.9 on phi in [-1, 1])
     system, _ = assemble_brinkman_system(g, phi, vspec, gamma, force)
     replay("brinkman", system, bicgstab_solve)
     bvspec = dataclasses.replace(vspec,

@@ -1,6 +1,7 @@
 """The traced benchmark run (perfbench/spans.py) binds package names by
-module attribute; a refactor that renames or drops one breaks the per-layer
-metrics.  The tracer patches modules in place, so it runs in a subprocess."""
+module attribute, and perfbench/workload.py imports the study inputs from the
+package; a refactor that renames or drops one breaks the benchmark.  The
+tracer patches modules in place, so it runs in a subprocess."""
 
 import json
 import math
@@ -27,7 +28,16 @@ for mode in ("brinkman", "darcy"):
     state = initialize_state(g, spec, cfg)
     for _ in range(2):
         state, _ = step(g, state, spec, cfg)
-print(json.dumps({"names": sorted({s[0] for s in tracer.spans}),
+stepping = len(tracer.spans)
+# limit-sweep-64's inputs and its two limit studies, at 8x8
+import workload
+workload.sweep_inputs(0)
+from chbrinkman import harness
+from chbrinkman.cli import limit_k_problem, limit_visc_problem
+harness.robin_limit_study(*limit_k_problem(8), workload.K_VALUES)
+harness.viscosity_limit_study(*limit_visc_problem(8), workload.SCALES)
+print(json.dumps({"names": sorted({s[0] for s in tracer.spans[:stepping]}),
+                  "sweep": sorted({s[0] for s in tracer.spans[stepping:]}),
                   "metrics": spans.layer_metrics(tracer.spans, 0.0, 1)}))
 """
 
@@ -44,6 +54,9 @@ def test_traced_benchmark_run_binds_every_layer():
     assert {"stepper.viscous_dissipation", "assemble:flow.brinkman",
             "assemble:flow.darcy", "assemble:stepper.ch",
             "assemble:elliptic.robin", "linalg.bicgstab"} <= set(out["names"])
+    # the harness studies call the traced stages by their module names
+    assert {"assemble:elliptic.dirichlet", "assemble:flow.darcy",
+            "flow.brinkman"} <= set(out["sweep"])
     assert out["metrics"] and all(math.isfinite(v)
                                   for v in out["metrics"].values())
     # the solver wrappers still find the iteration counts and the keywords

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chbrinkman import (Grid2D, RandomPerturbation, SourceSpec, State,
-                        blended_mobility, blended_viscosity,
+                        SweepResult, blended_mobility, blended_viscosity,
                         constant_mobility, constant_viscosity,
                         default_quartic_potential, face_zeros, zero_sources)
+from chbrinkman import cli
 from chbrinkman.cli import (ConfigError, DIAGNOSTICS_HEADER, main,
                             parse_config, write_csv_diagnostics, write_vtk)
 
@@ -399,12 +400,73 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfgpath)]) == 2
 
 
-def test_mms_subcommand_writes_csv(tmp_path):
-    code = main(["mms", "--problem", "darcy", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "mms_darcy.csv").read_text().splitlines()
-    assert lines[0] == "n,dx,pressure_l2_error,velocity_l2_error"
-    assert len(lines) == 4
+def documented_sweep_header(label):
+    """The sweep CSV header that the cli module docstring lists for label."""
+    for line in cli.__doc__.splitlines():
+        name, sep, header = line.partition(" : ")
+        if sep and name.strip() == label:
+            return header.strip()
+    raise KeyError(label)
+
+
+@pytest.mark.parametrize("argv, label, rows", [
+    (["mms", "--problem", "nutrient"], "mms nutrient", 3),
+    (["mms", "--problem", "darcy"], "mms darcy", 3),
+    (["mms", "--problem", "brinkman"], "mms brinkman", 3),
+    (["limit-k"], "limit-k", 4),
+    (["limit-visc"], "limit-visc", 4),
+    (["contdep", "--steps", "2"], "contdep", 3),
+    (["contdep", "--steps", "2", "--perturb", "sigma_inf"], "contdep", 3),
+], ids=["mms_nutrient", "mms_darcy", "mms_brinkman", "limit_k", "limit_visc",
+        "contdep_phi0", "contdep_sigma_inf"])
+def test_study_subcommand_writes_its_sweep_csv(tmp_path, capsys, request,
+                                                argv, label, rows):
+    out = tmp_path / "missing" / "dir"
+    assert main(argv + ["--out", str(out)]) == 0
+    csv_name = f"{request.node.callspec.id}.csv"   # the case id names it
+    lines = (out / csv_name).read_text().splitlines()
+    assert lines[0] == documented_sweep_header(label)
+    assert len(lines) == 1 + rows
+    summary = capsys.readouterr().out.splitlines()
+    assert len(summary) == 1 and summary[0].endswith(", OK")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-k", "--config", "x.json"],
+    ["validate", "--config", "x.json", "--seed", "7"],
+    ["mms", "--problem", "darcy", "--flow-mode", "none"],
+    ["contdep", "--seed", "7"]])
+def test_a_flag_the_subcommand_does_not_read_is_refused(argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mms", "--problem", "darcy", "--levels", "2"],
+    ["contdep", "--steps", "-1"]])
+def test_out_of_range_study_argument_is_an_argument_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_a_failed_study_check_exits_3(tmp_path, capsys, monkeypatch):
+    failing = SweepResult(parameter="K", values=[1.0, 2.0],
+                          norms={"gap": [1.0, 2.0]}, primary="gap", slope=1.0,
+                          checks={"ratio": 2.0, "gap_decreasing": False,
+                                  "gap_finite": True})
+    monkeypatch.setattr(cli, "_limit_k", lambda args: ("limit_k", failing))
+    assert main(["limit-k", "--out", str(tmp_path)]) == 3
+    assert (tmp_path / "limit_k.csv").read_text().startswith("K,gap\n")
+    assert capsys.readouterr().out.endswith("FAILED gap_decreasing\n")
+
+
+def test_study_output_directory_that_cannot_be_made_is_io_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["limit-k", "--out", str(blocker / "dir")]) == 4
 
 
 def test_vtk_snapshots_written_at_stride(tmp_path):

@@ -8,6 +8,7 @@ from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
                         eval_source_gamma_v, face_zeros, gradient_to_faces,
                         integrate_cells, norm_l2_cells, solve_brinkman,
                         solve_darcy, viscous_dissipation, zero_sources)
+from chbrinkman.cli import limit_visc_problem
 from chbrinkman.flow import (assemble_brinkman_system, brinkman_force,
                              brinkman_form, shear_dissipation,
                              velocity_blocks, velocity_coupling)
@@ -105,7 +106,7 @@ def test_brinkman_rejects_zero_friction_before_any_iteration(monkeypatch):
         raise AssertionError("Krylov solve started")
 
     monkeypatch.setattr(flow, "bicgstab_solve", no_krylov)
-    g, phi, mu, sigma, spec = limit_visc_fields(64)
+    g, phi, mu, sigma, spec = limit_visc_problem(64)
     spec = dataclasses.replace(spec, params=dataclasses.replace(spec.params,
                                                                 nu=0.0))
     with pytest.raises(ValueError, match=r"\(A1\).*singular"):
@@ -258,31 +259,12 @@ def test_darcy_matches_dense_lu_oracle(rng):
     assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
 
 
-def limit_visc_fields(n, radius=0.25):
-    """The fields and model of the vanishing-viscosity study at n x n, with
-    a disc of the given radius."""
-    from chbrinkman.model import SourceSpec, smooth_blend
-
-    g = Grid2D(n, n)
-    xc, yc = g.cell_centers()
-    phi = np.tanh((radius - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2))
-                  / 0.1)
-    mu = np.sin(np.pi * xc) * np.cos(np.pi * yc)
-    sigma = 0.5 + 0.25 * np.cos(np.pi * xc)
-    spec = ModelSpec(params=ModelParams(nu=1.0, chi=0.5),
-                     viscosity=constant_viscosity(0.02, 0.01),
-                     sources=SourceSpec(b_v=smooth_blend(0.0, 0.2),
-                                        f_v=smooth_blend(-0.05, 0.05),
-                                        b_phi=smooth_blend(0.0, 0.1),
-                                        f_phi=smooth_blend(0.0, 0.0),
-                                        h=smooth_blend(0.5, 1.0)))
-    return g, phi, mu, sigma, spec
-
-
 def test_darcy_limit_visc_reference_converges():
     # the vanishing-viscosity study's Darcy reference at 64x64 with a disc of
     # radius 0.26: Jacobi CG stalled at a residual of 3.6e-10 here
-    g, phi, mu, sigma, spec = limit_visc_fields(64, radius=0.26)
+    g, _, mu, sigma, spec = limit_visc_problem(64)
+    xc, yc = g.cell_centers()
+    phi = np.tanh((0.26 - np.sqrt((xc - 0.5) ** 2 + (yc - 0.5) ** 2)) / 0.1)
     sol = solve_darcy(g, phi, mu, sigma, spec)
     assert sol.stats.converged
     assert sol.div_residual <= 1e-10
@@ -337,7 +319,7 @@ def test_viscous_dissipation_pure_shear():
 def test_brinkman_darcy_degeneracy_direction():
     # lowering (eta, lam) monotonically closes the gap to the Darcy solve
     import dataclasses
-    g, phi, mu, sigma, spec = limit_visc_fields(32)
+    g, phi, mu, sigma, spec = limit_visc_problem(32)
     darcy = solve_darcy(g, phi, mu, sigma, spec)
     gaps = []
     for s in (1.0, 0.1, 0.01, 0.001):
@@ -390,7 +372,7 @@ def test_dissipation_balances_force_and_pressure_work(viscosity):
     # dissipation is that energy form to round-off, not a re-quadrature
     import dataclasses
 
-    g, phi, mu, sigma, spec = limit_visc_fields(32)
+    g, phi, mu, sigma, spec = limit_visc_problem(32)
     spec = dataclasses.replace(spec, viscosity=viscosity)
     sol = solve_brinkman(g, phi, mu, sigma, spec)
     force = brinkman_force(g, phi, mu, sigma, spec, None)
@@ -445,10 +427,11 @@ def test_velocity_blocks_invert_the_momentum_blocks(g, eta, lam, nu, seed):
 def test_brinkman_solve_iterations_at_64(viscosity, max_iterations):
     # the block-triangular preconditioner with its Gauss-Seidel velocity
     # sweep: few classical BiCGStab iterations (2 products each) for
-    # constant viscosity, near the Darcy limit too, and for contrast 100
+    # constant viscosity, near the Darcy limit too, and for the blend 0.01
+    # to 1 (contrast 6.9 on phi in [-1, 1])
     import dataclasses
 
-    g, phi, mu, sigma, spec = limit_visc_fields(64)
+    g, phi, mu, sigma, spec = limit_visc_problem(64)
     spec = dataclasses.replace(spec, viscosity=viscosity)
     sol = solve_brinkman(g, phi, mu, sigma, spec)
     gnorm = norm_l2_cells(g, eval_source_gamma_v(spec.sources, phi, sigma))
@@ -460,7 +443,7 @@ def test_brinkman_warm_start_matches_the_cold_solve():
     # started from the flow of data 0.1% away, as one time step leaves it,
     # the solve reaches the cold solve's answer to within its tolerance in
     # fewer iterations
-    g, phi, mu, sigma, spec = limit_visc_fields(32)
+    g, phi, mu, sigma, spec = limit_visc_problem(32)
     near = solve_brinkman(g, phi, 0.999 * mu, sigma, spec)
     cold = solve_brinkman(g, phi, mu, sigma, spec)
     warm = solve_brinkman(g, phi, mu, sigma, spec, start=(near.vel, near.p))
@@ -492,7 +475,7 @@ def test_brinkman_single_solve_meets_the_divergence_target(monkeypatch):
     import dataclasses
 
     calls = counted_krylov(monkeypatch)
-    g, phi, mu, sigma, spec = limit_visc_fields(16)
+    g, phi, mu, sigma, spec = limit_visc_problem(16)
     spec = dataclasses.replace(spec,
                                viscosity=constant_viscosity(0.002, 0.001))
     sol = solve_brinkman(g, phi, mu, sigma, spec)
@@ -510,7 +493,7 @@ def test_brinkman_tolerance_floor_returns_without_failure(monkeypatch):
     from chbrinkman.model import SourceSpec
 
     calls = counted_krylov(monkeypatch)
-    g, phi, mu, sigma, spec = limit_visc_fields(16)
+    g, phi, mu, sigma, spec = limit_visc_problem(16)
     src = spec.sources
 
     def tiny(f):
