@@ -372,13 +372,11 @@ def write_vtk(state, grid: Grid2D, path: str):
             for name, field in (("phi", state.phi), ("mu", state.mu),
                                 ("sigma", state.sigma), ("p", state.p)):
                 f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for j in range(ny):       # x varies fastest in VTK order
-                    for i in range(nx):
-                        f.write(_fmt(field[i, j]) + "\n")
+                # x varies fastest in VTK order; repr of a float is _fmt
+                f.write("\n".join(map(repr, field.T.ravel().tolist())) + "\n")
             f.write("VECTORS velocity double\n")
-            for j in range(ny):
-                for i in range(nx):
-                    f.write(f"{_fmt(vx_c[i, j])} {_fmt(vy_c[i, j])} 0\n")
+            f.write("".join(f"{x!r} {y!r} 0\n" for x, y in zip(
+                vx_c.T.ravel().tolist(), vy_c.T.ravel().tolist())))
     except OSError as err:
         raise IOError(f"cannot write VTK file {path!r}: {err}") from err
 

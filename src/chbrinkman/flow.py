@@ -25,7 +25,8 @@ diagonal velocity blocks are inverted exactly for constant viscosity by
 fast diagonalization (``velocity_blocks``) in one block Gauss-Seidel sweep
 over the two velocity components (Benzi, Golub & Liesen, Acta Numerica 14,
 2005), whose y-by-x coupling eta*C_eta + lam*C_lam is exact for constant
-viscosity (``velocity_coupling``), and the inverse pressure Schur
+viscosity (``velocity_coupling``, a ``form_pattern`` of the rows of E that
+see both components), and the inverse pressure Schur
 complement by minus the Cahouet-Chabard approximation
 ((2*eta + lam)*I + nu*L_D^-1)/vol, with L_D the Darcy pressure operator --
 at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
@@ -39,8 +40,9 @@ Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - grad p)/nu where the
 gradient uses the same p = 0 ghost on boundary faces so that
 div(v) = Gamma_v holds up to the pressure residual.  The pressure operator
-is constant, so its fast-diagonalization solve is exact and no Krylov loop
-runs.
+is constant, so CG preconditioned by its exact fast-diagonalization solve
+accepts that solve at once, and refines it only where it misses the
+tolerance.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (CellField, FaceField, Grid2D, csr_slots,
-                   divergence_of_faces, face_volumes, form_pattern,
-                   gradient_to_faces, minus_laplacian, norm_l2_cells)
+from .grid import (CellField, FaceField, Grid2D, difference,
+                   divergence_of_faces, face_volumes, form_matrix,
+                   form_pattern, gradient_to_faces, minus_laplacian,
+                   norm_l2_cells, read_only)
 from .linalg import (KroneckerOperator, LinearSystem, SolveStats,
-                     SolverFailure, bicgstab_solve)
+                     SolverFailure, bicgstab_solve, cg_solve)
 from .model import eval_source_gamma_v
 
 
@@ -94,30 +97,12 @@ def _cell_values(f, phi: CellField) -> np.ndarray:
 
 # the Brinkman energy form --------------------------------------------------
 
-def _read_only(m) -> sp.csr_matrix:
-    """m as sorted CSR without stored zeros (kron of small factors stores
-    some), with read-only arrays."""
-    m = sp.csr_matrix(m)
-    m.eliminate_zeros()
-    m.sort_indices()
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
-
-
-def _cell_difference(n: int, h: float) -> sp.csr_matrix:
-    """(n x n+1): difference across each of n cells of width h."""
-    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
-                    format="csr")
-
-
 def _strain_pieces(n: int, h: float):
     """The 1D strain pieces along one axis of n cells of width h: the cell
     difference (n x n+1), the one-sided node difference (n+1 x n; an end
     node takes the difference of its neighbour) and the node touch
     (n+1 x n; the cells around each node)."""
-    return (_cell_difference(n, h),
-            _cell_difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
+    return (difference(n, h), difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
             sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
 
 
@@ -158,14 +143,15 @@ def brinkman_form(g: Grid2D) -> BrinkmanForm:
     d_yy = sp.kron(sp.identity(nx), cell_y)
     d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
                             sp.kron(node_x, sp.identity(ny + 1))])
-    div = _read_only(sp.hstack([d_xx, d_yy]))
-    energy = _read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy, div,
-                                   sp.identity(div.shape[1])]))
-    grad = _read_only(-(div.T) * g.cell_volume)
-    pattern = form_pattern(energy, sp.bmat([[None, grad], [grad.T, None]],
-                                           format="csr"))
+    div = read_only(sp.hstack([d_xx, d_yy]))
+    energy = read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy, div,
+                                  sp.identity(div.shape[1])]))
+    grad = read_only(-(div.T) * g.cell_volume)
+    pattern = form_pattern(energy, const=sp.bmat([[None, grad],
+                                                   [grad.T, None]],
+                                                  format="csr"))
     return BrinkmanForm(energy, 2 * g.n_cells + (nx + 1) * (ny + 1),
-                        _read_only(sp.kron(touch_x, touch_y)), grad, *pattern)
+                        read_only(sp.kron(touch_x, touch_y)), grad, *pattern)
 
 
 def _form_weights(g: Grid2D, phi: CellField, spec):
@@ -214,34 +200,25 @@ def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
 @lru_cache(maxsize=32)
 def velocity_coupling(g: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(C_eta, C_lam): the y-face-by-x-face block of the Brinkman momentum
-    matrix is eta*C_eta + lam*C_lam for constant viscosities.  Both come
-    from the rows of ``brinkman_form(g).energy`` that see both velocity
-    components -- the node shear rows, weighted by vol times the number of
-    cells around the node, and the divergence rows, weighted by vol -- and
-    are stored in one sorted pattern (the union of theirs, explicit zeros
-    kept), so a weighted sum is a sum of their data.  Read-only, built once
-    per grid."""
+    matrix is eta*C_eta + lam*C_lam for constant viscosities.  Both fill
+    one ``form_pattern`` of the rows of ``brinkman_form(g).energy`` that
+    see both velocity components, with their y-face columns on the left and
+    their x-face columns on the right: C_eta with the node shear rows
+    weighted by vol times the number of cells around the node, C_lam with
+    the divergence rows weighted by vol.  A weighted sum of the two is a
+    sum of their data.  Read-only, built once per grid."""
     form = brinkman_form(g)
     nc = g.n_cells
     nvx = (g.nx + 1) * g.ny
-    node = form.energy[2 * nc:form.n_shear]
-    div = form.energy[form.n_shear:form.n_shear + nc]
+    rows = form.energy[2 * nc:form.n_shear + nc]
+    pattern, scatter, _, _ = form_pattern(rows[:, nvx:], rows[:, :nvx])
     touch = form.node_sum @ np.ones(nc)
-    pieces = [sp.coo_matrix(g.cell_volume * (rows[:, nvx:].T @ sp.diags(w)
-                                             @ rows[:, :nvx]))
-              for rows, w in ((node, touch), (div, np.ones(nc)))]
-    union = sp.csr_matrix(abs(pieces[0]) + abs(pieces[1]))
-    union.sort_indices()
-    out = []
-    for piece in pieces:
-        data = np.zeros(union.nnz)
-        data[csr_slots(union, piece.row, piece.col)] = piece.data
-        data.flags.writeable = False
-        out.append(sp.csr_matrix((data, union.indices, union.indptr),
-                                 shape=union.shape))
-    for arr in (union.indices, union.indptr):
-        arr.flags.writeable = False
-    return out[0], out[1]
+    c_eta, c_lam = (form_matrix(pattern, scatter, g.cell_volume * w)
+                    for w in (np.concatenate([touch, np.zeros(nc)]),
+                              np.concatenate([np.zeros(touch.size),
+                                              np.ones(nc)])))
+    c_eta.data.flags.writeable = c_lam.data.flags.writeable = False
+    return c_eta, c_lam
 
 
 def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
@@ -296,8 +273,7 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
         raise ValueError("(A1): singular Brinkman assembly: needs nu > 0")
     form = brinkman_form(g)
     w, eta, lam = _form_weights(g, phi, spec)
-    data = form.scatter @ w
-    data += form.pattern.data
+    a = form_matrix(form.pattern, form.scatter, w)
     rhs = np.concatenate([_stacked(FaceField(*face_volumes(g)))
                           * _stacked(force),
                           -g.cell_volume
@@ -307,17 +283,15 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     # Krylov tolerance lands on the continuity block at the Gamma_v scale,
     # then Jacobi-symmetric scaling of the whole system (the continuity rows
     # have no diagonal)
-    d = np.abs(data[form.diagonal])
+    d = np.abs(a.data[form.diagonal])
     d[d == 0.0] = 1.0
     scale = np.concatenate([1.0 / np.sqrt(d),
                             np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
-    data *= scale[form.rows]
-    data *= scale[form.pattern.indices]
-    a_scaled = sp.csr_matrix((data, form.pattern.indices,
-                              form.pattern.indptr), shape=form.pattern.shape)
+    a.data *= scale[form.rows]
+    a.data *= scale[form.pattern.indices]
     precond = _brinkman_preconditioner(g, form.grad, float(np.mean(eta)),
                                        float(np.mean(lam)), nu, scale)
-    return LinearSystem(a_scaled, rhs * scale, precond), scale
+    return LinearSystem(a, rhs * scale, precond), scale
 
 
 def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
@@ -406,13 +380,12 @@ def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system = assemble_darcy_pressure_system(g, gamma_v, nu, force)
-    x = system.precond(system.rhs)
-    res = float(np.linalg.norm(system.rhs - system.matrix @ x))
-    stats = SolveStats(0, res, res <= tol * np.linalg.norm(system.rhs))
+    x, stats = cg_solve(system.matrix, system.rhs, system.precond, tol)
     if not stats.converged:
         raise SolverFailure(
-            f"Darcy pressure solve missed its tolerance (residual "
-            f"{res:.3e})", stats, stage="flow")
+            f"Darcy pressure solve did not converge (residual "
+            f"{stats.residual:.3e} after {stats.iterations} iterations)",
+            stats, stage="flow")
     p = x.reshape(g.nx, g.ny)
     grad_p = _gradient_dirichlet_ghost(g, p)
     vel = FaceField((force.x - grad_p.x) / nu, (force.y - grad_p.y) / nu)

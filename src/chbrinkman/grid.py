@@ -14,6 +14,13 @@ Layout conventions used everywhere in this package:
 All operators are pure functions of their inputs.  Geometry-only
 operators are cached per (Grid2D, boundary term); Grid2D is frozen and
 hashable, and the cached objects are read-only.
+
+A matrix whose coefficients vary with the solution is a weighted form
+L^T diag(w) R + C of fixed sparse rows L and R: ``form_pattern`` is the
+one builder of its sparsity pattern and of the scatter that turns the
+weights w into the pattern's data, so each assembly is one sparse product.
+It holds the Brinkman saddle point and the y-by-x velocity coupling of its
+preconditioner (``flow``) and the Cahn-Hilliard matrix (``stepper``).
 """
 
 from __future__ import annotations
@@ -258,6 +265,24 @@ def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
                              _second_difference(g.ny, g.dy, end_y))
 
 
+def difference(n: int, h: float) -> sp.csr_matrix:
+    """(n x n+1): the difference of n+1 values h apart across each of the n
+    intervals between them, over h."""
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
+                    format="csr")
+
+
+def read_only(m) -> sp.csr_matrix:
+    """m as sorted CSR without stored zeros (kron of small factors stores
+    some), with read-only arrays."""
+    m = sp.csr_matrix(m)
+    m.eliminate_zeros()
+    m.sort_indices()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
 def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
     """Position in ``pattern.data`` of each stored entry (rows[k], cols[k])
     of the sorted CSR ``pattern``, found by bisection in the sorted entry
@@ -265,45 +290,59 @@ def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
     n = 49,408 columns, and row*n overflows int32."""
     n = np.int64(pattern.shape[1])
     keys = np.repeat(np.arange(pattern.shape[0], dtype=np.int64),
-                     np.diff(pattern.indptr)) * n + pattern.indices
+                     np.diff(pattern.indptr))
+    keys *= n
+    keys += pattern.indices
     wanted = np.multiply(rows, n, dtype=np.int64)
     wanted += cols
     return np.searchsorted(keys, wanted)
 
 
-def form_pattern(energy: sp.csr_matrix, const: sp.csr_matrix):
-    """The pattern of E^T diag(w) E + C for every weight vector w, as
-    read-only arrays built once: E (``energy``, sorted CSR) acts on the
-    leading unknowns of the square C (``const``).
+def _widened(m: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """m with n columns, the extra ones empty."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], n))
+
+
+def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
+                 const: sp.csr_matrix | None = None):
+    """The pattern of L^T diag(w) R + C for every weight vector w, as
+    read-only arrays built once.  L (``left``) and R (``right``, L when
+    omitted) are CSR with one row per weight and act on the leading rows
+    and columns of C (``const``; when omitted, empty with L's columns by
+    R's).
 
     Returns (pattern, scatter, rows, diagonal): ``pattern`` is the sorted
     CSR pattern holding C's data (0 elsewhere), ``scatter`` maps w to the
-    data of E^T diag(w) E in it (each pair of entries (r, i), (r, j) of E
-    puts E[r,i]*E[r,j] at the slot of (i, j) in column r), ``rows`` is the
-    row of each stored entry and ``diagonal`` the slots of the diagonal."""
-    energy = sp.csr_matrix((energy.data, energy.indices, energy.indptr),
-                           shape=(energy.shape[0], const.shape[1]))
-    full = sp.csr_matrix(abs(energy).T @ abs(energy) + abs(const))
+    data of L^T diag(w) R in it (each entry (r, i) of L meets each entry
+    (r, j) of R and puts L[r,i]*R[r,j] at the slot of (i, j) in column r),
+    ``rows`` is the row of each stored entry and ``diagonal`` the slots of
+    the diagonal."""
+    right = left if right is None else right
+    if const is None:
+        const = sp.csr_matrix((left.shape[1], right.shape[1]))
+    left = _widened(left, const.shape[0])
+    right = _widened(right, const.shape[1])
+    full = sp.csr_matrix(abs(left).T @ abs(right) + abs(const))
     full.sort_indices()
-    rows = np.repeat(np.arange(full.shape[0], dtype=np.int32),
-                     np.diff(full.indptr))
     const = sp.coo_matrix(const)
     full.data[:] = 0.0
     full.data[csr_slots(full, const.row, const.col)] = const.data
-    # row r of E has count[r] entries and count[r]**2 consecutive pairs:
-    # each of its entries (left) meets every entry of the row (right)
-    count = np.diff(energy.indptr)
-    repeat = np.repeat(count, count)
-    first = np.cumsum(repeat, dtype=np.int32) - repeat  # first pair of left
-    left = np.repeat(np.arange(energy.nnz, dtype=np.int32), repeat)
-    right = np.arange(left.size, dtype=np.int32)
-    right -= np.repeat(first - np.repeat(energy.indptr[:-1], count), repeat)
-    slots = csr_slots(full, energy.indices[left],
-                      energy.indices[right]).astype(np.int32)
+    # the pairs of row r are consecutive: each entry of L's row r in turn
+    # meets the n_right[r] entries of R's row r
+    n_left, n_right = np.diff(left.indptr), np.diff(right.indptr)
+    meets = np.repeat(n_right, n_left)
+    k_left = np.repeat(np.arange(left.nnz, dtype=np.int32), meets)
+    k_right = np.arange(k_left.size, dtype=np.int32)
+    k_right -= np.repeat(np.cumsum(meets, dtype=np.int32) - meets
+                         - np.repeat(right.indptr[:-1], n_left), meets)
+    slots = csr_slots(full, left.indices[k_left],
+                      right.indices[k_right]).astype(np.int32)
     scatter = sp.csc_matrix(
-        (energy.data[left] * energy.data[right], slots,
-         np.concatenate([[0], np.cumsum(count**2)])),
-        shape=(full.nnz, energy.shape[0]))
+        (left.data[k_left] * right.data[k_right], slots,
+         np.concatenate([[0], np.cumsum(n_left * n_right)])),
+        shape=(full.nnz, left.shape[0]))
+    rows = np.repeat(np.arange(full.shape[0], dtype=np.int32),
+                     np.diff(full.indptr))
     diagonal = np.flatnonzero(full.indices == rows).astype(np.int32)
     for arr in (full.data, full.indices, full.indptr, scatter.data,
                 scatter.indices, scatter.indptr, rows, diagonal):
@@ -311,22 +350,11 @@ def form_pattern(energy: sp.csr_matrix, const: sp.csr_matrix):
     return full, scatter, rows, diagonal
 
 
-@lru_cache(maxsize=32)
-def _face_difference_scatter(g: Grid2D) -> sp.csc_matrix:
-    """The ``form_pattern`` scatter of the undivided differences across the
-    interior faces (x faces, then y faces, each flattened), with no
-    constant part; its pattern is that of ``minus_laplacian(g).matrix``."""
-    def diff(n):
-        return sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))
-
-    faces = sp.vstack([sp.kron(diff(g.nx), sp.identity(g.ny)),
-                       sp.kron(sp.identity(g.nx), diff(g.ny))], format="csr")
-    return form_pattern(faces, sp.csr_matrix((g.n_cells, g.n_cells)))[1]
-
-
-def div_m_grad(g: Grid2D, m_face: FaceField) -> sp.csr_matrix:
-    """div(m grad .) with zero-flux boundary faces on flat cell indices,
-    in the pattern of ``minus_laplacian(g).matrix``; symmetric NSD."""
-    w = np.concatenate([(m_face.x[1:-1, :] / g.dx**2).ravel(),
-                        (m_face.y[:, 1:-1] / g.dy**2).ravel()])
-    return minus_laplacian(g).in_pattern(_face_difference_scatter(g) @ -w)
+def form_matrix(pattern: sp.csr_matrix, scatter: sp.csc_matrix,
+                w: np.ndarray) -> sp.csr_matrix:
+    """L^T diag(w) R + C from its ``form_pattern`` (pattern, scatter), with
+    the pattern's (read-only, shared) index arrays and new data."""
+    data = scatter @ w
+    data += pattern.data
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)

@@ -9,10 +9,11 @@ preconditioning and the reported statistics are fully deterministic and
 under our control.  There is one path per solver: each takes a required
 preconditioner M^-1, starts from x0 = M^-1 b (BiCGStab from a given x0
 instead, when the caller holds a nearby solution) and accepts only a true
-residual.  CG solves the SPD nutrient systems; classical BiCGStab solves
-the nonsymmetric Cahn-Hilliard pair and the indefinite Brinkman saddle
-point.  The Darcy pressure operator is constant, so its exact solve needs
-no Krylov loop.
+residual.  CG solves the SPD nutrient and Darcy pressure systems;
+classical BiCGStab solves the nonsymmetric Cahn-Hilliard pair and the
+indefinite Brinkman saddle point.  The Darcy pressure operator is
+constant, so its exact preconditioner leaves CG no iteration unless it
+misses the tolerance.
 
 The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
@@ -101,17 +102,12 @@ class KroneckerOperator:
                     self._lam_x, self._lam_y, self.eigenvalues):
             arr.flags.writeable = False
 
-    def in_pattern(self, data: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix with T's (read-only, shared) index arrays and the
-        given data, one value per stored entry of ``matrix``."""
+    def plus_diagonal(self, d) -> sp.csr_matrix:
+        """T + diag(d) with T's (read-only, shared) index arrays."""
+        data = self.matrix.data.copy()
+        data[self._diagonal] += d
         return sp.csr_matrix((data, self.matrix.indices, self.matrix.indptr),
                              shape=self.matrix.shape)
-
-    def plus_diagonal(self, d, scale: float = 1.0) -> sp.csr_matrix:
-        """scale*T + diag(d) in T's pattern."""
-        data = scale * self.matrix.data
-        data[self._diagonal] += d
-        return self.in_pattern(data)
 
     def _to_modes(self, v):
         return self._qx.T @ v.reshape(self._shape) @ self._qy

@@ -36,9 +36,6 @@ class PotentialSpec:
 
     psi: Evaluator
     dpsi: Evaluator
-    ddpsi: Evaluator
-    dpsi1: Evaluator
-    dpsi2: Evaluator
     ddpsi1: Evaluator
     ddpsi2: Evaluator
     rho: float
@@ -53,9 +50,6 @@ def default_quartic_potential() -> PotentialSpec:
     return PotentialSpec(
         psi=lambda s: 0.25 * (1.0 - s**2) ** 2,
         dpsi=lambda s: s * s * s - s,  # numpy's **3 goes through pow
-        ddpsi=lambda s: 3.0 * s**2 - 1.0,
-        dpsi1=lambda s: s * s * s + s,
-        dpsi2=lambda s: -2.0 * s,
         ddpsi1=lambda s: 3.0 * s**2 + 1.0,
         ddpsi2=lambda s: -2.0 * np.ones_like(np.asarray(s, dtype=float)),
         rho=4.0,

@@ -12,6 +12,12 @@ lagged velocity:
 
 One linear solve per step; energy non-increasing for S >= max |psi''| over
 the iterate range when sources vanish, chi = 0 and v = 0.
+
+The CH matrix is one form, defined once per grid in ``ch_form``: the
+differences D across the interior faces, weighted by the mobility, by eps
+and by the stabilization.  The energy diagnostics evaluate the same D with
+the same face mobilities (``_mobility_weights``), so the gradient energy
+and the CH dissipation are the forms the solver uses.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .elliptic import solve_nutrient_robin
 from .flow import (FlowSolution, face_average, solve_brinkman, solve_darcy,
                    viscous_dissipation)
 from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
-                   boundary_flux_integral, div_m_grad, face_zeros,
-                   gradient_to_faces, integrate_cells, laplacian_neumann,
-                   minus_laplacian)
+                   boundary_flux_integral, difference, face_zeros,
+                   form_matrix, form_pattern, integrate_cells,
+                   laplacian_neumann, minus_laplacian, read_only)
 from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
@@ -143,29 +149,47 @@ def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
             - spec.params.chi * sigma)
 
 
-@lru_cache(maxsize=8)
-def _ch_pattern(g: Grid2D):
-    """CSR index arrays of the CH matrix [[I, P], [P, I]], P the 5-point
-    pattern of ``minus_laplacian(g)``, and the gather that places the
-    concatenated block data (I, block 12, block 21, I) into its slots.
-    Found once by assembling the blocks with their entry numbers as data."""
-    p = minus_laplacian(g).matrix
-    nc = g.n_cells
-    eye = sp.identity(nc, format="csr")
-    first = np.cumsum([0, nc, p.nnz, p.nnz])
+@dataclass(frozen=True)
+class CHForm:
+    """The Cahn-Hilliard form of one grid, read-only, on flat cell indices.
 
-    def numbered(m, start):
-        return sp.csr_matrix((np.arange(start, start + m.nnz, dtype=float),
-                              m.indices, m.indptr), shape=m.shape)
+    ``diff`` D is the difference across each interior face over the cell
+    width, x faces then y faces (each flattened C-order): D^T D is minus
+    the zero-flux Laplacian and D^T diag(m_f) D is -div(m grad).
+    ``pattern`` and ``scatter`` are the ``form_pattern`` of the CH matrix
+    L^T diag(w) R + I on [phi, mu/c] with L = [[D, 0], [0, D], [0, I]] and
+    R = [[0, D], [D, 0], [I, 0]]: the weights
+    [dt*c*m_f, -eps/c, -S/(eps*c)] give the blocks
+    [[I, -dt*c*div(m grad)], [(eps/c)*lap - S/(eps*c)*I, I]]."""
 
-    a = sp.bmat([[numbered(eye, first[0]), numbered(p, first[1])],
-                 [numbered(p, first[2]), numbered(eye, first[3])]],
-                format="csr")
-    a.sort_indices()
-    gather = a.data.astype(np.intp)
-    for arr in (a.indptr, a.indices, gather):
-        arr.flags.writeable = False
-    return a.indptr, a.indices, gather
+    diff: sp.csr_matrix
+    pattern: sp.csr_matrix
+    scatter: sp.csc_matrix
+
+
+@lru_cache(maxsize=32)
+def ch_form(g: Grid2D) -> CHForm:
+    """The CH form of g, built once per grid; the CH matrix and the energy
+    diagnostics are both evaluated from it."""
+    diff = read_only(sp.vstack([
+        sp.kron(difference(g.nx - 1, g.dx), sp.identity(g.ny)),
+        sp.kron(sp.identity(g.nx), difference(g.ny - 1, g.dy))]))
+    eye = sp.identity(g.n_cells)
+    left = sp.bmat([[diff, None], [None, diff], [None, eye]], format="csr")
+    right = sp.bmat([[None, diff], [diff, None], [eye, None]], format="csr")
+    pattern, scatter, _, _ = form_pattern(
+        left, right, sp.identity(2 * g.n_cells, format="csr"))
+    return CHForm(diff, pattern, scatter)
+
+
+def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
+    """(m_f, m): the face average of the mobility on the interior faces, in
+    the row order of ``ch_form(g).diff``, and the flat cell mobilities m(phi)
+    it comes from."""
+    m = np.asarray(spec.mobility.m(phi), dtype=float)
+    m_face = face_average(g, m)
+    return np.concatenate([m_face.x[1:-1, :].ravel(),
+                           m_face.y[:, 1:-1].ravel()]), m.ravel()
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
@@ -173,13 +197,14 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     """The coupled linear system of one CH step, unknowns [phi, mu/c] with
     c = sqrt(eps/dt); returns (LinearSystem, unknown_scale).
 
-    The dt-scaled phi rows keep that block's rhs O(|phi|) so the Krylov
-    residual does not pollute the discrete mass identity; the symmetric
-    mu scaling balances the off-diagonal blocks at sqrt(dt*eps)*|lap|,
-    which keeps the attainable BiCGStab accuracy well below tolerance.
-    The preconditioner is the exact solve of the same system with the
-    mobility replaced by its mean, so a constant-mobility step takes no
-    BiCGStab iteration.
+    The matrix fills the cached ``ch_form`` pattern: its weights
+    [dt*c*m_f, -eps/c, -S/(eps*c)] go through the scatter.  The dt-scaled
+    phi rows keep that block's rhs O(|phi|) so the Krylov residual does not
+    pollute the discrete mass identity; the symmetric mu scaling balances
+    the off-diagonal blocks at sqrt(dt*eps)*|lap|, which keeps the
+    attainable BiCGStab accuracy well below tolerance.  The preconditioner
+    is the exact solve of the same system with the mobility replaced by its
+    mean, so a constant-mobility step takes no BiCGStab iteration.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -193,15 +218,11 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    m_cells = np.asarray(spec.mobility.m(phi_n), dtype=float)
-    lap = minus_laplacian(g)
-    # [[I, -dt*c*div(m grad)], [(eps/c)*lap - S/(eps*c)*I, I]]
-    ones = np.ones(nc)
-    data = np.concatenate([
-        ones, -(cfg.dt * c) * div_m_grad(g, face_average(g, m_cells)).data,
-        lap.plus_diagonal(-s_stab / (eps * c), scale=-eps / c).data, ones])
-    indptr, indices, gather = _ch_pattern(g)
-    a = sp.csr_matrix((data[gather], indices, indptr), shape=(2 * nc, 2 * nc))
+    form = ch_form(g)
+    m_f, m_cells = _mobility_weights(g, phi_n, spec)
+    a = form_matrix(form.pattern, form.scatter, np.concatenate([
+        (cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
+        np.full(nc, -s_stab / (eps * c))]))
     # the same blocks as alpha*I + beta*T with T = -lap
     blocks = (((1.0, 0.0), (0.0, cfg.dt * c * float(np.mean(m_cells)))),
               ((-s_stab / (eps * c), -eps / c), (1.0, 0.0)))
@@ -212,6 +233,7 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     rhs2 = ((dpsi_n - s_stab * phi_n) / eps
             - spec.params.chi * state.sigma) / c
     scale = np.concatenate([np.ones(nc), np.full(nc, c)])
+    lap = minus_laplacian(g)
     system = LinearSystem(a, np.concatenate([rhs1.ravel(), rhs2.ravel()]),
                           lambda v: lap.solve_pair(v, blocks))
     return system, scale
@@ -255,7 +277,10 @@ def _solve_flow(g, phi, mu, sigma, spec, cfg,
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     """phi0 from the descriptor, sigma0 from the Robin solve, mu0 from the
-    chemical-potential relation, v0 from one flow solve."""
+    chemical-potential relation, v0 from one flow solve.  The grid's CH
+    form is built here, so that its construction does not add to the peak
+    memory of the first step."""
+    ch_form(g)
     phi0 = build_phi0(spec.phi0, g)
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, 0.0)
     sigma0, _ = solve_nutrient_robin(g, phi0, spec, sig_inf,
@@ -274,23 +299,29 @@ def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
 
 
 def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
-    """int psi(phi)/eps + eps/2*|grad phi|^2 (face quadrature for the
-    gradient, consistent with the stabilized scheme's discrete identity)."""
+    """int psi(phi)/eps + eps/2*|grad phi|^2, the gradient term
+    vol*|D phi|^2 with D of ``ch_form`` (the face quadrature of the
+    scheme's discrete identity)."""
     eps = spec.params.epsilon
-    grad = gradient_to_faces(g, phi)
-    grad_sq = float(np.sum(grad.x**2) + np.sum(grad.y**2)) * g.cell_volume
+    grad = ch_form(g).diff @ np.ravel(phi)
     psi_vals = np.asarray(spec.potential.psi(phi), dtype=float)
-    return integrate_cells(g, psi_vals) / eps + 0.5 * eps * grad_sq
+    return (integrate_cells(g, psi_vals) / eps
+            + 0.5 * eps * g.cell_volume * float(grad @ grad))
 
 
 def _mobility_flux_integrals(g, phi_coeff, mu, sigma, spec):
-    """(int m|grad mu|^2, int m grad mu . grad sigma), face-averaged m."""
-    m_face = face_average(g, np.asarray(spec.mobility.m(phi_coeff), dtype=float))
-    gm = gradient_to_faces(g, mu)
-    gs = gradient_to_faces(g, sigma)
-    diss = float(np.sum(m_face.x * gm.x**2) + np.sum(m_face.y * gm.y**2))
-    cross = float(np.sum(m_face.x * gm.x * gs.x) + np.sum(m_face.y * gm.y * gs.y))
-    return diss * g.cell_volume, cross * g.cell_volume
+    """(int m|grad mu|^2, int m grad mu . grad sigma) as
+    vol*sum m_f (D mu)^2 and vol*sum m_f (D mu)(D sigma), with D of
+    ``ch_form`` and the mobility weights m_f of phi_coeff that the CH
+    matrix uses: the first is vol*mu^T B mu/(dt*c) for the (phi, mu) block
+    B of that matrix."""
+    diff = ch_form(g).diff
+    m_f, _ = _mobility_weights(g, phi_coeff, spec)
+    d_mu = diff @ np.ravel(mu)
+    flux = m_f * d_mu
+    vol = g.cell_volume
+    return (vol * float(flux @ d_mu),
+            vol * float(flux @ (diff @ np.ravel(sigma))))
 
 
 def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,

@@ -1,14 +1,22 @@
 """The traced benchmark run (perfbench/spans.py) binds package names by
 module attribute, and perfbench/workload.py imports the study inputs from the
 package; a refactor that renames or drops one breaks the benchmark.  The
-tracer patches modules in place, so it runs in a subprocess."""
+tracer patches modules in place, so it runs in a subprocess.  The gate that
+every untraced benchmark step passes (perfbench/workload.py's check_step)
+re-assembles the step's systems, so it is run here on real steps too."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from chbrinkman import (Grid2D, ModelSpec, RandomPerturbation, StepConfig,
+                        initialize_state, step)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +71,20 @@ def test_traced_benchmark_run_binds_every_layer():
     # that turn them into matrix-vector products
     assert out["metrics"]["linalg.matvecs"] > 0
     assert out["metrics"]["flow.brinkman_iters"] > 0
+
+
+@pytest.mark.parametrize("flow_mode", ["brinkman", "darcy"])
+def test_benchmark_gate_passes_a_step(flow_mode):
+    # the gate's residual bounds come from the step's CH, Brinkman and Darcy
+    # assemblies and the Brinkman force: a correct step passes it
+    spec_file = importlib.util.spec_from_file_location(
+        "workload", ROOT / "perfbench" / "workload.py")
+    workload = importlib.util.module_from_spec(spec_file)
+    spec_file.loader.exec_module(workload)
+    g = Grid2D(8, 8)
+    spec = ModelSpec(phi0=RandomPerturbation(seed=1, amplitude=0.1),
+                     sigma_inf=1.0)
+    cfg = StepConfig(dt=1e-4, flow_mode=flow_mode)
+    prev = initialize_state(g, spec, cfg)
+    new, diag = step(g, prev, spec, cfg)
+    assert workload.check_step(g, prev, new, diag, spec, cfg) == []

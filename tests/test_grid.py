@@ -7,8 +7,8 @@ from chbrinkman import (FaceField, Grid2D, advect_upwind,
                         boundary_flux_integral, divergence_of_faces,
                         face_zeros, gradient_to_faces, integrate_cells,
                         laplacian_neumann)
-from chbrinkman.grid import (boundary_face_lengths, csr_slots, div_m_grad,
-                            face_volumes, minus_laplacian)
+from chbrinkman.grid import (boundary_face_lengths, csr_slots, face_volumes,
+                            form_matrix, form_pattern, minus_laplacian)
 
 grids = st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
                   st.floats(0.5, 2.0), st.floats(0.5, 2.0))
@@ -249,27 +249,39 @@ def test_csr_slots_do_not_overflow_int32():
     assert np.array_equal(slots, pick)
 
 
-@settings(max_examples=40, deadline=None)
-@given(grids, st.integers(0, 2**32 - 1))
-def test_div_m_grad_is_the_face_difference_form(g, seed):
-    # div(m grad .) = -D^T diag(m/h^2) D with D the undivided differences
-    # across the interior faces, bit for bit, in the Laplacian's pattern
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_form_pattern_fills_left_diag_right_plus_const(m, n_left, n_right,
+                                                       rows_over, cols_over,
+                                                       seed):
+    # the matrix filled from the pattern is L^T diag(w) R + C, with L
+    # and R acting on the leading rows and columns of C; R defaults to L
+    # and C to the empty matrix of their columns
     rng = np.random.default_rng(seed)
-    m = FaceField(rng.uniform(0.1, 2.0, (g.nx + 1, g.ny)),
-                  rng.uniform(0.1, 2.0, (g.nx, g.ny + 1)))
-    cell = np.arange(g.n_cells).reshape(g.nx, g.ny)
-    lo = np.concatenate([cell[:-1, :].ravel(), cell[:, :-1].ravel()])
-    hi = np.concatenate([cell[1:, :].ravel(), cell[:, 1:].ravel()])
-    w = np.concatenate([(m.x[1:-1, :] / g.dx**2).ravel(),
-                        (m.y[:, 1:-1] / g.dy**2).ravel()])
-    ref = np.zeros((g.n_cells, g.n_cells))
-    for a, b, wk in zip(lo, hi, w):
-        ref[a, a] -= wk
-        ref[b, b] -= wk
-        ref[a, b] += wk
-        ref[b, a] += wk
-    out = div_m_grad(g, m)
-    assert np.array_equal(out.toarray(), ref)
-    laplacian = minus_laplacian(g).matrix
-    assert np.shares_memory(out.indices, laplacian.indices)
-    assert np.shares_memory(out.indptr, laplacian.indptr)
+
+    def random(shape, density):
+        return sp.random(*shape, density=density, format="csr",
+                         random_state=rng, data_rvs=rng.standard_normal)
+
+    left = random((m, n_left), 0.5)
+    right = random((m, n_right), 0.5)
+    const = random((n_left + rows_over, n_right + cols_over), 0.3)
+    w = rng.standard_normal(m)
+    for args, ref in (
+            ((left, right, const), None),
+            ((left,), left.T.toarray() @ np.diag(w) @ left.toarray())):
+        pattern, scatter, rows, diagonal = form_pattern(*args)
+        if ref is None:
+            ref = const.toarray()
+            ref[:n_left, :n_right] += (left.T.toarray() @ np.diag(w)
+                                       @ right.toarray())
+        out = form_matrix(pattern, scatter, w).toarray()
+        assert out.shape == ref.shape
+        assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+        assert pattern.has_sorted_indices
+        assert np.array_equal(rows, np.repeat(np.arange(pattern.shape[0]),
+                                              np.diff(pattern.indptr)))
+        assert np.array_equal(diagonal,
+                              np.flatnonzero(pattern.indices == rows))
+        assert not scatter.data.flags.writeable

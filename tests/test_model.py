@@ -22,9 +22,14 @@ def test_quartic_well_values():
 
 @given(st.floats(-10.0, 10.0))
 def test_quartic_split_consistency(s):
+    # psi1'' + psi2'' is psi'' = (psi')': a central difference of psi' with
+    # step h is exact up to h^2*psi''''/6 = h^2 for the quartic, plus the
+    # rounding of |psi'| <= 1000 over 2h
     pot = default_quartic_potential()
-    assert pot.dpsi(s) == pytest.approx(pot.dpsi1(s) + pot.dpsi2(s),
-                                        rel=1e-13, abs=1e-13)
+    h = 1e-4
+    slope = (pot.dpsi(s + h) - pot.dpsi(s - h)) / (2.0 * h)
+    assert pot.ddpsi1(s) + pot.ddpsi2(s) == pytest.approx(slope, rel=1e-9,
+                                                          abs=1e-6)
 
 
 def test_quartic_growth_lower_bound():

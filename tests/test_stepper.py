@@ -7,17 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
-                        SolverFailure, State, StepConfig, ch_update,
-                        constant_viscosity, energy, face_zeros,
+                        SolverFailure, State, StepConfig, blended_mobility,
+                        ch_update, constant_viscosity, energy, face_zeros,
                         eval_source_gamma_v, initialize_state,
                         integrate_cells, norm_l2_cells, step,
                         suggest_cfl_dt, zero_sources)
 from chbrinkman.flow import brinkman_force
-from chbrinkman.grid import face_volumes
+from chbrinkman.grid import face_volumes, minus_laplacian
 from chbrinkman.model import SourceSpec, smooth_blend
-from chbrinkman.stepper import CflViolation, build_phi0, sample_sigma_inf
+from chbrinkman.stepper import (CflViolation, _mobility_flux_integrals,
+                                assemble_ch_system, build_phi0, ch_form,
+                                sample_sigma_inf)
 
 
 def quiet_spec(**over):
@@ -56,6 +60,86 @@ def test_coupled_brinkman_steps_at_128():
         gamma = eval_source_gamma_v(spec.sources, state.phi, state.sigma)
         assert diag.div_residual <= 10.0 * cfg.tol_flow * norm_l2_cells(g,
                                                                        gamma)
+
+
+def ch_state(g, rng):
+    """A state with random phi, mu and sigma and no flow."""
+    cells = [rng.uniform(-1.0, 1.0, (g.nx, g.ny)) for _ in range(3)]
+    return State(0.0, *cells, face_zeros(g), np.zeros((g.nx, g.ny)), 0.0,
+                 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(Grid2D, st.integers(3, 9), st.integers(3, 9),
+                 st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       st.integers(0, 2**32 - 1))
+def test_ch_matrix_is_the_face_difference_form(g, seed):
+    # the CH matrix on [phi, mu/c] against dense blocks built face by face:
+    # [[I, -dt*c*div(m grad)], [-(eps/c)*T - S/(eps*c)*I, I]] with T minus
+    # the zero-flux Laplacian and m the face average of the mobility, in
+    # the pattern [[I, P], [P, I]] of T's 5-point pattern P
+    spec = quiet_spec(mobility=blended_mobility(1.0, 10.0))
+    cfg = StepConfig(dt=1e-3, stabilization=2.0)
+    state = ch_state(g, np.random.default_rng(seed))
+    system, _ = assemble_ch_system(g, state, spec, cfg)
+    eps, nc = spec.params.epsilon, g.n_cells
+    c = np.sqrt(eps / cfg.dt)
+    m = spec.mobility.m(state.phi)
+    cell = np.arange(nc).reshape(g.nx, g.ny)
+    div_m_grad, lap = np.zeros((nc, nc)), np.zeros((nc, nc))
+    for i in range(g.nx):
+        for j in range(g.ny):
+            for di, dj, h in ((1, 0, g.dx), (0, 1, g.dy)):
+                if i + di == g.nx or j + dj == g.ny:
+                    continue
+                a, b = cell[i, j], cell[i + di, j + dj]
+                m_f = 0.5 * (m[i, j] + m[i + di, j + dj])
+                for out, w in ((div_m_grad, m_f / h**2), (lap, 1.0 / h**2)):
+                    out[a, a] -= w
+                    out[b, b] -= w
+                    out[a, b] += w
+                    out[b, a] += w
+    eye = np.eye(nc)
+    ref = np.block([[eye, -cfg.dt * c * div_m_grad],
+                    [(eps / c) * lap - cfg.stabilization / (eps * c) * eye,
+                     eye]])
+    assert np.all(np.abs(system.matrix.toarray() - ref)
+                  <= 4e-15 * np.abs(ref))
+    p = minus_laplacian(g).matrix
+    pattern = sp.csr_matrix(sp.bmat([[sp.identity(nc), p],
+                                     [p, sp.identity(nc)]]))
+    pattern.sort_indices()
+    assert np.array_equal(system.matrix.indptr, pattern.indptr)
+    assert np.array_equal(system.matrix.indices, pattern.indices)
+
+
+def test_ch_form_is_cached_and_keeps_the_5_point_pattern_at_64():
+    form = ch_form(Grid2D(64, 64))
+    assert form.pattern.nnz == 48_640
+    assert ch_form(Grid2D(64, 64)) is form
+    assert not form.diff.data.flags.writeable
+    assert not form.scatter.data.flags.writeable
+
+
+def test_mobility_dissipation_is_the_ch_matrix_form():
+    # int m|grad mu|^2 and int m grad mu . grad sigma are the assembled
+    # (phi, mu) block B on mu/c: vol*mu^T B mu/(dt*c) and vol*mu^T B sigma
+    # /(dt*c), so the energy diagnostics evaluate the form the solver uses
+    g = Grid2D(12, 9, 1.5, 1.0)
+    spec = quiet_spec(mobility=blended_mobility(1.0, 10.0))
+    cfg = StepConfig(dt=1e-3)
+    state = ch_state(g, np.random.default_rng(7))
+    system, _ = assemble_ch_system(g, state, spec, cfg)
+    nc = g.n_cells
+    block = system.matrix[:nc, nc:] * (g.cell_volume
+                                       / (cfg.dt * np.sqrt(
+                                           spec.params.epsilon / cfg.dt)))
+    mu, sigma = state.mu.ravel(), state.sigma.ravel()
+    diss, cross = _mobility_flux_integrals(g, state.phi, state.mu,
+                                           state.sigma, spec)
+    assert diss > 0.0
+    assert diss == pytest.approx(mu @ (block @ mu), rel=1e-13)
+    assert cross == pytest.approx(mu @ (block @ sigma), abs=1e-13 * diss)
 
 
 def test_uniform_zero_state_is_a_fixed_point():
