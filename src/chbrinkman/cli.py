@@ -87,12 +87,17 @@ class SimConfig:
     diagnostics_stride: int
 
 
-def _find_key_location(text: str, key: str):
-    """Best-effort line:column of a quoted key in the raw config text."""
-    needle = f'"{key}"'
-    pos = text.find(needle)
-    if pos < 0:
-        return ""
+def _find_key_location(text: str, path: str, key: str):
+    """Best-effort line:column of the key path.key in the raw config text
+    (path starts at the root section "config"): each quoted key of the path
+    is the first one after the key before it."""
+    end = 0
+    for key in [*path.split(".")[1:], key]:
+        needle = f'"{key}"'
+        pos = text.find(needle, end)
+        if pos < 0:
+            return ""
+        end = pos + len(needle)
     line = text.count("\n", 0, pos) + 1
     col = pos - (text.rfind("\n", 0, pos) + 1) + 1
     return f" (line {line}, column {col})"
@@ -117,7 +122,7 @@ class _Section:
 
     def _error(self, key, problem):
         return ConfigError(f"key '{self.path}.{key}' {problem}"
-                           f"{_find_key_location(self.text, key)}")
+                           f"{_find_key_location(self.text, self.path, key)}")
 
     def get(self, key, kind, default=REQUIRED):
         self.seen.add(key)
@@ -151,7 +156,7 @@ class _Section:
             key = sorted(unknown)[0]
             raise ConfigError(
                 f"unknown key '{self.path}.{key}'"
-                f"{_find_key_location(self.text, key)}")
+                f"{_find_key_location(self.text, self.path, key)}")
 
 
 def _variant(sec: _Section, default: str, variants):

@@ -37,9 +37,10 @@ and it starts from a given nearby flow (a time step passes the previous
 level's) or else from the preconditioned right-hand side.
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
-p = 0 ghost closure on boundary faces, then v = (F - grad p)/nu where the
-gradient uses the same p = 0 ghost on boundary faces so that
-div(v) = Gamma_v holds up to the pressure residual.  The pressure operator
+p = 0 ghost closure on boundary faces, then v = (F - G_D p)/nu with
+G_D = -diag(vol/vol_f) div^T, the gradient with the same p = 0 ghost on
+boundary faces (``grid.mac_operators``): div G_D is the pressure operator,
+so div(v) = Gamma_v holds up to the pressure residual.  The pressure operator
 is constant, so CG preconditioned by its exact fast-diagonalization solve
 accepts that solve at once, and refines it only where it misses the
 tolerance.
@@ -53,10 +54,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (CellField, FaceField, Grid2D, difference,
-                   divergence_of_faces, face_volumes, form_matrix,
-                   form_pattern, gradient_to_faces, minus_laplacian,
-                   norm_l2_cells, read_only)
+from .grid import (CellField, FaceField, Grid2D, difference, form_matrix,
+                   form_pattern, mac_operators, minus_laplacian,
+                   norm_l2_cells, read_only, stacked, unstacked)
 from .linalg import (KroneckerOperator, LinearSystem, SolveStats,
                      SolverFailure, bicgstab_solve, cg_solve)
 from .model import eval_source_gamma_v
@@ -68,26 +68,6 @@ class FlowSolution:
     p: CellField
     stats: SolveStats
     div_residual: float
-
-
-def face_average(g: Grid2D, f: CellField) -> FaceField:
-    """Arithmetic two-cell average onto faces; boundary faces copy the
-    adjacent cell."""
-    ax = np.empty((g.nx + 1, g.ny))
-    ax[1:-1, :] = 0.5 * (f[1:, :] + f[:-1, :])
-    ax[0, :] = f[0, :]
-    ax[-1, :] = f[-1, :]
-    ay = np.empty((g.nx, g.ny + 1))
-    ay[:, 1:-1] = 0.5 * (f[:, 1:] + f[:, :-1])
-    ay[:, 0] = f[:, 0]
-    ay[:, -1] = f[:, -1]
-    return FaceField(ax, ay)
-
-
-def _stacked(vel: FaceField) -> np.ndarray:
-    """Face values in the order of the Brinkman unknowns: x faces, then y
-    faces, each flattened C-order."""
-    return np.concatenate([vel.x.ravel(), vel.y.ravel()])
 
 
 def _cell_values(f, phi: CellField) -> np.ndarray:
@@ -109,12 +89,12 @@ def _strain_pieces(n: int, h: float):
 @dataclass(frozen=True)
 class BrinkmanForm:
     """The Brinkman energy form v^T A v = sum_r w_r (E v)_r^2 of one grid,
-    read-only, on the stacked face unknowns (x faces, then y faces, each
-    flattened C-order).
+    read-only, on the stacked face unknowns (``grid.stacked``).
 
     The rows of ``energy`` E are dvx/dx and dvy/dy at cells, then
     (dvx/dy + dvy/dx)/2 at nodes (one-sided at boundary nodes) -- the
-    first ``n_shear`` rows -- then div v at cells, then v itself.
+    first ``n_shear`` rows -- then div v at cells, then v itself; the
+    cell rows are those of ``grid.mac_operators(g).div``.
     ``node_sum`` maps a flattened cell field to the sum of the cell values
     around each node; ``grad`` is G = -div^T*vol.  ``pattern`` is the
     saddle-point matrix [[A, G], [G^T, 0]] with G's data, ``scatter`` maps
@@ -136,16 +116,16 @@ def brinkman_form(g: Grid2D) -> BrinkmanForm:
     """The energy form of g as Kronecker products of 1D pieces, built once
     per grid; the Brinkman matrix and the viscous dissipation are both
     evaluated from it."""
-    (cell_x, node_x, touch_x), (cell_y, node_y, touch_y) = (
+    (_, node_x, touch_x), (_, node_y, touch_y) = (
         _strain_pieces(g.nx, g.dx), _strain_pieces(g.ny, g.dy))
     nx, ny = g.nx, g.ny
-    d_xx = sp.kron(cell_x, sp.identity(ny))
-    d_yy = sp.kron(sp.identity(nx), cell_y)
+    nvx = (nx + 1) * ny
+    div = mac_operators(g).div
     d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
                             sp.kron(node_x, sp.identity(ny + 1))])
-    div = read_only(sp.hstack([d_xx, d_yy]))
-    energy = read_only(sp.vstack([sp.block_diag([d_xx, d_yy]), d_xy, div,
-                                  sp.identity(div.shape[1])]))
+    energy = read_only(sp.vstack([
+        sp.block_diag([div[:, :nvx], div[:, nvx:]]), d_xy, div,
+        sp.identity(div.shape[1])]))
     grad = read_only(-(div.T) * g.cell_volume)
     pattern = form_pattern(energy, const=sp.bmat([[None, grad],
                                                    [grad.T, None]],
@@ -166,10 +146,9 @@ def _form_weights(g: Grid2D, phi: CellField, spec):
     lam = _cell_values(spec.viscosity.lam, phi)
     vol = g.cell_volume
     two_eta = 2.0 * vol * eta
-    vol_f = _stacked(FaceField(*face_volumes(g)))
     w = np.concatenate([two_eta, two_eta,
                         vol * (brinkman_form(g).node_sum @ eta), lam * vol,
-                        spec.params.nu * vol_f])
+                        spec.params.nu * mac_operators(g).vol_f])
     return w, eta, lam
 
 
@@ -274,8 +253,7 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     form = brinkman_form(g)
     w, eta, lam = _form_weights(g, phi, spec)
     a = form_matrix(form.pattern, form.scatter, w)
-    rhs = np.concatenate([_stacked(FaceField(*face_volumes(g)))
-                          * _stacked(force),
+    rhs = np.concatenate([mac_operators(g).vol_f * stacked(force),
                           -g.cell_volume
                           * np.asarray(gamma_v, dtype=float).ravel()])
 
@@ -296,10 +274,12 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
 
 def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
                    extra_force: FaceField | None) -> FaceField:
-    """(mu + chi*sigma)*grad(phi) interpolated to faces, plus extra_force."""
-    coeff = face_average(g, mu + spec.params.chi * sigma)
-    gphi = gradient_to_faces(g, phi)
-    f = FaceField(coeff.x * gphi.x, coeff.y * gphi.y)
+    """The Korteweg force mean(mu + chi*sigma)*grad(phi) on faces, with
+    the face mean and the zero-flux gradient of ``grid.mac_operators``,
+    plus extra_force."""
+    ops = mac_operators(g)
+    coeff = ops.mean @ np.ravel(mu + spec.params.chi * sigma)
+    f = unstacked(g, coeff * (ops.grad @ np.ravel(phi)))
     if extra_force is not None:
         f = f + extra_force
     return f
@@ -333,7 +313,7 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     x0 = None
     if start is not None:
         vel0, p0 = start
-        x0 = np.concatenate([_stacked(vel0), np.ravel(p0)]) / scale
+        x0 = np.concatenate([stacked(vel0), np.ravel(p0)]) / scale
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=solve_tol, x0=x0)
     if not stats.converged:
@@ -341,23 +321,15 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
             f"Brinkman solve did not converge (residual {stats.residual:.3e} "
             f"after {stats.iterations} iterations)", stats, stage="flow")
     x = scale * x
-    nvx = (g.nx + 1) * g.ny
-    nvy = g.nx * (g.ny + 1)
-    vel = FaceField(x[:nvx].reshape(g.nx + 1, g.ny),
-                    x[nvx:nvx + nvy].reshape(g.nx, g.ny + 1))
-    p = x[nvx + nvy:].reshape(g.nx, g.ny)
-    div_res = norm_l2_cells(g, divergence_of_faces(g, vel) - gamma_v)
-    return FlowSolution(vel, p, stats, div_res)
+    v = x[:x.size - g.n_cells]
+    return FlowSolution(unstacked(g, v), x[v.size:].reshape(g.nx, g.ny),
+                        stats, _div_residual(g, v, gamma_v))
 
 
-def _gradient_dirichlet_ghost(g: Grid2D, p: CellField) -> FaceField:
-    """Pressure gradient with p = 0 ghost values on boundary faces."""
-    grad = gradient_to_faces(g, p)
-    grad.x[0, :] = p[0, :] / (0.5 * g.dx)
-    grad.x[-1, :] = -p[-1, :] / (0.5 * g.dx)
-    grad.y[:, 0] = p[:, 0] / (0.5 * g.dy)
-    grad.y[:, -1] = -p[:, -1] / (0.5 * g.dy)
-    return grad
+def _div_residual(g: Grid2D, v: np.ndarray, gamma_v) -> float:
+    """||div v - Gamma_v|| of the stacked face velocity v."""
+    div_v = (mac_operators(g).div @ v).reshape(g.nx, g.ny)
+    return norm_l2_cells(g, div_v - gamma_v)
 
 
 def assemble_darcy_pressure_system(g: Grid2D, gamma_v: CellField, nu: float,
@@ -365,8 +337,8 @@ def assemble_darcy_pressure_system(g: Grid2D, gamma_v: CellField, nu: float,
     """-lap(p) = nu*Gamma_v - div(F), homogeneous Dirichlet ghost closure;
     the operator is constant, so its preconditioner is the exact solve."""
     op = minus_laplacian(g, np.inf)
-    b = nu * np.asarray(gamma_v, dtype=float) - divergence_of_faces(g, force)
-    return LinearSystem(op.matrix, b.ravel(), op.solve)
+    b = nu * np.ravel(gamma_v) - mac_operators(g).div @ stacked(force)
+    return LinearSystem(op.matrix, b, op.solve)
 
 
 def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
@@ -386,11 +358,9 @@ def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
             f"Darcy pressure solve did not converge (residual "
             f"{stats.residual:.3e} after {stats.iterations} iterations)",
             stats, stage="flow")
-    p = x.reshape(g.nx, g.ny)
-    grad_p = _gradient_dirichlet_ghost(g, p)
-    vel = FaceField((force.x - grad_p.x) / nu, (force.y - grad_p.y) / nu)
-    div_res = norm_l2_cells(g, divergence_of_faces(g, vel) - gamma_v)
-    return FlowSolution(vel, p, stats, div_res)
+    v = (stacked(force) - mac_operators(g).grad_dirichlet @ x) / nu
+    return FlowSolution(unstacked(g, v), x.reshape(g.nx, g.ny), stats,
+                        _div_residual(g, v, gamma_v))
 
 
 # dissipation diagnostics ---------------------------------------------------
@@ -401,7 +371,7 @@ def shear_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> float:
     diagonal strain at cells and off-diagonal at nodes."""
     form = brinkman_form(g)
     w, _, _ = _form_weights(g, phi, spec)
-    strain = (form.energy @ _stacked(vel))[:form.n_shear]
+    strain = (form.energy @ stacked(vel))[:form.n_shear]
     return float(w[:form.n_shear] @ strain**2)
 
 
@@ -410,4 +380,4 @@ def viscous_dissipation(g: Grid2D, vel: FaceField, phi: CellField, spec) -> floa
     energy form v^T A v of the assembled Brinkman momentum block,
     sum_r w_r (E v)_r^2 with the weights of the assembly."""
     w, _, _ = _form_weights(g, phi, spec)
-    return float(w @ (brinkman_form(g).energy @ _stacked(vel))**2)
+    return float(w @ (brinkman_form(g).energy @ stacked(vel))**2)

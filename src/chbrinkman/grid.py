@@ -7,6 +7,10 @@ Layout conventions used everywhere in this package:
 * face fields   -- x-components on the (nx+1, ny) vertical faces at
                    (i*dx, (j+1/2)*dy), y-components on the (nx, ny+1)
                    horizontal faces at ((i+1/2)*dx, j*dy)
+* flat cells    -- a cell field flattened C-order, index i*ny + j
+* stacked faces -- one array of face values: the x faces, then the y
+                   faces, each flattened C-order (``stacked`` and
+                   ``unstacked`` convert)
 * boundary fields -- one value per boundary face, ordered
                    (bottom, right, top, left), each side traversed in
                    increasing coordinate; total length 2*(nx+ny)
@@ -14,6 +18,11 @@ Layout conventions used everywhere in this package:
 All operators are pure functions of their inputs.  Geometry-only
 operators are cached per (Grid2D, boundary term); Grid2D is frozen and
 hashable, and the cached objects are read-only.
+
+The divergence, the zero-flux gradient and the face mean exist once, as
+the matrices of ``mac_operators`` between flat cells and stacked faces;
+the flow and Cahn-Hilliard solves, the Korteweg force, the advection and
+the diagnostics all read them.
 
 A matrix whose coefficients vary with the solution is a weighted form
 L^T diag(w) R + C of fixed sparse rows L and R: ``form_pattern`` is the
@@ -120,23 +129,17 @@ def face_volumes(g: Grid2D):
     return wx, wy
 
 
-def gradient_to_faces(g: Grid2D, f: CellField) -> FaceField:
-    """Two-point differences on interior faces, zero on boundary faces
-    (homogeneous Neumann default)."""
-    gx = np.zeros((g.nx + 1, g.ny))
-    gy = np.zeros((g.nx, g.ny + 1))
-    gx[1:-1, :] = (f[1:, :] - f[:-1, :]) / g.dx
-    gy[:, 1:-1] = (f[:, 1:] - f[:, :-1]) / g.dy
-    return FaceField(gx, gy)
+def stacked(vel: FaceField) -> np.ndarray:
+    """Face values in stacked order: x faces, then y faces, each flattened
+    C-order."""
+    return np.concatenate([vel.x.ravel(), vel.y.ravel()])
 
 
-def divergence_of_faces(g: Grid2D, w: FaceField) -> CellField:
-    return (w.x[1:, :] - w.x[:-1, :]) / g.dx + (w.y[:, 1:] - w.y[:, :-1]) / g.dy
-
-
-def laplacian_neumann(g: Grid2D, f: CellField) -> CellField:
-    """5-point Laplacian with zero-flux closure; annihilates constants."""
-    return divergence_of_faces(g, gradient_to_faces(g, f))
+def unstacked(g: Grid2D, v: np.ndarray) -> FaceField:
+    """The FaceField of stacked face values v (the inverse of ``stacked``)."""
+    nvx = (g.nx + 1) * g.ny
+    return FaceField(v[:nvx].reshape(g.nx + 1, g.ny),
+                     v[nvx:].reshape(g.nx, g.ny + 1))
 
 
 def integrate_cells(g: Grid2D, f: CellField) -> float:
@@ -147,25 +150,14 @@ def norm_l2_cells(g: Grid2D, f: CellField) -> float:
     return float(np.sqrt(np.sum(f**2) * g.cell_volume))
 
 
-def _upwind_flux(g: Grid2D, phi: CellField, vel: FaceField):
-    """Face fluxes v*phi_upwind; boundary faces use the interior cell value."""
-    fx = np.empty((g.nx + 1, g.ny))
-    vx_in = vel.x[1:-1, :]
-    fx[1:-1, :] = vx_in * np.where(vx_in > 0, phi[:-1, :], phi[1:, :])
-    fx[0, :] = vel.x[0, :] * phi[0, :]
-    fx[-1, :] = vel.x[-1, :] * phi[-1, :]
-
-    fy = np.empty((g.nx, g.ny + 1))
-    vy_in = vel.y[:, 1:-1]
-    fy[:, 1:-1] = vy_in * np.where(vy_in > 0, phi[:, :-1], phi[:, 1:])
-    fy[:, 0] = vel.y[:, 0] * phi[:, 0]
-    fy[:, -1] = vel.y[:, -1] * phi[:, -1]
-    return FaceField(fx, fy)
-
-
 def advect_upwind(g: Grid2D, phi: CellField, vel: FaceField) -> CellField:
-    """Conservative first-order upwind discretization of div(phi*v)."""
-    return divergence_of_faces(g, _upwind_flux(g, phi, vel))
+    """Conservative first-order upwind discretization of div(phi*v): the
+    face flux v*phi takes phi from the cell on the upwind side (the
+    adjacent cell on a boundary face)."""
+    ops = mac_operators(g)
+    v = stacked(vel)
+    flux = v * np.take(phi, np.where(v > 0, ops.below, ops.above))
+    return (ops.div @ flux).reshape(g.nx, g.ny)
 
 
 def boundary_flux_integral(g: Grid2D, phi: CellField, vel: FaceField) -> float:
@@ -281,6 +273,66 @@ def read_only(m) -> sp.csr_matrix:
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
+
+
+# the MAC operators ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class MacOperators:
+    """The MAC operators of one grid, read-only, between flat cells
+    (i*ny + j) and stacked faces (``stacked``).
+
+    ``div`` (cells x faces) is the cell divergence of face values.
+    ``grad`` (faces x cells) is the zero-flux gradient: -div^T on interior
+    faces, no entries on boundary faces, so grad^T grad is
+    ``minus_laplacian(g)``.  ``mean`` (faces x cells) is the two-cell mean,
+    the adjacent cell on a boundary face; ``below`` and ``above`` are the
+    cells it reads, in increasing index (the adjacent cell twice on a
+    boundary face).  ``vol_f`` holds the face volumes (half cells on the
+    boundary) and ``grad_dirichlet`` the gradient with the p = 0 ghost on
+    boundary faces, -diag(vol/vol_f) div^T, so div diag(vol/vol_f) div^T
+    is ``minus_laplacian(g, inf)``."""
+
+    div: sp.csr_matrix
+    grad: sp.csr_matrix
+    mean: sp.csr_matrix
+    below: np.ndarray
+    above: np.ndarray
+    vol_f: np.ndarray
+    grad_dirichlet: sp.csr_matrix
+
+
+def _axis_operators(n: int, h: float):
+    """(div, grad, mean) along one axis of n cells of width h: the
+    difference of the n+1 face values across each cell (n x n+1), the
+    difference of the cell values across each interior face with empty end
+    rows (n+1 x n) and the mean of the cells each face touches (n+1 x n)."""
+    empty = sp.csr_matrix((1, n))
+    touch = sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1)
+    return (difference(n, h),
+            sp.vstack([empty, difference(n - 1, h), empty]),
+            sp.diags(np.r_[1.0, np.full(n - 1, 0.5), 1.0]) @ touch)
+
+
+@lru_cache(maxsize=32)
+def mac_operators(g: Grid2D) -> MacOperators:
+    """The MAC operators of g as Kronecker products of 1D pieces, built
+    once per grid; the solves, the force, the advection and the
+    diagnostics all read them."""
+    (div_x, grad_x, mean_x), (div_y, grad_y, mean_y) = (
+        _axis_operators(g.nx, g.dx), _axis_operators(g.ny, g.dy))
+    ex, ey = sp.identity(g.nx), sp.identity(g.ny)
+    div = read_only(sp.hstack([sp.kron(div_x, ey), sp.kron(ex, div_y)]))
+    grad, mean = (read_only(sp.vstack([sp.kron(x, ey), sp.kron(ex, y)]))
+                  for x, y in ((grad_x, grad_y), (mean_x, mean_y)))
+    vol_f = stacked(FaceField(*face_volumes(g)))
+    below = mean.indices[mean.indptr[:-1]]
+    above = mean.indices[mean.indptr[1:] - 1]
+    for arr in (vol_f, below, above):
+        arr.flags.writeable = False
+    return MacOperators(div, grad, mean, below, above, vol_f,
+                        read_only(sp.diags(g.cell_volume / vol_f)
+                                  @ -div.T))
 
 
 def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:

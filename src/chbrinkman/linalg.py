@@ -206,8 +206,10 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     misses, or the method breaks down, the iteration restarts from the true
     residual, which is also the new shadow residual.  Every iteration,
     including one that breaks down, counts against ``max_iter``, so the
-    solve always ends; it ends at once when a cycle breaks down before x
-    moves, since a restart from the same x would repeat it.  One iteration
+    solve always ends.  It ends unconverged when a cycle leaves the true
+    residual above half its value at the start of that cycle: the solve
+    has stagnated (at the attainable accuracy, or in a breakdown before x
+    moves, which a restart from the same x would repeat).  One iteration
     is two matrix-vector products (one when it converges half-way).
     ``ell``, the BiCG steps per iteration, must be 1.  Returns
     (x, SolveStats) with the true residual; non-convergence comes back as
@@ -222,7 +224,7 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
         max_iter = 10 * b.size
     it = 0
     while it < max_iter:
-        x_start = x
+        res_start = res
         r_hat = r.copy()
         rho = alpha = omega = 1.0
         p = v = np.zeros(b.size)
@@ -255,6 +257,6 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
         res = float(np.linalg.norm(r))
         if res <= target:
             return x, SolveStats(it, res, True)
-        if x is x_start:
+        if res > 0.5 * res_start:
             break
     return x, SolveStats(it, res, False)

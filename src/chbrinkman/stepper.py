@@ -14,10 +14,11 @@ One linear solve per step; energy non-increasing for S >= max |psi''| over
 the iterate range when sources vanish, chi = 0 and v = 0.
 
 The CH matrix is one form, defined once per grid in ``ch_form``: the
-differences D across the interior faces, weighted by the mobility, by eps
-and by the stabilization.  The energy diagnostics evaluate the same D with
-the same face mobilities (``_mobility_weights``), so the gradient energy
-and the CH dissipation are the forms the solver uses.
+zero-flux gradient D of ``grid.mac_operators``, weighted by the face mean
+of the mobility, by eps and by the stabilization.  The energy diagnostics
+evaluate the same D with the same face mobilities (``_mobility_weights``),
+so the gradient energy and the CH dissipation are the forms the solver
+uses.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import solve_nutrient_robin
-from .flow import (FlowSolution, face_average, solve_brinkman, solve_darcy,
+from .flow import (FlowSolution, solve_brinkman, solve_darcy,
                    viscous_dissipation)
 from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
-                   boundary_flux_integral, difference, face_zeros,
-                   form_matrix, form_pattern, integrate_cells,
-                   laplacian_neumann, minus_laplacian, read_only)
+                   boundary_flux_integral, face_zeros, form_matrix,
+                   form_pattern, integrate_cells, mac_operators,
+                   minus_laplacian)
 from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
@@ -144,8 +145,12 @@ def build_phi0(phi0, g: Grid2D) -> CellField:
 
 def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
                        spec: ModelSpec) -> CellField:
+    """psi'(phi)/eps - eps*lap(phi) - chi*sigma, with -lap = grad^T grad
+    of ``grid.mac_operators``."""
     eps = spec.params.epsilon
-    return (spec.potential.dpsi(phi) / eps - eps * laplacian_neumann(g, phi)
+    grad = mac_operators(g).grad
+    minus_lap = (grad.T @ (grad @ np.ravel(phi))).reshape(g.nx, g.ny)
+    return (spec.potential.dpsi(phi) / eps + eps * minus_lap
             - spec.params.chi * sigma)
 
 
@@ -153,43 +158,37 @@ def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
 class CHForm:
     """The Cahn-Hilliard form of one grid, read-only, on flat cell indices.
 
-    ``diff`` D is the difference across each interior face over the cell
-    width, x faces then y faces (each flattened C-order): D^T D is minus
-    the zero-flux Laplacian and D^T diag(m_f) D is -div(m grad).
+    D is the zero-flux gradient ``grad`` of ``grid.mac_operators``: D^T D
+    is minus the zero-flux Laplacian and D^T diag(m_f) D is -div(m grad).
     ``pattern`` and ``scatter`` are the ``form_pattern`` of the CH matrix
     L^T diag(w) R + I on [phi, mu/c] with L = [[D, 0], [0, D], [0, I]] and
     R = [[0, D], [D, 0], [I, 0]]: the weights
     [dt*c*m_f, -eps/c, -S/(eps*c)] give the blocks
     [[I, -dt*c*div(m grad)], [(eps/c)*lap - S/(eps*c)*I, I]]."""
 
-    diff: sp.csr_matrix
     pattern: sp.csr_matrix
     scatter: sp.csc_matrix
 
 
 @lru_cache(maxsize=32)
 def ch_form(g: Grid2D) -> CHForm:
-    """The CH form of g, built once per grid; the CH matrix and the energy
-    diagnostics are both evaluated from it."""
-    diff = read_only(sp.vstack([
-        sp.kron(difference(g.nx - 1, g.dx), sp.identity(g.ny)),
-        sp.kron(sp.identity(g.nx), difference(g.ny - 1, g.dy))]))
+    """The CH form of g, built once per grid; the energy diagnostics read
+    its gradient D from ``grid.mac_operators`` too."""
+    grad = mac_operators(g).grad
     eye = sp.identity(g.n_cells)
-    left = sp.bmat([[diff, None], [None, diff], [None, eye]], format="csr")
-    right = sp.bmat([[None, diff], [diff, None], [eye, None]], format="csr")
+    left = sp.bmat([[grad, None], [None, grad], [None, eye]], format="csr")
+    right = sp.bmat([[None, grad], [grad, None], [eye, None]], format="csr")
     pattern, scatter, _, _ = form_pattern(
         left, right, sp.identity(2 * g.n_cells, format="csr"))
-    return CHForm(diff, pattern, scatter)
+    return CHForm(pattern, scatter)
 
 
 def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
-    """(m_f, m): the face average of the mobility on the interior faces, in
-    the row order of ``ch_form(g).diff``, and the flat cell mobilities m(phi)
-    it comes from."""
-    m = np.asarray(spec.mobility.m(phi), dtype=float)
-    m_face = face_average(g, m)
-    return np.concatenate([m_face.x[1:-1, :].ravel(),
-                           m_face.y[:, 1:-1].ravel()]), m.ravel()
+    """(m_f, m): the face mean of the mobility, on the stacked faces of
+    ``grid.mac_operators``, and the flat cell mobilities m(phi) it comes
+    from."""
+    m = np.ravel(np.asarray(spec.mobility.m(phi), dtype=float))
+    return mac_operators(g).mean @ m, m
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
@@ -300,10 +299,10 @@ def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
 
 def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
     """int psi(phi)/eps + eps/2*|grad phi|^2, the gradient term
-    vol*|D phi|^2 with D of ``ch_form`` (the face quadrature of the
-    scheme's discrete identity)."""
+    vol*|D phi|^2 with D the gradient of the CH form (the face quadrature
+    of the scheme's discrete identity)."""
     eps = spec.params.epsilon
-    grad = ch_form(g).diff @ np.ravel(phi)
+    grad = mac_operators(g).grad @ np.ravel(phi)
     psi_vals = np.asarray(spec.potential.psi(phi), dtype=float)
     return (integrate_cells(g, psi_vals) / eps
             + 0.5 * eps * g.cell_volume * float(grad @ grad))
@@ -311,17 +310,17 @@ def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
 
 def _mobility_flux_integrals(g, phi_coeff, mu, sigma, spec):
     """(int m|grad mu|^2, int m grad mu . grad sigma) as
-    vol*sum m_f (D mu)^2 and vol*sum m_f (D mu)(D sigma), with D of
-    ``ch_form`` and the mobility weights m_f of phi_coeff that the CH
-    matrix uses: the first is vol*mu^T B mu/(dt*c) for the (phi, mu) block
-    B of that matrix."""
-    diff = ch_form(g).diff
+    vol*sum m_f (D mu)^2 and vol*sum m_f (D mu)(D sigma), with D the
+    gradient of the CH form and the mobility weights m_f of phi_coeff that
+    the CH matrix uses: the first is vol*mu^T B mu/(dt*c) for the (phi, mu)
+    block B of that matrix."""
+    grad = mac_operators(g).grad
     m_f, _ = _mobility_weights(g, phi_coeff, spec)
-    d_mu = diff @ np.ravel(mu)
+    d_mu = grad @ np.ravel(mu)
     flux = m_f * d_mu
     vol = g.cell_volume
     return (vol * float(flux @ d_mu),
-            vol * float(flux @ (diff @ np.ravel(sigma))))
+            vol * float(flux @ (grad @ np.ravel(sigma))))
 
 
 def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,

@@ -161,6 +161,22 @@ def test_unknown_key_reports_location():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("text, key, line", [
+    # the same key earlier in another section
+    ('{"grid": {"nx": 16, "ny": 16},\n"model": {\n'
+     '"sigma_inf": {"variant": "constant", "value": 1.0},\n'
+     '"phi0": {"variant": "constant",\n"value": "x"}}}',
+     "config.model.phi0.value", 5),
+    ('{"grid": {"nx": 16, "ny": 16},\n"model": {"params": {\n'
+     '"K": 10.0}},\n"output": {"directory": "out",\n"K": 1}}',
+     "config.output.K", 5),
+])
+def test_config_error_points_at_the_key_path(text, key, line):
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        parse_config(text)
+    assert f"(line {line}, column 1)" in str(err.value)
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(ConfigError, match="line"):
         parse_config('{"grid": {nx: 16}}')

@@ -5,16 +5,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
                         bicgstab_solve, blended_viscosity, constant_viscosity,
-                        eval_source_gamma_v, face_zeros, gradient_to_faces,
-                        integrate_cells, norm_l2_cells, solve_brinkman,
+                        eval_source_gamma_v, face_zeros, integrate_cells,
+                        mac_operators, norm_l2_cells, solve_brinkman,
                         solve_darcy, viscous_dissipation, zero_sources)
 from chbrinkman.cli import limit_visc_problem
 from chbrinkman.flow import (assemble_brinkman_system, brinkman_force,
                              brinkman_form, shear_dissipation,
                              velocity_blocks, velocity_coupling)
-from chbrinkman.grid import divergence_of_faces, face_volumes
+from chbrinkman.grid import face_volumes, stacked
 from chbrinkman.harness import brinkman_manufactured, passthrough_sources
-from conftest import dense_solve
+from conftest import (dense_solve, numpy_dirichlet_gradient,
+                      numpy_divergence, numpy_face_mean, numpy_gradient)
 
 
 def flow_spec(eta=0.5, lam=0.0, nu=1.0, sources=None):
@@ -276,15 +277,60 @@ def test_darcy_gradient_identity_on_interior_faces(rng):
     nu = 2.0
     xc, yc = g.cell_centers()
     q = np.sin(2 * np.pi * xc) * yc**2
-    force = gradient_to_faces(g, q)
+    force = FaceField(*numpy_gradient(g, q))
     spec = ModelSpec(params=ModelParams(nu=nu), sources=zero_sources(1.0))
     zero = np.zeros((16, 16))
     sol = solve_darcy(g, zero, zero, zero, spec, extra_force=force)
-    expected = gradient_to_faces(g, q - sol.p)
-    assert np.allclose(sol.vel.x[1:-1, :], expected.x[1:-1, :] / nu,
-                       atol=1e-9)
-    assert np.allclose(sol.vel.y[:, 1:-1], expected.y[:, 1:-1] / nu,
-                       atol=1e-9)
+    ex, ey = numpy_gradient(g, q - sol.p)
+    assert np.allclose(sol.vel.x[1:-1, :], ex[1:-1, :] / nu, atol=1e-9)
+    assert np.allclose(sol.vel.y[:, 1:-1], ey[:, 1:-1] / nu, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(Grid2D, st.integers(3, 12), st.integers(3, 12),
+                 st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+       st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_force_and_darcy_velocity_match_the_numpy_formulas(g, chi, seed):
+    # the Korteweg force mean(mu + chi*sigma)*grad(phi) and the Darcy
+    # velocity (F - grad p)/nu with the p = 0 ghost on boundary faces,
+    # against the face-by-face numpy slices
+    rng = np.random.default_rng(seed)
+    phi, mu, sigma = (rng.standard_normal((g.nx, g.ny)) for _ in range(3))
+    extra = FaceField(rng.standard_normal((g.nx + 1, g.ny)),
+                      rng.standard_normal((g.nx, g.ny + 1)))
+    spec = ModelSpec(params=ModelParams(nu=1.5, chi=chi),
+                     sources=passthrough_sources())
+    force = brinkman_force(g, phi, mu, sigma, spec, extra)
+    cx, cy = numpy_face_mean(g, mu + chi * sigma)
+    gx, gy = numpy_gradient(g, phi)
+    for out, ref in ((force.x, cx * gx + extra.x),
+                     (force.y, cy * gy + extra.y)):
+        assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+    sol = solve_darcy(g, phi, mu, sigma, spec, extra_force=extra, tol=1e-12)
+    force = brinkman_force(g, phi, mu, sigma, spec, extra)
+    px, py = numpy_dirichlet_gradient(g, sol.p)
+    size = np.max(np.abs(stacked(force))) + np.max(np.abs(sol.p)) / min(
+        g.dx, g.dy)
+    for out, f, gp in ((sol.vel.x, force.x, px), (sol.vel.y, force.y, py)):
+        assert np.max(np.abs(out - (f - gp) / 1.5)) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("g", [Grid2D(32, 32), Grid2D(13, 7, 1.0, 0.6)])
+def test_korteweg_force_is_the_adjoint_of_the_centred_flux(g, rng):
+    # vol*mu^T div(mean(phi)*v) = sum vol_f*F*v + vol*(mu*phi)^T div(v) for
+    # F = brinkman_force at chi = 0 and any face v: by the discrete
+    # product rule grad(mu*phi) = mean(mu)*grad(phi) + mean(phi)*grad(mu),
+    # and the boundary terms cancel since the face gradient is 0 there
+    ops = mac_operators(g)
+    phi, mu = rng.standard_normal((2, g.nx, g.ny))
+    v = rng.standard_normal(ops.div.shape[1])
+    spec = ModelSpec(params=ModelParams(chi=0.0))
+    force = brinkman_force(g, phi, mu, np.zeros_like(mu), spec, None)
+    vol = g.cell_volume
+    lhs = vol * mu.ravel() @ (ops.div @ ((ops.mean @ phi.ravel()) * v))
+    rhs = (ops.vol_f * stacked(force)) @ v \
+        + vol * (mu * phi).ravel() @ (ops.div @ v)
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 def test_viscous_dissipation_zero_velocity():
@@ -439,6 +485,25 @@ def test_brinkman_solve_iterations_at_64(viscosity, max_iterations):
     assert sol.div_residual <= 10.0 * 1e-9 * gnorm
 
 
+def test_stagnated_brinkman_solve_fails_fast():
+    # at nu = 1e-4 with a 100x viscosity contrast the true residual
+    # stalls near 2e-10 above its target: the solve stops when a restart
+    # cycle no longer halves it, instead of running 10*n iterations
+    import dataclasses
+
+    from chbrinkman import SolverFailure
+
+    g, phi, mu, sigma, spec = limit_visc_problem(64)
+    spec = dataclasses.replace(
+        spec, viscosity=blended_viscosity(0.01, 1.0),
+        params=dataclasses.replace(spec.params, nu=1e-4))
+    with pytest.raises(SolverFailure) as failure:
+        solve_brinkman(g, phi, mu, sigma, spec)
+    assert failure.value.stage == "flow"
+    assert not failure.value.stats.converged
+    assert failure.value.stats.iterations <= 200
+
+
 def test_brinkman_warm_start_matches_the_cold_solve():
     # started from the flow of data 0.1% away, as one time step leaves it,
     # the solve reaches the cold solve's answer to within its tolerance in
@@ -527,7 +592,7 @@ def test_brinkman_form_samples_linear_fields_exactly():
     assert np.allclose(dyy, 0.4, atol=1e-12)
     assert np.allclose(dxy, 0.5 * (1.1 - 0.7), atol=1e-12)
     v = np.concatenate([vel.x.ravel(), vel.y.ravel()])
-    assert np.allclose(div @ v, divergence_of_faces(g, vel).ravel(),
+    assert np.allclose(div @ v, numpy_divergence(g, vel.x, vel.y).ravel(),
                        atol=1e-12)
     # boundary nodes take their neighbour's (one-sided) difference
     _, _, dxy = strain(FaceField(yfx**2, np.zeros_like(xfy)))

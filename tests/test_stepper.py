@@ -117,7 +117,6 @@ def test_ch_form_is_cached_and_keeps_the_5_point_pattern_at_64():
     form = ch_form(Grid2D(64, 64))
     assert form.pattern.nnz == 48_640
     assert ch_form(Grid2D(64, 64)) is form
-    assert not form.diff.data.flags.writeable
     assert not form.scatter.data.flags.writeable
 
 
