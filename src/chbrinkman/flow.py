@@ -14,9 +14,11 @@ defined once, in ``brinkman_form``: its rows E = [shear; div; I] are built
 once per grid together with the saddle-point pattern (``grid.form_pattern``),
 and ``_form_weights`` gives the quadrature weights w of phi in E's row
 order, so a(v,v) = sum_r w_r (E v)_r^2.  Each assembly only scatters w
-into the pattern, and the dissipation diagnostics evaluate the same sum,
-so they equal v^T A v.  Continuity rows enforce div(v) = Gamma_v exactly
-at every cell (solved, not penalized).
+into the pattern, and returns the operator it built last when w is that
+of its previous call (``linalg.KeptOperator``: with constant viscosity a
+time step rebuilds nothing).  The dissipation diagnostics evaluate the
+same sum, so they equal v^T A v.  Continuity rows enforce
+div(v) = Gamma_v exactly at every cell (solved, not penalized).
 
 The saddle point is solved by classical BiCGStab with a block
 upper-triangular preconditioner built from the mean viscosities (Elman,
@@ -33,8 +35,9 @@ at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
 carries into the preconditioner.  One Krylov solve runs per call: its
 tolerance is worked out from the inputs so that the continuity block of
 the residual also meets the divergence target (see ``solve_brinkman``),
-and it starts from a given nearby flow (a time step passes the previous
-level's) or else from the preconditioned right-hand side.
+and it starts from the least-squares best combination of given nearby
+flows (a time step passes the last four levels'; ``linalg.projected_start``)
+or else from the preconditioned right-hand side.
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - G_D p)/nu with
@@ -48,6 +51,7 @@ tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,8 +61,9 @@ import scipy.sparse as sp
 from .grid import (CellField, FaceField, Grid2D, difference, form_matrix,
                    form_pattern, mac_operators, minus_laplacian,
                    norm_l2_cells, read_only, stacked, unstacked)
-from .linalg import (KroneckerOperator, LinearSystem, SolveStats,
-                     SolverFailure, bicgstab_solve, cg_solve)
+from .linalg import (KeptOperator, KroneckerOperator, LinearSystem,
+                     SolveStats, SolverFailure, bicgstab_solve, cg_solve,
+                     projected_start)
 from .model import eval_source_gamma_v
 
 
@@ -96,15 +101,14 @@ class BrinkmanForm:
     first ``n_shear`` rows -- then div v at cells, then v itself; the
     cell rows are those of ``grid.mac_operators(g).div``.
     ``node_sum`` maps a flattened cell field to the sum of the cell values
-    around each node; ``grad`` is G = -div^T*vol.  ``pattern`` is the
-    saddle-point matrix [[A, G], [G^T, 0]] with G's data, ``scatter`` maps
+    around each node.  ``pattern`` is the saddle-point matrix
+    [[A, G], [G^T, 0]] with the data of G = -div^T*vol, ``scatter`` maps
     the weights w to the data of A in it, ``rows`` is the row of each
     stored entry and ``diagonal`` the slots of A's diagonal."""
 
     energy: sp.csr_matrix
     n_shear: int
     node_sum: sp.csr_matrix
-    grad: sp.csr_matrix
     pattern: sp.csr_matrix
     scatter: sp.csc_matrix
     rows: np.ndarray
@@ -126,12 +130,12 @@ def brinkman_form(g: Grid2D) -> BrinkmanForm:
     energy = read_only(sp.vstack([
         sp.block_diag([div[:, :nvx], div[:, nvx:]]), d_xy, div,
         sp.identity(div.shape[1])]))
-    grad = read_only(-(div.T) * g.cell_volume)
+    grad = -(div.T) * g.cell_volume
     pattern = form_pattern(energy, const=sp.bmat([[None, grad],
                                                    [grad.T, None]],
                                                   format="csr"))
     return BrinkmanForm(energy, 2 * g.n_cells + (nx + 1) * (ny + 1),
-                        read_only(sp.kron(touch_x, touch_y)), grad, *pattern)
+                        read_only(sp.kron(touch_x, touch_y)), *pattern)
 
 
 def _form_weights(g: Grid2D, phi: CellField, spec):
@@ -200,11 +204,12 @@ def velocity_coupling(g: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return c_eta, c_lam
 
 
-def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
-                             nu: float, scale: np.ndarray):
+def _brinkman_preconditioner(g: Grid2D, eta: float, lam: float, nu: float,
+                             scale: np.ndarray):
     """Block upper-triangular approximation of the inverse of the scaled
-    Brinkman system with pressure-gradient block ``grad`` (G), for the mean
-    viscosities eta and lam: with r = v/scale,
+    Brinkman system, for the mean viscosities eta and lam, with the
+    pressure-gradient block G = -vol*div^T of ``grid.mac_operators``:
+    with r = v/scale,
     p = -((2*eta + lam)*r_p + nu*L_D^-1 r_p)/vol, then u solves
     A u = r_u - G p by one block Gauss-Seidel sweep over the velocity
     components -- u_x from the x-face block, then u_y from the y-face block
@@ -215,15 +220,16 @@ def _brinkman_preconditioner(g: Grid2D, grad, eta: float, lam: float,
     coupling = sp.csr_matrix((eta * c_eta.data + lam * c_lam.data,
                               c_eta.indices, c_eta.indptr), shape=c_eta.shape)
     darcy = minus_laplacian(g, np.inf)
+    div_t = mac_operators(g).div.T  # a CSC view, built once per assembly
     vol = g.cell_volume
     strain = 2.0 * eta + lam
     nvx = (g.nx + 1) * g.ny
-    nv = grad.shape[0]
+    nv = div_t.shape[0]
 
     def apply(v):
         r = v / scale
         p = -(strain * r[nv:] + nu * darcy.solve(r[nv:])) / vol
-        r_u = r[:nv] - grad @ p
+        r_u = r[:nv] + vol * (div_t @ p)
         u_x = block_x.solve(r_u[:nvx], nu, (strain, eta)) / vol
         u_y = block_y.solve(r_u[nvx:] - coupling @ u_x, nu,
                             (eta, strain)) / vol
@@ -243,33 +249,44 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     symmetrically Jacobi-scaled in place, sharing the pattern's index
     arrays.  Returns (LinearSystem, unknown_scale): physical unknowns are
     unknown_scale * solution_of(LinearSystem).  The system carries the
-    block-triangular preconditioner of the scaled matrix.
+    block-triangular preconditioner of the scaled matrix.  The matrix,
+    the scale and the preconditioner depend on the weights alone: while
+    they (and the preconditioner's mean viscosities) equal those of the
+    previous call, the same read-only objects come back with the new rhs.
     """
     nu = spec.params.nu
     if nu <= 0:
         # the rigid motions lie in the kernel of the strain, so the friction
         # nu*|v|^2 alone holds them: at nu = 0 the system is singular
         raise ValueError("(A1): singular Brinkman assembly: needs nu > 0")
-    form = brinkman_form(g)
     w, eta, lam = _form_weights(g, phi, spec)
-    a = form_matrix(form.pattern, form.scatter, w)
+    # the preconditioner's scalars: the mean viscosities and nu
+    scalars = (float(np.mean(eta)), float(np.mean(lam)), nu)
+
+    def build():
+        form = brinkman_form(g)
+        a = form_matrix(form.pattern, form.scatter, w)
+        # symmetric rescale: pressure columns and continuity rows by 1/dx so
+        # the Krylov tolerance lands on the continuity block at the Gamma_v
+        # scale, then Jacobi-symmetric scaling of the whole system (the
+        # continuity rows have no diagonal)
+        d = np.abs(a.data[form.diagonal])
+        d[d == 0.0] = 1.0
+        scale = np.concatenate([1.0 / np.sqrt(d),
+                                np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
+        a.data *= scale[form.rows]
+        a.data *= scale[form.pattern.indices]
+        a.data.flags.writeable = scale.flags.writeable = False
+        return a, scale, _brinkman_preconditioner(g, *scalars, scale)
+
+    a, scale, precond = _kept_brinkman.get((g, scalars), w, build)
     rhs = np.concatenate([mac_operators(g).vol_f * stacked(force),
                           -g.cell_volume
                           * np.asarray(gamma_v, dtype=float).ravel()])
-
-    # symmetric rescale: pressure columns and continuity rows by 1/dx so the
-    # Krylov tolerance lands on the continuity block at the Gamma_v scale,
-    # then Jacobi-symmetric scaling of the whole system (the continuity rows
-    # have no diagonal)
-    d = np.abs(a.data[form.diagonal])
-    d[d == 0.0] = 1.0
-    scale = np.concatenate([1.0 / np.sqrt(d),
-                            np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
-    a.data *= scale[form.rows]
-    a.data *= scale[form.pattern.indices]
-    precond = _brinkman_preconditioner(g, form.grad, float(np.mean(eta)),
-                                       float(np.mean(lam)), nu, scale)
     return LinearSystem(a, rhs * scale, precond), scale
+
+
+_kept_brinkman = KeptOperator()
 
 
 def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
@@ -288,7 +305,7 @@ def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
 def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                    spec, extra_force: FaceField | None = None,
                    tol: float = 1e-9,
-                   start: tuple[FaceField, CellField] | None = None
+                   start: Sequence[tuple[FaceField, CellField]] = ()
                    ) -> FlowSolution:
     """One Krylov solve of the Brinkman system, to a relative residual that
     also meets the divergence target ||div v - Gamma_v|| <= 5*tol*||Gamma_v||.
@@ -297,9 +314,11 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     with s_p = 1/min(dx, dy), so a scaled residual of at most
     5*tol*||Gamma_v||*s_p*sqrt(vol) meets the target.  The relative
     tolerance is that bound over the scaled rhs norm, at most tol and at
-    least 0.01*tol; with Gamma_v = 0 it is tol.  ``start`` = (vel, p), a
-    nearby flow such as the previous time level's, is the Krylov start;
-    without it the solve starts from the preconditioned rhs."""
+    least 0.01*tol; with Gamma_v = 0 it is tol.  ``start`` holds nearby
+    flows (vel, p), such as the last time levels', newest last: the Krylov
+    solve starts from the combination of them with the least residual
+    (``linalg.projected_start``).  Without them, or when each is zero, it
+    starts from the preconditioned rhs."""
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force)
@@ -311,9 +330,10 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                   / (min(g.dx, g.dy) * np.linalg.norm(system.rhs)))
         solve_tol = min(tol, max(target, 0.01 * tol))
     x0 = None
-    if start is not None:
-        vel0, p0 = start
-        x0 = np.concatenate([stacked(vel0), np.ravel(p0)]) / scale
+    if start:
+        x0 = projected_start(system.matrix, system.rhs,
+                             [np.concatenate([stacked(vel), np.ravel(p)])
+                              / scale for vel, p in start])
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=solve_tol, x0=x0)
     if not stats.converged:

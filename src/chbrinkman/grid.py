@@ -335,24 +335,53 @@ def mac_operators(g: Grid2D) -> MacOperators:
                                   @ -div.T))
 
 
+def _entry_keys(n: int, rows, cols) -> np.ndarray:
+    """The keys row*n + col of entries of a matrix with n columns.  They
+    are int64: at 128^2 the Brinkman system has n = 49,408 columns, and
+    row*n overflows int32."""
+    keys = np.multiply(rows, np.int64(n), dtype=np.int64)
+    keys += cols
+    return keys
+
+
+def _pattern_keys(pattern: sp.csr_matrix) -> np.ndarray:
+    """The sorted keys of the stored entries of the sorted CSR pattern."""
+    return _entry_keys(pattern.shape[1],
+                       np.repeat(np.arange(pattern.shape[0]),
+                                 np.diff(pattern.indptr)), pattern.indices)
+
+
 def csr_slots(pattern: sp.csr_matrix, rows, cols) -> np.ndarray:
     """Position in ``pattern.data`` of each stored entry (rows[k], cols[k])
     of the sorted CSR ``pattern``, found by bisection in the sorted entry
-    keys row*n + col.  The keys are int64: at 128^2 the Brinkman system has
-    n = 49,408 columns, and row*n overflows int32."""
-    n = np.int64(pattern.shape[1])
-    keys = np.repeat(np.arange(pattern.shape[0], dtype=np.int64),
-                     np.diff(pattern.indptr))
-    keys *= n
-    keys += pattern.indices
-    wanted = np.multiply(rows, n, dtype=np.int64)
-    wanted += cols
-    return np.searchsorted(keys, wanted)
+    keys row*n + col."""
+    return np.searchsorted(_pattern_keys(pattern),
+                           _entry_keys(pattern.shape[1], rows, cols))
 
 
 def _widened(m: sp.csr_matrix, n: int) -> sp.csr_matrix:
     """m with n columns, the extra ones empty."""
     return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], n))
+
+
+def _meeting_entries(left: sp.csr_matrix, right: sp.csr_matrix,
+                     r0: int, r1: int):
+    """(k_left, k_right): the entries of L and R that meet in rows r0:r1.
+    The pairs of row r are consecutive: each entry of L's row r in turn
+    meets the n_right[r] entries of R's row r."""
+    n_left = np.diff(left.indptr[r0:r1 + 1])
+    meets = np.repeat(np.diff(right.indptr[r0:r1 + 1]), n_left)
+    k_left = np.repeat(np.arange(left.indptr[r0], left.indptr[r1],
+                                 dtype=np.int32), meets)
+    k_right = np.arange(k_left.size, dtype=np.int32)
+    k_right -= np.repeat(np.cumsum(meets, dtype=np.int32) - meets
+                         - np.repeat(right.indptr[r0:r1], n_left), meets)
+    return k_left, k_right
+
+
+# pairs that ``form_pattern`` places at once, in whole rows: their
+# temporaries take about 1 MB
+_PAIR_BLOCK = 2**14
 
 
 def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
@@ -368,7 +397,8 @@ def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
     data of L^T diag(w) R in it (each entry (r, i) of L meets each entry
     (r, j) of R and puts L[r,i]*R[r,j] at the slot of (i, j) in column r),
     ``rows`` is the row of each stored entry and ``diagonal`` the slots of
-    the diagonal."""
+    the diagonal.  The pairs are placed a block of rows of L and R at a
+    time, so that no index array of all of them is held at once."""
     right = left if right is None else right
     if const is None:
         const = sp.csr_matrix((left.shape[1], right.shape[1]))
@@ -379,20 +409,23 @@ def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
     const = sp.coo_matrix(const)
     full.data[:] = 0.0
     full.data[csr_slots(full, const.row, const.col)] = const.data
-    # the pairs of row r are consecutive: each entry of L's row r in turn
-    # meets the n_right[r] entries of R's row r
-    n_left, n_right = np.diff(left.indptr), np.diff(right.indptr)
-    meets = np.repeat(n_right, n_left)
-    k_left = np.repeat(np.arange(left.nnz, dtype=np.int32), meets)
-    k_right = np.arange(k_left.size, dtype=np.int32)
-    k_right -= np.repeat(np.cumsum(meets, dtype=np.int32) - meets
-                         - np.repeat(right.indptr[:-1], n_left), meets)
-    slots = csr_slots(full, left.indices[k_left],
-                      right.indices[k_right]).astype(np.int32)
-    scatter = sp.csc_matrix(
-        (left.data[k_left] * right.data[k_right], slots,
-         np.concatenate([[0], np.cumsum(n_left * n_right)])),
-        shape=(full.nnz, left.shape[0]))
+    keys = _pattern_keys(full)
+    offsets = np.concatenate([[0], np.cumsum(np.diff(left.indptr)
+                                             * np.diff(right.indptr))])
+    slots = np.empty(offsets[-1], dtype=np.int32)
+    data = np.empty(offsets[-1])
+    bounds = np.unique(np.r_[0, np.searchsorted(
+        offsets, np.arange(_PAIR_BLOCK, offsets[-1], _PAIR_BLOCK)),
+        left.shape[0]])
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        k_left, k_right = _meeting_entries(left, right, r0, r1)
+        block = slice(offsets[r0], offsets[r1])
+        slots[block] = np.searchsorted(keys, _entry_keys(
+            full.shape[1], left.indices[k_left], right.indices[k_right]))
+        data[block] = left.data[k_left] * right.data[k_right]
+    del keys
+    scatter = sp.csc_matrix((data, slots, offsets),
+                            shape=(full.nnz, left.shape[0]))
     rows = np.repeat(np.arange(full.shape[0], dtype=np.int32),
                      np.diff(full.indptr))
     diagonal = np.flatnonzero(full.indices == rows).astype(np.int32)

@@ -8,10 +8,11 @@ scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
 under our control.  There is one path per solver: each takes a required
 preconditioner M^-1, starts from x0 = M^-1 b (BiCGStab from a given x0
-instead, when the caller holds a nearby solution) and accepts only a true
-residual.  CG solves the SPD nutrient and Darcy pressure systems;
-classical BiCGStab solves the nonsymmetric Cahn-Hilliard pair and the
-indefinite Brinkman saddle point.  The Darcy pressure operator is
+instead, when the caller holds nearby solutions: ``projected_start`` makes
+it the best combination of them) and accepts only a true residual.  CG
+solves the SPD nutrient and Darcy pressure systems; classical BiCGStab
+solves the nonsymmetric Cahn-Hilliard pair and the indefinite Brinkman
+saddle point.  The Darcy pressure operator is
 constant, so its exact preconditioner leaves CG no iteration unless it
 misses the tolerance.
 
@@ -27,6 +28,10 @@ solves with the mean of the variable coefficient, so a constant-coefficient
 solve needs no iteration; the Brinkman saddle point is preconditioned by a
 block-triangular solve built from it, with one block Gauss-Seidel sweep
 over the two velocity blocks (see ``flow``).
+
+An assembly whose weights repeat those of its previous call returns the
+operator it built then (``KeptOperator``): a time step with constant
+coefficients rebuilds nothing.
 """
 
 from __future__ import annotations
@@ -137,6 +142,75 @@ class KroneckerOperator:
                                self._from_modes((a11 * g - a21 * f) / det)])
 
 
+class KeptOperator:
+    """The last operator one assembly built, with the grid, the scalars and
+    the weights w it was built from: ``get`` returns it again while they
+    are equal, so it is bit-identical to a rebuild.  One entry only; it is
+    dropped before a miss rebuilds, so an old and a new operator are never
+    held together.  What it keeps must be read-only."""
+
+    def __init__(self):
+        self._key = self._w = self._value = None
+
+    def get(self, key, w: np.ndarray, build: Callable[[], object]):
+        """build() for (key, w), or the value kept from an equal call."""
+        if self._key == key and np.array_equal(self._w, w):
+            return self._value
+        self._key = self._w = self._value = None
+        value = build()
+        w.flags.writeable = False
+        self._key, self._w, self._value = key, w, value
+        return value
+
+
+def projected_start(a, b, xs):
+    """The start x0 = X c in the span of the vectors ``xs`` (X; for
+    instance the last few time levels' solutions, newest last) that
+    minimises ||b - A X c|| (Fischer, Comput. Methods Appl. Mech. Engrg.
+    163, 1998); None when no vector is left.
+
+    The least-squares problem is solved by a thin QR of A X, not by the
+    normal equations: successive solutions are nearly parallel, and
+    squaring cond(A X) would lose the digits the start needs.  The QR is
+    modified Gram-Schmidt on [A X, b], which solves the least-squares
+    problem as stably as Householder QR (Bjorck, BIT 7, 1967) and costs a
+    few vector operations where LAPACK's thin QR of a tall n x 4 matrix
+    costs more than the products.  The vectors enter newest first, and one
+    whose |R_jj| is at most 1e-12 of max|R| (nearly in the span of the
+    newer ones, or zero) is dropped, so the start is never worse than the
+    newest vector alone, nor than x0 = 0.  One product with A per
+    vector."""
+    kept, ortho, columns = [], [], []
+    r_max = 0.0
+    for x in reversed(xs):
+        v = a @ x
+        column = []
+        for q in ortho:
+            column.append(float(q @ v))
+            v -= column[-1] * q
+        column.append(float(np.linalg.norm(v)))
+        r_max = max(r_max, *map(abs, column))
+        if column[-1] <= 1e-12 * r_max:
+            continue
+        kept.append(x)
+        ortho.append(v / column[-1])
+        columns.append(column)
+    if not kept:
+        return None
+    r = np.zeros((len(kept), len(kept)))
+    z = np.empty(len(kept))
+    residual = np.array(b, dtype=float)
+    for j, (column, q) in enumerate(zip(columns, ortho)):
+        r[:j + 1, j] = column
+        z[j] = q @ residual
+        residual -= z[j] * q
+    c = np.linalg.solve(r, z)
+    x0 = c[0] * kept[0]
+    for cj, xj in zip(c[1:], kept[1:]):
+        x0 += cj * xj
+    return x0
+
+
 def _preconditioned_start(a, b, tol, precond, x0=None):
     """The flattened b, the start x0 (M^-1 b when none is given), its true
     residual r0 and ||r0||, and the stopping target tol*||b||; b = 0 gives
@@ -198,8 +272,9 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
 
     ``precond`` applies an approximation M^-1 of A^-1 to a vector.  The
     iteration runs on A M^-1 with x = M^-1 y, so its residuals are those of
-    A x = b.  It starts from ``x0``, a nearby solution such as the previous
-    time level's, or from M^-1 b when none is given, and returns the start
+    A x = b.  It starts from ``x0``, a nearby solution such as
+    ``projected_start`` makes from the last time levels, or from M^-1 b
+    when none is given, and returns the start
     with 0 iterations when its true residual already meets the tolerance;
     b = 0 returns zeros whatever the start.  When the recursive
     residual meets the tolerance the true residual is recomputed; if that

@@ -18,7 +18,12 @@ zero-flux gradient D of ``grid.mac_operators``, weighted by the face mean
 of the mobility, by eps and by the stabilization.  The energy diagnostics
 evaluate the same D with the same face mobilities (``_mobility_weights``),
 so the gradient energy and the CH dissipation are the forms the solver
-uses.
+uses.  With a constant mobility its weights repeat from step to step, and
+the assembly returns the matrix it built last (``linalg.KeptOperator``).
+
+With Brinkman flow each level carries the flows of the last
+``FLOW_HISTORY`` levels, and the next level's Brinkman solve starts from
+their least-squares best combination (``flow.solve_brinkman``).
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
                    form_pattern, integrate_cells, mac_operators,
                    minus_laplacian)
-from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
+from .linalg import (KeptOperator, LinearSystem, SolveStats, SolverFailure,
+                     bicgstab_solve)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
 
@@ -51,7 +57,10 @@ class State:
     internally consistent.  dissipation is that flow model's own viscous
     form at (vel, phi): v^T A v of the assembled Brinkman momentum block,
     nu*sum vol_f*v^2 for Darcy, 0 without flow.  div_residual is the flow
-    solve's ||div v - Gamma_v|| (0 without flow).
+    solve's ||div v - Gamma_v|| (0 without flow).  With Brinkman flow,
+    flows holds the (vel, p) of the last ``FLOW_HISTORY`` levels, this one
+    last, as references to those levels' arrays; the next step's Brinkman
+    solve starts from them.  It is empty in the other flow modes.
     """
 
     t: float
@@ -62,6 +71,12 @@ class State:
     p: CellField
     dissipation: float
     div_residual: float
+    flows: tuple[tuple[FaceField, CellField], ...] = ()
+
+
+# levels whose flows start the Brinkman solve of the next step: more cut
+# the iterations further, but each adds a product with the matrix
+FLOW_HISTORY = 4
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,9 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     the off-diagonal blocks at sqrt(dt*eps)*|lap|, which keeps the
     attainable BiCGStab accuracy well below tolerance.  The preconditioner
     is the exact solve of the same system with the mobility replaced by its
-    mean, so a constant-mobility step takes no BiCGStab iteration.
+    mean, so a constant-mobility step takes no BiCGStab iteration.  While
+    the weights equal those of the previous call, the same read-only
+    matrix comes back.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -217,11 +234,17 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    form = ch_form(g)
     m_f, m_cells = _mobility_weights(g, phi_n, spec)
-    a = form_matrix(form.pattern, form.scatter, np.concatenate([
-        (cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
-        np.full(nc, -s_stab / (eps * c))]))
+    w = np.concatenate([(cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
+                        np.full(nc, -s_stab / (eps * c))])
+
+    def build():
+        form = ch_form(g)
+        a = form_matrix(form.pattern, form.scatter, w)
+        a.data.flags.writeable = False
+        return a
+
+    a = _kept_ch.get(g, w, build)
     # the same blocks as alpha*I + beta*T with T = -lap
     blocks = (((1.0, 0.0), (0.0, cfg.dt * c * float(np.mean(m_cells)))),
               ((-s_stab / (eps * c), -eps / c), (1.0, 0.0)))
@@ -236,6 +259,9 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     system = LinearSystem(a, np.concatenate([rhs1.ravel(), rhs2.ravel()]),
                           lambda v: lap.solve_pair(v, blocks))
     return system, scale
+
+
+_kept_ch = KeptOperator()
 
 
 def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
@@ -258,10 +284,10 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
 
 
 def _solve_flow(g, phi, mu, sigma, spec, cfg,
-                start=None) -> tuple[FlowSolution, float]:
+                start=()) -> tuple[FlowSolution, float]:
     """The flow solve of cfg.flow_mode and the viscous dissipation of its
     velocity in that model's own form; returns (FlowSolution, dissipation).
-    ``start`` = (vel, p) of the previous level starts the Brinkman Krylov
+    ``start``, the flows of the last levels, starts the Brinkman Krylov
     solve; the Darcy solve is direct and needs none."""
     if cfg.flow_mode == "brinkman":
         sol = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
@@ -287,7 +313,14 @@ def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     mu0 = chemical_potential(g, phi0, sigma0, spec)
     flow0, diss0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
     return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p, diss0,
-                 flow0.div_residual)
+                 flow0.div_residual, _flows(cfg, (), flow0))
+
+
+def _flows(cfg: StepConfig, flows, sol: FlowSolution):
+    """``State.flows`` of a level: the last ones with sol's added."""
+    if cfg.flow_mode != "brinkman":
+        return ()
+    return (*flows, (sol.vel, sol.p))[-FLOW_HISTORY:]
 
 
 def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
@@ -402,10 +435,11 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
 
     phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
     flow_sol, diss_flow = _solve_flow(g, phi1, mu1, sigma, spec, cfg,
-                                      start=(state.vel, state.p))
+                                      start=state.flows)
 
     new_state = State(state.t + cfg.dt, phi1, mu1, sigma, flow_sol.vel,
-                      flow_sol.p, diss_flow, flow_sol.div_residual)
+                      flow_sol.p, diss_flow, flow_sol.div_residual,
+                      _flows(cfg, state.flows, flow_sol))
     diag = Diagnostics(
         *level_diagnostics(g, new_state, spec),
         energy_residual=energy_residual(g, state, new_state, spec, cfg.dt),

@@ -13,6 +13,7 @@ from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec, State,
 from chbrinkman.elliptic import assemble_nutrient_system
 from chbrinkman.flow import assemble_darcy_pressure_system
 from chbrinkman.harness import passthrough_sources
+from chbrinkman.linalg import KeptOperator, projected_start
 from chbrinkman.stepper import assemble_ch_system, ch_update
 from conftest import dense_solve
 
@@ -222,6 +223,42 @@ def test_bicgstab_ends_on_repeated_breakdown():
     x, stats = bicgstab_solve(a, b, identity)
     assert not stats.converged and 1 <= stats.iterations <= 20
     assert stats.residual == pytest.approx(np.linalg.norm(b - a @ x))
+
+
+def test_projected_start_drops_dependent_and_zero_columns(rng):
+    # x0 minimises ||b - A X c|| over the kept columns: a copy of the newest
+    # column and a zero column are dropped, the start is no worse than the
+    # newest column, and an all-zero basis leaves none (the caller's cold
+    # start)
+    a = upwind_advection_diffusion(8)
+    b = rng.standard_normal(64)
+    x = dense_solve(a, b)
+    near = [x + 1e-3 * rng.standard_normal(64) for _ in range(3)]
+    x0 = projected_start(a, b, [np.zeros(64), *near, near[-1].copy()])
+    best, *_ = np.linalg.lstsq((a @ np.column_stack(near)), b, rcond=None)
+    assert (np.linalg.norm(x0 - np.column_stack(near) @ best)
+            <= 1e-12 * np.linalg.norm(x0))
+    assert np.linalg.norm(b - a @ x0) <= np.linalg.norm(b - a @ near[-1])
+    assert projected_start(a, b, [np.zeros(64)] * 3) is None
+    assert np.allclose(projected_start(a, b, [x]), x, rtol=1e-12, atol=0.0)
+
+
+def test_kept_operator_rebuilds_only_on_new_weights():
+    # one entry: equal key and weights return the kept value, anything else
+    # drops it and builds again
+    kept, builds = KeptOperator(), []
+
+    def build():
+        builds.append(object())
+        return builds[-1]
+
+    w = np.arange(3.0)
+    first = kept.get("g", w, build)
+    assert kept.get("g", np.arange(3.0), build) is first
+    assert not w.flags.writeable
+    assert kept.get("h", np.arange(3.0), build) is not first
+    assert kept.get("h", np.arange(4.0), build) is builds[-1]
+    assert len(builds) == 3
 
 
 # fast-diagonalization preconditioner -------------------------------------

@@ -17,11 +17,11 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
                         integrate_cells, norm_l2_cells, step,
                         suggest_cfl_dt, zero_sources)
 from chbrinkman.flow import brinkman_force
-from chbrinkman.grid import face_volumes, minus_laplacian
+from chbrinkman.grid import face_volumes, form_matrix, minus_laplacian
 from chbrinkman.model import SourceSpec, smooth_blend
-from chbrinkman.stepper import (CflViolation, _mobility_flux_integrals,
-                                assemble_ch_system, build_phi0, ch_form,
-                                sample_sigma_inf)
+from chbrinkman.stepper import (FLOW_HISTORY, CflViolation,
+                                _mobility_flux_integrals, assemble_ch_system,
+                                build_phi0, ch_form, sample_sigma_inf)
 
 
 def quiet_spec(**over):
@@ -118,6 +118,57 @@ def test_ch_form_is_cached_and_keeps_the_5_point_pattern_at_64():
     assert form.pattern.nnz == 48_640
     assert ch_form(Grid2D(64, 64)) is form
     assert not form.scatter.data.flags.writeable
+
+
+def test_constant_mobility_ch_assembly_is_kept_and_read_only():
+    # with a constant mobility the CH weights do not depend on phi: a new
+    # phi returns the kept matrix, read-only and equal to a fresh fill; a
+    # blended mobility builds a new matrix
+    g = Grid2D(12, 9, 1.5, 1.0)
+    spec = quiet_spec()
+    cfg = StepConfig(dt=1e-3)
+    rng = np.random.default_rng(3)
+    first, _ = assemble_ch_system(g, ch_state(g, rng), spec, cfg)
+    again, _ = assemble_ch_system(g, ch_state(g, rng), spec, cfg)
+    assert again.matrix is first.matrix
+    assert not first.matrix.data.flags.writeable
+    assert not np.array_equal(again.rhs, first.rhs)
+    form, c = ch_form(g), np.sqrt(spec.params.epsilon / cfg.dt)
+    nf = form.scatter.shape[1] - g.n_cells
+    eps, s_stab = spec.params.epsilon, cfg.stabilization
+    w = np.concatenate([np.full(nf // 2, cfg.dt * c), np.full(nf // 2,
+                                                              -eps / c),
+                        np.full(g.n_cells, -s_stab / (eps * c))])
+    fresh = form_matrix(form.pattern, form.scatter, w)
+    assert np.array_equal(fresh.data, first.matrix.data)
+    blend = quiet_spec(mobility=blended_mobility(1.0, 10.0))
+    one, _ = assemble_ch_system(g, ch_state(g, rng), blend, cfg)
+    two, _ = assemble_ch_system(g, ch_state(g, rng), blend, cfg)
+    assert one.matrix is not first.matrix and two.matrix is not one.matrix
+
+
+def test_brinkman_start_from_the_last_flows_over_a_trajectory():
+    # criterion-4 spec at 32^2, dt 1e-4: each level keeps the last four
+    # flows (references to the levels' own arrays), and the least-squares
+    # start from them cuts the Brinkman iterations of steps 5-40 to 4.9 per
+    # step (8.8 when starting from the previous flow alone)
+    g = Grid2D(32, 32)
+    spec = coupled_spec()
+    cfg = StepConfig(dt=1e-4, flow_mode="brinkman")
+    state = initialize_state(g, spec, cfg)
+    assert len(state.flows) == 1 and state.flows[0][0] is state.vel
+    levels, iterations = [state], []
+    for _ in range(40):
+        state, diag = step(g, state, spec, cfg)
+        levels.append(state)
+        iterations.append(diag.flow_stats.iterations)
+    assert len(state.flows) == FLOW_HISTORY
+    for (vel, p), level in zip(state.flows, levels[-FLOW_HISTORY:]):
+        assert vel is level.vel and p is level.p
+    assert np.mean(iterations[4:]) <= 6.0
+    darcy = StepConfig(dt=1e-4, flow_mode="darcy")
+    assert step(g, initialize_state(g, spec, darcy), spec,
+                darcy)[0].flows == ()
 
 
 def test_mobility_dissipation_is_the_ch_matrix_form():
