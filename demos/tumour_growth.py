@@ -12,9 +12,8 @@ Run:  python demos/tumour_growth.py
 import numpy as np
 
 import chbrinkman as chb
-from chbrinkman.cli import write_csv_diagnostics, write_vtk
+from chbrinkman.cli import diagnostics_row, write_csv_diagnostics, write_vtk
 from chbrinkman.model import ModelParams, SourceSpec, smooth_blend
-from chbrinkman.stepper import level_diagnostics
 
 grid = chb.Grid2D(48, 48)
 spec = chb.ModelSpec(
@@ -37,13 +36,10 @@ area0 = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
 print(f"initial tumour area {area0:.4f}")
 write_vtk(state, grid, "tumour_000.vtk")
 
-# the initial level has no step behind it: no residuals
-rows = [(0, state.t, *level_diagnostics(grid, state, spec), 0.0, 0.0)]
+rows = [diagnostics_row(0, state)]
 for k in range(1, 301):
     state, diag = chb.step(grid, state, spec, cfg)
-    rows.append((k, state.t, diag.energy, diag.mass, diag.dissipation,
-                 diag.boundary_flux, diag.source_mass, diag.div_residual,
-                 diag.energy_residual, diag.mass_residual))
+    rows.append(diagnostics_row(k, state, diag))
     if k % 100 == 0:
         area = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
         print(f"step {k:4d}: tumour area {area:.4f} "

@@ -22,10 +22,10 @@ from .elliptic import (boundary_trace, solve_nutrient_dirichlet,
                        solve_nutrient_robin)
 from .flow import (FlowSolution, solve_brinkman, solve_darcy,
                    viscous_dissipation)
-from .stepper import (CflViolation, Diagnostics, State, StepConfig,
-                      ch_update, chemical_potential, energy, energy_residual,
-                      initialize_state, mass_balance_residual, step,
-                      suggest_cfl_dt)
+from .stepper import (CflViolation, Diagnostics, LevelRecord, State,
+                      StepConfig, ch_update, chemical_potential, energy,
+                      energy_residual, initialize_state,
+                      mass_balance_residual, step, suggest_cfl_dt)
 from .harness import (SweepResult, continuous_dependence_study,
                       mms_convergence, norm_h1, robin_limit_study,
                       viscosity_limit_study)

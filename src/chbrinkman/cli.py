@@ -58,8 +58,7 @@ from .model import (ModelParams, ModelSpec, RandomPerturbation, SourceSpec,
                     constant_mobility, constant_viscosity,
                     default_quartic_potential, smooth_blend, validate,
                     zero_sources)
-from .stepper import (CflViolation, StepConfig, initialize_state,
-                      level_diagnostics, step)
+from .stepper import CflViolation, StepConfig, initialize_state, step
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -331,6 +330,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def diagnostics_row(k: int, state, diag=None) -> tuple:
+    """Row k of ``diagnostics.csv``: the state's record and the residuals
+    of the step that made it, 0 for the initial level, which has no step
+    behind it."""
+    r = state.record
+    residuals = (0.0, 0.0) if diag is None else (diag.energy_residual,
+                                                 diag.mass_residual)
+    return (k, state.t, r.energy, r.mass, r.dissipation, r.boundary_flux,
+            r.source_mass, r.div_residual, *residuals)
+
+
 def _diagnostics_line(row) -> str:
     """One CSV line of a row (step, t, energy, mass, dissipation,
     boundary_flux, source_mass, div_residual, energy_residual,
@@ -406,22 +416,17 @@ def run_simulation(cfg: SimConfig) -> int:
                   encoding="utf-8") as csv:
             csv.write(DIAGNOSTICS_HEADER + "\n")
 
-            def record(row):
+            def write_row(row):
                 csv.write(_diagnostics_line(row))
                 csv.flush()
 
-            # the initial level has no step behind it: no residuals
-            record((0, state.t, *level_diagnostics(g, state, cfg.spec),
-                    0.0, 0.0))
+            write_row(diagnostics_row(0, state))
             if cfg.field_stride:
                 write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
             for k in range(1, cfg.n_steps + 1):
                 state, diag = step(g, state, cfg.spec, cfg.stepping)
                 if k % cfg.diagnostics_stride == 0:
-                    record((k, state.t, diag.energy, diag.mass,
-                            diag.dissipation, diag.boundary_flux,
-                            diag.source_mass, diag.div_residual,
-                            diag.energy_residual, diag.mass_residual))
+                    write_row(diagnostics_row(k, state, diag))
                 if cfg.field_stride and k % cfg.field_stride == 0:
                     write_vtk(state, g, f"{cfg.out_dir}/state_{k:06d}.vtk")
     except CflViolation as err:

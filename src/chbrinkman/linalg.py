@@ -20,10 +20,11 @@ The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
 symmetric tridiagonal 1D factors, and so is each diagonal velocity block
 of the Brinkman momentum matrix, up to a diagonal face-volume mass.
-``KroneckerOperator`` holds T both as the assembled CSR matrix and as its
-eigendecomposition (fast diagonalization, Lynch, Rice & Thomas, Numer.
-Math. 6, 1964), which solves a*I + b*T, or a 2x2 block of such operators,
-exactly in O(nx*ny*(nx+ny)) with numpy alone.  It preconditions the Krylov
+``KroneckerOperator`` holds T as its eigendecomposition (fast
+diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), and as the
+assembled CSR matrix once something reads it.  The eigendecomposition
+solves a*I + b*T, or a 2x2 block of such operators, exactly in
+O(nx*ny*(nx+ny)) with numpy alone.  It preconditions the Krylov
 solves with the mean of the variable coefficient, so a constant-coefficient
 solve needs no iteration; the Brinkman saddle point is preconditioned by a
 block-triangular solve built from it, with one block Gauss-Seidel sweep
@@ -37,6 +38,7 @@ coefficients rebuilds nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -76,13 +78,14 @@ class KroneckerOperator:
     positive diagonal masses mx and my (vectors; identity when omitted),
     with mass M = Mx (x) My.
 
-    ``matrix`` is T assembled by kron; ``solve`` and ``solve_pair`` invert
+    ``matrix`` is T assembled by kron, built on its first read: the
+    solves need only the factors.  ``solve`` and ``solve_pair`` invert
     operators built from T and M through the generalized eigenproblem
     T = M Q diag(lam) Q^T M, Q^T M Q = I, Q = Qx (x) Qy, with one eigh per
     factor (of M^-1/2 T M^-1/2) done here.  Both come from the same
     factors, so the preconditioner is exactly the assembled operator.
     Instances are shared through caches: nothing here is written after
-    construction.
+    construction, except the read-only matrix when it is first read.
     """
 
     def __init__(self, tx: np.ndarray, ty: np.ndarray,
@@ -91,28 +94,37 @@ class KroneckerOperator:
         self._shape = (nx, ny)
         mx = np.ones(nx) if mx is None else np.asarray(mx, dtype=float)
         my = np.ones(ny) if my is None else np.asarray(my, dtype=float)
-        self.matrix = sp.csr_matrix(sp.kron(tx, sp.diags(my))
-                                    + sp.kron(sp.diags(mx), ty))
-        self.matrix.sort_indices()
-        rows = np.repeat(np.arange(nx * ny), np.diff(self.matrix.indptr))
-        self._diagonal = np.flatnonzero(self.matrix.indices == rows)
+        # the factors of matrix; tx and ty are tridiagonal, so kept sparse
+        self._factors = sp.csr_matrix(tx), sp.csr_matrix(ty), mx, my
         rx, ry = 1.0 / np.sqrt(mx), 1.0 / np.sqrt(my)
         lam_x, qx = np.linalg.eigh(rx[:, None] * tx * rx)
         lam_y, qy = np.linalg.eigh(ry[:, None] * ty * ry)
         self._qx, self._qy = rx[:, None] * qx, ry[:, None] * qy
         self._lam_x, self._lam_y = lam_x[:, None], lam_y[None, :]
         self.eigenvalues = self._lam_x + self._lam_y
-        for arr in (self.matrix.data, self.matrix.indices,
-                    self.matrix.indptr, self._diagonal, self._qx, self._qy,
-                    self._lam_x, self._lam_y, self.eigenvalues):
+        for arr in (self._qx, self._qy, self._lam_x, self._lam_y,
+                    self.eigenvalues):
             arr.flags.writeable = False
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        tx, ty, mx, my = self._factors
+        a = sp.csr_matrix(sp.kron(tx, sp.diags(my))
+                          + sp.kron(sp.diags(mx), ty))
+        a.sort_indices()
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        # the slots of the diagonal in a.data, for plus_diagonal
+        self._diagonal = np.flatnonzero(a.indices == rows)
+        for arr in (a.data, a.indices, a.indptr, self._diagonal):
+            arr.flags.writeable = False
+        return a
 
     def plus_diagonal(self, d) -> sp.csr_matrix:
         """T + diag(d) with T's (read-only, shared) index arrays."""
-        data = self.matrix.data.copy()
+        a = self.matrix
+        data = a.data.copy()
         data[self._diagonal] += d
-        return sp.csr_matrix((data, self.matrix.indices, self.matrix.indptr),
-                             shape=self.matrix.shape)
+        return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
     def _to_modes(self, v):
         return self._qx.T @ v.reshape(self._shape) @ self._qy

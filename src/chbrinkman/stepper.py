@@ -21,6 +21,12 @@ so the gradient energy and the CH dissipation are the forms the solver
 uses.  With a constant mobility its weights repeat from step to step, and
 the assembly returns the matrix it built last (``linalg.KeptOperator``).
 
+Each level is measured once, when it is made: its ``LevelRecord`` holds
+the level's ``diagnostics.csv`` columns and what the next step's energy
+and mass residuals read of it again, so a residual is a function of the
+two levels' records and of one source evaluation Gamma_phi(phi^n,
+sigma^{n+1}) that the two share.
+
 With Brinkman flow each level carries the flows of the last
 ``FLOW_HISTORY`` levels, and the next level's Brinkman solve starts from
 their least-squares best combination (``flow.solve_brinkman``).
@@ -48,19 +54,42 @@ from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
 
 
 @dataclass(frozen=True)
+class LevelRecord:
+    """What one time level reports, computed once when the level is made.
+
+    The first six fields are the level's ``diagnostics.csv`` columns: the
+    energy, int phi, the dissipation int m|grad mu|^2 plus ``viscous``,
+    the convective outflow of phi through the boundary, the source mass
+    int Gamma_phi - phi*Gamma_v and the flow solve's ||div v - Gamma_v||
+    (0 without flow).  The rest is what the next step's energy residual
+    reads again: the face mobilities m_f of phi, the viscous dissipation
+    of v in the form of the flow model that produced it (v^T A v of the
+    assembled Brinkman momentum block, nu*sum vol_f*v^2 for Darcy, 0
+    without flow) and the pressure work int p*Gamma_v.
+    """
+
+    energy: float
+    mass: float
+    dissipation: float
+    boundary_flux: float
+    source_mass: float
+    div_residual: float
+    m_f: np.ndarray
+    viscous: float
+    pressure_work: float
+
+
+@dataclass(frozen=True)
 class State:
-    """(t, phi, mu, sigma, v, p) at one time level, with the viscous
-    dissipation and the divergence residual of v.
+    """(t, phi, mu, sigma, v, p) at one time level, with its record.
 
     sigma is the quasi-static nutrient that produced this state's (phi, mu);
     vel/p solve the flow problem for (phi, mu, sigma), so the state is
-    internally consistent.  dissipation is that flow model's own viscous
-    form at (vel, phi): v^T A v of the assembled Brinkman momentum block,
-    nu*sum vol_f*v^2 for Darcy, 0 without flow.  div_residual is the flow
-    solve's ||div v - Gamma_v|| (0 without flow).  With Brinkman flow,
-    flows holds the (vel, p) of the last ``FLOW_HISTORY`` levels, this one
-    last, as references to those levels' arrays; the next step's Brinkman
-    solve starts from them.  It is empty in the other flow modes.
+    internally consistent.  record is the level's ``LevelRecord``, built by
+    ``initialize_state`` and ``step``.  With Brinkman flow, flows holds the
+    (vel, p) of the last ``FLOW_HISTORY`` levels, this one last, as
+    references to those levels' arrays; the next step's Brinkman solve
+    starts from them.  It is empty in the other flow modes.
     """
 
     t: float
@@ -69,8 +98,7 @@ class State:
     sigma: CellField
     vel: FaceField
     p: CellField
-    dissipation: float
-    div_residual: float
+    record: LevelRecord
     flows: tuple[tuple[FaceField, CellField], ...] = ()
 
 
@@ -90,8 +118,9 @@ class StepConfig:
     strict_cfl: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "tol_ch", "tol_nutrient", "tol_flow"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.stabilization < 0:
             raise ValueError("stabilization must be non-negative")
         if self.flow_mode not in ("brinkman", "darcy", "none"):
@@ -99,13 +128,10 @@ class StepConfig:
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    energy: float
-    mass: float
-    dissipation: float
-    boundary_flux: float
-    source_mass: float
-    div_residual: float
+class Diagnostics(LevelRecord):
+    """The record of the level a step made, with the step's energy and mass
+    residuals, its CFL state and the SolveStats of its three solves."""
+
     energy_residual: float
     mass_residual: float
     cfl_dt: float
@@ -283,21 +309,36 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     return x[:nc].reshape(g.nx, g.ny), x[nc:].reshape(g.nx, g.ny), stats
 
 
-def _solve_flow(g, phi, mu, sigma, spec, cfg,
-                start=()) -> tuple[FlowSolution, float]:
-    """The flow solve of cfg.flow_mode and the viscous dissipation of its
-    velocity in that model's own form; returns (FlowSolution, dissipation).
-    ``start``, the flows of the last levels, starts the Brinkman Krylov
-    solve; the Darcy solve is direct and needs none."""
+def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
+           cfg: StepConfig, flows=()) -> tuple[State, SolveStats]:
+    """The State at t of (phi, mu, sigma): the flow solve of cfg.flow_mode
+    on it and the level's record; returns (State, the flow's SolveStats).
+    ``flows``, the last levels' flows, starts the Brinkman Krylov solve;
+    the Darcy solve is direct and needs none."""
     if cfg.flow_mode == "brinkman":
-        sol = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
-                             start=start)
-        return sol, viscous_dissipation(g, sol.vel, phi, spec)
-    if cfg.flow_mode == "darcy":
-        sol = solve_darcy(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
-        return sol, spec.params.nu * sol.vel.norm_l2(g) ** 2
-    return FlowSolution(face_zeros(g), np.zeros((g.nx, g.ny)),
-                        SolveStats(0, 0.0, True), 0.0), 0.0
+        flow = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
+                              start=flows)
+        viscous = viscous_dissipation(g, flow.vel, phi, spec)
+        flows = (*flows, (flow.vel, flow.p))[-FLOW_HISTORY:]
+    elif cfg.flow_mode == "darcy":
+        flow = solve_darcy(g, phi, mu, sigma, spec, tol=cfg.tol_flow)
+        viscous = spec.params.nu * flow.vel.norm_l2(g) ** 2
+    else:
+        flow = FlowSolution(face_zeros(g), np.zeros((g.nx, g.ny)),
+                            SolveStats(0, 0.0, True), 0.0)
+        viscous = 0.0
+    m_f, _ = _mobility_weights(g, phi, spec)
+    d_mu = mac_operators(g).grad @ np.ravel(mu)
+    gamma_phi = eval_source_gamma_phi(spec.sources, phi, sigma)
+    gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
+    record = LevelRecord(
+        energy(g, phi, spec), integrate_cells(g, phi),
+        g.cell_volume * float((m_f * d_mu) @ d_mu) + viscous,
+        boundary_flux_integral(g, phi, flow.vel),
+        integrate_cells(g, gamma_phi - phi * gamma_v), flow.div_residual,
+        m_f, viscous, integrate_cells(g, flow.p * gamma_v))
+    return State(t, phi, mu, sigma, flow.vel, flow.p, record,
+                 flows), flow.stats
 
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
@@ -311,16 +352,7 @@ def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     sigma0, _ = solve_nutrient_robin(g, phi0, spec, sig_inf,
                                      tol=cfg.tol_nutrient)
     mu0 = chemical_potential(g, phi0, sigma0, spec)
-    flow0, diss0 = _solve_flow(g, phi0, mu0, sigma0, spec, cfg)
-    return State(0.0, phi0, mu0, sigma0, flow0.vel, flow0.p, diss0,
-                 flow0.div_residual, _flows(cfg, (), flow0))
-
-
-def _flows(cfg: StepConfig, flows, sol: FlowSolution):
-    """``State.flows`` of a level: the last ones with sol's added."""
-    if cfg.flow_mode != "brinkman":
-        return ()
-    return (*flows, (sol.vel, sol.p))[-FLOW_HISTORY:]
+    return _level(g, 0.0, phi0, mu0, sigma0, spec, cfg)[0]
 
 
 def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
@@ -341,25 +373,10 @@ def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
             + 0.5 * eps * g.cell_volume * float(grad @ grad))
 
 
-def _mobility_flux_integrals(g, phi_coeff, mu, sigma, spec):
-    """(int m|grad mu|^2, int m grad mu . grad sigma) as
-    vol*sum m_f (D mu)^2 and vol*sum m_f (D mu)(D sigma), with D the
-    gradient of the CH form and the mobility weights m_f of phi_coeff that
-    the CH matrix uses: the first is vol*mu^T B mu/(dt*c) for the (phi, mu)
-    block B of that matrix."""
-    grad = mac_operators(g).grad
-    m_f, _ = _mobility_weights(g, phi_coeff, spec)
-    d_mu = grad @ np.ravel(mu)
-    flux = m_f * d_mu
-    vol = g.cell_volume
-    return (vol * float(flux @ d_mu),
-            vol * float(flux @ (grad @ np.ravel(sigma))))
-
-
-def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,
-                    dt: float) -> float:
+def energy_residual(g: Grid2D, prev: State, next_: State, gamma_phi,
+                    spec: ModelSpec, dt: float) -> float:
     """Defect of the discrete energy balance over one step:
-    |dE/dt + int m|grad mu|^2 + prev.dissipation - rhs| with
+    |dE/dt + int m|grad mu|^2 + viscous dissipation - rhs| with
 
     rhs = -chi int m grad mu . grad sigma
           + int (Gamma_phi - phi*Gamma_v)(mu + chi*sigma)
@@ -367,53 +384,38 @@ def energy_residual(g: Grid2D, prev: State, next_: State, spec: ModelSpec,
 
     (the pressure work stands in for the divergence-lifting terms the
     analysis removes; the simulator tests the momentum balance with v
-    itself).  prev.dissipation is the viscous form of the flow model that
-    produced prev.vel, so no flow form is evaluated here.  Evaluated with
-    the same lagged fields the scheme used, so the defect measures
-    time-splitting error: O(dt) on a fixed grid.
+    itself).  The energies come from the two levels' records; the mobility
+    m_f, the viscous dissipation and the pressure work from prev's, which
+    are the forms the scheme used.  gamma_phi is Gamma_phi(phi^n,
+    sigma^{n+1}), the source of the CH step.  Evaluated with the same
+    lagged fields the scheme used, so the defect measures time-splitting
+    error: O(dt) on a fixed grid.
     """
     chi = spec.params.chi
-    de = (energy(g, next_.phi, spec) - energy(g, prev.phi, spec)) / dt
-    diss_ch, cross = _mobility_flux_integrals(g, prev.phi, next_.mu,
-                                              next_.sigma, spec)
+    before = prev.record
+    de = (next_.record.energy - before.energy) / dt
+    grad = mac_operators(g).grad
+    d_mu = grad @ np.ravel(next_.mu)
+    flux = before.m_f * d_mu
+    diss_ch = g.cell_volume * float(flux @ d_mu)
+    cross = g.cell_volume * float(flux @ (grad @ np.ravel(next_.sigma)))
 
-    gamma_phi = eval_source_gamma_phi(spec.sources, prev.phi, next_.sigma)
     gamma_v = eval_source_gamma_v(spec.sources, prev.phi, next_.sigma)
     source_work = integrate_cells(
         g, (gamma_phi - prev.phi * gamma_v) * (next_.mu + chi * next_.sigma))
-    gamma_v_prev = eval_source_gamma_v(spec.sources, prev.phi, prev.sigma)
-    pressure_work = integrate_cells(g, prev.p * gamma_v_prev)
 
-    rhs = -chi * cross + source_work + pressure_work
-    return abs(de + diss_ch + prev.dissipation - rhs)
+    rhs = -chi * cross + source_work + before.pressure_work
+    return abs(de + diss_ch + before.viscous - rhs)
 
 
-def mass_balance_residual(g: Grid2D, prev: State, next_: State,
-                          spec: ModelSpec, dt: float) -> float:
-    """|(int phi^{n+1} - int phi^n)/dt + boundary flux - int Gamma_phi|,
-    an exact identity of the flux-form scheme up to the Krylov residual."""
-    gamma_phi = eval_source_gamma_phi(spec.sources, prev.phi, next_.sigma)
-    return abs((integrate_cells(g, next_.phi) - integrate_cells(g, prev.phi)) / dt
-               + boundary_flux_integral(g, prev.phi, prev.vel)
-               - integrate_cells(g, gamma_phi))
-
-
-def level_diagnostics(g: Grid2D, state: State, spec: ModelSpec):
-    """(energy, mass, dissipation, boundary_flux, source_mass,
-    div_residual) of one time level, in the order of ``Diagnostics``:
-    dissipation is int m|grad mu|^2 plus the state's viscous dissipation,
-    boundary_flux the convective outflow of phi, source_mass
-    int Gamma_phi - phi*Gamma_v.  ``step`` reports them for each new level,
-    and the same values describe the initial one."""
-    diss_ch, _ = _mobility_flux_integrals(g, state.phi, state.mu,
-                                          state.sigma, spec)
-    gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, state.sigma)
-    gamma_v = eval_source_gamma_v(spec.sources, state.phi, state.sigma)
-    return (energy(g, state.phi, spec), integrate_cells(g, state.phi),
-            diss_ch + state.dissipation,
-            boundary_flux_integral(g, state.phi, state.vel),
-            integrate_cells(g, gamma_phi - state.phi * gamma_v),
-            state.div_residual)
+def mass_balance_residual(g: Grid2D, prev: State, next_: State, gamma_phi,
+                          dt: float) -> float:
+    """|(int phi^{n+1} - int phi^n)/dt + boundary flux - int Gamma_phi|
+    from the two levels' records, with gamma_phi = Gamma_phi(phi^n,
+    sigma^{n+1}): an exact identity of the flux-form scheme up to the
+    Krylov residual."""
+    return abs((next_.record.mass - prev.record.mass) / dt
+               + prev.record.boundary_flux - integrate_cells(g, gamma_phi))
 
 
 def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
@@ -434,20 +436,14 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
         raise CflViolation(cfg.dt, cfl)
 
     phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
-    flow_sol, diss_flow = _solve_flow(g, phi1, mu1, sigma, spec, cfg,
-                                      start=state.flows)
-
-    new_state = State(state.t + cfg.dt, phi1, mu1, sigma, flow_sol.vel,
-                      flow_sol.p, diss_flow, flow_sol.div_residual,
-                      _flows(cfg, state.flows, flow_sol))
-    diag = Diagnostics(
-        *level_diagnostics(g, new_state, spec),
-        energy_residual=energy_residual(g, state, new_state, spec, cfg.dt),
-        mass_residual=mass_balance_residual(g, state, new_state, spec, cfg.dt),
-        cfl_dt=cfl,
-        cfl_violated=violated,
-        nutrient_stats=n_stats,
-        ch_stats=ch_stats,
-        flow_stats=flow_sol.stats,
-    )
-    return new_state, diag
+    new_state, flow_stats = _level(g, state.t + cfg.dt, phi1, mu1, sigma,
+                                   spec, cfg, state.flows)
+    gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, sigma)
+    return new_state, Diagnostics(
+        **vars(new_state.record),
+        energy_residual=energy_residual(g, state, new_state, gamma_phi, spec,
+                                        cfg.dt),
+        mass_residual=mass_balance_residual(g, state, new_state, gamma_phi,
+                                            cfg.dt),
+        cfl_dt=cfl, cfl_violated=violated, nutrient_stats=n_stats,
+        ch_stats=ch_stats, flow_stats=flow_stats)

@@ -46,6 +46,7 @@ harness.robin_limit_study(*limit_k_problem(8), workload.K_VALUES)
 harness.viscosity_limit_study(*limit_visc_problem(8), workload.SCALES)
 print(json.dumps({"names": sorted({s[0] for s in tracer.spans[:stepping]}),
                   "sweep": sorted({s[0] for s in tracer.spans[stepping:]}),
+                  "diagnostics": spans.DIAGNOSTICS,
                   "metrics": spans.layer_metrics(tracer.spans, 0.0, 1)}))
 """
 
@@ -59,9 +60,13 @@ def test_traced_benchmark_run_binds_every_layer():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.strip().splitlines()[-1])
-    assert {"stepper.viscous_dissipation", "assemble:flow.brinkman",
-            "assemble:flow.darcy", "assemble:stepper.ch",
-            "assemble:elliptic.robin", "linalg.bicgstab"} <= set(out["names"])
+    assert {"assemble:flow.brinkman", "assemble:flow.darcy",
+            "assemble:stepper.ch", "assemble:elliptic.robin",
+            "linalg.bicgstab"} <= set(out["names"])
+    # stepper calls every diagnostic the benchmark times through the name
+    # the tracer wraps, so stepper.diagnostics_s covers them all
+    assert len(out["diagnostics"]) == 4
+    assert set(out["diagnostics"]) <= set(out["names"])
     # the harness studies call the traced stages by their module names
     assert {"assemble:elliptic.dirichlet", "assemble:flow.darcy",
             "flow.brinkman"} <= set(out["sweep"])

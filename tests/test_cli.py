@@ -231,7 +231,7 @@ def test_seed_override_applies_to_random_phi0():
 def test_vtk_writer_zero_state(tmp_path):
     g = Grid2D(4, 4)
     zero = np.zeros((4, 4))
-    state = State(0.0, zero, zero, zero, face_zeros(g), zero, 0.0, 0.0)
+    state = State(0.0, zero, zero, zero, face_zeros(g), zero, None)
     path = tmp_path / "state.vtk"
     write_vtk(state, g, str(path))
     lines = path.read_text().splitlines()
@@ -408,6 +408,22 @@ def test_solver_failure_leaves_rows_reached(tmp_path):
     lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("key, value", [("tol_ch", 0.0),
+                                        ("tol_nutrient", -1e-10),
+                                        ("tol_flow", 0.0)])
+def test_non_positive_tolerance_is_a_config_error(tmp_path, capsys, key,
+                                                  value):
+    # rejected with the config, before any output: a solver reached with
+    # it would stop the run with a traceback after row 0
+    raw = fixed_point_config(tmp_path)
+    raw["stepping"][key] = value
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfgpath)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 def test_config_error_exit_code(tmp_path):

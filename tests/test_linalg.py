@@ -317,7 +317,7 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
     shape = (g.nx, g.ny)
     state = State(0.0, rng.uniform(-1.0, 1.0, shape), np.zeros(shape),
                   rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape),
-                  0.0, 0.0)
+                  None)
     system, _ = assemble_ch_system(g, state, spec, cfg)
     assert_exact_preconditioner(system)
 
@@ -325,7 +325,7 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
 def ch_state(g, phi):
     shape = (g.nx, g.ny)
     return State(0.0, phi, np.zeros(shape), np.full(shape, 0.5),
-                 face_zeros(g), np.zeros(shape), 0.0, 0.0)
+                 face_zeros(g), np.zeros(shape), None)
 
 
 def test_constant_coefficient_solves_need_no_iteration():

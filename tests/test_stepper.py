@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -16,12 +17,13 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
                         eval_source_gamma_v, initialize_state,
                         integrate_cells, norm_l2_cells, step,
                         suggest_cfl_dt, zero_sources)
+from chbrinkman import stepper
 from chbrinkman.flow import brinkman_force
 from chbrinkman.grid import face_volumes, form_matrix, minus_laplacian
 from chbrinkman.model import SourceSpec, smooth_blend
-from chbrinkman.stepper import (FLOW_HISTORY, CflViolation,
-                                _mobility_flux_integrals, assemble_ch_system,
-                                build_phi0, ch_form, sample_sigma_inf)
+from chbrinkman.stepper import (FLOW_HISTORY, CflViolation, _level,
+                                assemble_ch_system, build_phi0, ch_form,
+                                energy_residual, sample_sigma_inf)
 
 
 def quiet_spec(**over):
@@ -65,8 +67,7 @@ def test_coupled_brinkman_steps_at_128():
 def ch_state(g, rng):
     """A state with random phi, mu and sigma and no flow."""
     cells = [rng.uniform(-1.0, 1.0, (g.nx, g.ny)) for _ in range(3)]
-    return State(0.0, *cells, face_zeros(g), np.zeros((g.nx, g.ny)), 0.0,
-                 0.0)
+    return State(0.0, *cells, face_zeros(g), np.zeros((g.nx, g.ny)), None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,10 +175,14 @@ def test_brinkman_start_from_the_last_flows_over_a_trajectory():
 def test_mobility_dissipation_is_the_ch_matrix_form():
     # int m|grad mu|^2 and int m grad mu . grad sigma are the assembled
     # (phi, mu) block B on mu/c: vol*mu^T B mu/(dt*c) and vol*mu^T B sigma
-    # /(dt*c), so the energy diagnostics evaluate the form the solver uses
+    # /(dt*c), so the energy diagnostics evaluate the form the solver uses.
+    # The first is the record's dissipation of a level without flow; the
+    # second is what chi multiplies in the energy residual, read here from
+    # a step of zero length without sources, where the residual is
+    # |diss + chi*cross|
     g = Grid2D(12, 9, 1.5, 1.0)
     spec = quiet_spec(mobility=blended_mobility(1.0, 10.0))
-    cfg = StepConfig(dt=1e-3)
+    cfg = StepConfig(dt=1e-3, flow_mode="none")
     state = ch_state(g, np.random.default_rng(7))
     system, _ = assemble_ch_system(g, state, spec, cfg)
     nc = g.n_cells
@@ -185,11 +190,46 @@ def test_mobility_dissipation_is_the_ch_matrix_form():
                                        / (cfg.dt * np.sqrt(
                                            spec.params.epsilon / cfg.dt)))
     mu, sigma = state.mu.ravel(), state.sigma.ravel()
-    diss, cross = _mobility_flux_integrals(g, state.phi, state.mu,
-                                           state.sigma, spec)
+    level, _ = _level(g, 0.0, state.phi, state.mu, state.sigma, spec, cfg)
+    diss = level.record.dissipation
     assert diss > 0.0
     assert diss == pytest.approx(mu @ (block @ mu), rel=1e-13)
-    assert cross == pytest.approx(mu @ (block @ sigma), abs=1e-13 * diss)
+    expected = mu @ (block @ sigma)
+    chi = 0.5 * diss / abs(expected)
+    coupled = dataclasses.replace(
+        spec, params=dataclasses.replace(spec.params, chi=chi))
+    residual = energy_residual(g, level, level, np.zeros((g.nx, g.ny)),
+                               coupled, cfg.dt)
+    assert (residual - diss) / chi == pytest.approx(expected,
+                                                    abs=1e-13 * diss)
+
+
+def test_a_step_computes_each_level_quantity_once(monkeypatch):
+    # a step measures only its new level: the old level's energy, mass,
+    # boundary flux, face mobilities, viscous dissipation and pressure work
+    # come from its record.  Per step: the energy and the boundary flux
+    # once (new level); the face mobilities twice (CH matrix, new record);
+    # Gamma_v twice (energy residual, new record); Gamma_phi three times
+    # (CH right-hand side, the two residuals together, new record)
+    g = Grid2D(16, 16)
+    spec = coupled_spec()
+    cfg = StepConfig(dt=1e-4, flow_mode="brinkman")
+    state, _ = step(g, initialize_state(g, spec, cfg), spec, cfg)
+    calls = collections.Counter()
+    for name in ("energy", "boundary_flux_integral", "_mobility_weights",
+                 "eval_source_gamma_v", "eval_source_gamma_phi"):
+        def counted(*args, _name=name, _fn=getattr(stepper, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(stepper, name, counted)
+    steps = 3
+    for _ in range(steps):
+        state, _ = step(g, state, spec, cfg)
+    assert calls["energy"] == steps
+    assert calls["boundary_flux_integral"] == steps
+    assert calls["_mobility_weights"] <= 2 * steps
+    assert calls["eval_source_gamma_v"] <= 2 * steps
+    assert calls["eval_source_gamma_phi"] <= 3 * steps
 
 
 def test_uniform_zero_state_is_a_fixed_point():
@@ -310,7 +350,7 @@ def test_state_dissipation_is_its_flow_models_own_form(flow_mode):
     for g in (Grid2D(32, 32, 1.0, 1.25), Grid2D(24, 24, 1.25, 1.0)):
         state = initialize_state(g, spec, cfg)
         if flow_mode == "none":
-            assert state.dissipation == 0.0
+            assert state.record.viscous == 0.0
             continue
         force = brinkman_force(g, state.phi, state.mu, state.sigma, spec, None)
         wx, wy = face_volumes(g)
@@ -318,8 +358,8 @@ def test_state_dissipation_is_its_flow_models_own_form(flow_mode):
         work = (np.sum(wx * force.x * state.vel.x)
                 + np.sum(wy * force.y * state.vel.y)
                 + integrate_cells(g, state.p * gamma_v))
-        assert state.dissipation > 0.0
-        assert abs(state.dissipation - work) <= 1e-9 * state.dissipation
+        assert state.record.viscous > 0.0
+        assert abs(state.record.viscous - work) <= 1e-9 * state.record.viscous
 
 
 def test_energy_residual_first_order_without_sources():
@@ -426,8 +466,7 @@ def test_nan_potential_rejected():
     cfg = StepConfig(dt=1e-3, flow_mode="none")
     with pytest.raises(ValueError, match="psi'"):
         st = State(0.0, np.full((8, 8), 0.1), np.zeros((8, 8)),
-                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), 0.0,
-                   0.0)
+                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), None)
         ch_update(g, st, spec, cfg)
 
 
