@@ -9,8 +9,7 @@ limit, the vanishing-viscosity limit, and continuous dependence on data.
 from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, integrate_cells,
                    mac_operators, norm_l2_cells)
-from .linalg import (LinearSystem, SolveStats, SolverFailure, bicgstab_solve,
-                     cg_solve)
+from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelParams, ModelSpec, MobilitySpec, PotentialSpec,
                     RandomPerturbation, SourceSpec, ValidationReport,
                     ViscositySpec, blended_mobility, blended_viscosity,

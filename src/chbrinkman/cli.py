@@ -17,8 +17,9 @@ contdep     continuous-dependence perturbation sweep: --perturb
 
 A study subcommand writes its sweep CSV into --out (default ".", created if
 missing), prints one summary line, and passes when every boolean check of
-the study holds.  Exit codes: 0 success, 2 config or argument error,
-3 solver failure or failed study check, 4 I/O error.
+the study holds.  Exit codes: 0 success, 2 config or argument error
+(including an initial level that is not finite), 3 solver failure, a step
+that fails on its data or a failed study check, 4 I/O error.
 
 The config format, with every key and default, is documented under
 "Configuration" in README.md.  Unknown keys are errors, and the model
@@ -45,7 +46,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -158,6 +160,16 @@ class _Section:
                 f"{_find_key_location(self.text, self.path, key)}")
 
 
+def _dataclass_keys(sec: _Section, cls, **defaults) -> dict:
+    """The keyword arguments of the dataclass ``cls`` read from ``sec``:
+    one key per field, of the field's annotated type, with the default
+    given here or else the field's own (required when it has none)."""
+    kinds = get_type_hints(cls)
+    return {f.name: sec.get(f.name, kinds[f.name], defaults.get(
+                f.name, REQUIRED if f.default is MISSING else f.default))
+            for f in fields(cls)}
+
+
 def _variant(sec: _Section, default: str, variants):
     """The object a section describes.  Its "variant" key (``default`` when
     absent) selects ``(constructor, {key: (type, default or REQUIRED)})``
@@ -261,20 +273,16 @@ def parse_config(text: str) -> SimConfig:
     root = _Section(raw, "config", text)
 
     gsec = root.section("grid", required=True)
-    nx = gsec.get("nx", int)
-    ny = gsec.get("ny", int)
-    lx = gsec.get("lx", float, default=1.0)
-    ly = gsec.get("ly", float, default=1.0)
+    grid_keys = _dataclass_keys(gsec, Grid2D)
     gsec.finish()
     try:
-        grid = Grid2D(nx, ny, lx, ly)
+        grid = Grid2D(**grid_keys)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
     msec = root.section("model")
     psec = msec.section("params")
-    params = ModelParams(**{f.name: psec.get(f.name, float, f.default)
-                            for f in fields(ModelParams)})
+    params = ModelParams(**_dataclass_keys(psec, ModelParams))
     psec.finish()
     spec = ModelSpec(params=params, **{
         name: _variant(msec.section(name), default, variants)
@@ -290,14 +298,7 @@ def parse_config(text: str) -> SimConfig:
 
     stsec = root.section("stepping")
     try:
-        stepping = StepConfig(
-            dt=stsec.get("dt", float, default=1e-4),
-            stabilization=stsec.get("stabilization", float, default=2.0),
-            flow_mode=stsec.get("flow_mode", str, default="brinkman"),
-            tol_ch=stsec.get("tol_ch", float, default=1e-9),
-            tol_nutrient=stsec.get("tol_nutrient", float, default=1e-10),
-            tol_flow=stsec.get("tol_flow", float, default=1e-9),
-            strict_cfl=stsec.get("strict_cfl", bool, default=False))
+        stepping = StepConfig(**_dataclass_keys(stsec, StepConfig, dt=1e-4))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     n_steps = stsec.get("n_steps", int, default=100)
@@ -403,15 +404,35 @@ def _make_out_dir(path: str):
         raise IOError(f"cannot create output directory: {err}") from err
 
 
+def _initial_level(cfg: SimConfig):
+    """The initial State of cfg and its diagnostics row.  A level that
+    cannot be made, or that holds a non-finite field or row entry, is a
+    config error: no step could follow it."""
+    try:
+        state = initialize_state(cfg.grid, cfg.spec, cfg.stepping)
+    except ValueError as err:
+        raise ConfigError(f"initial level: {err} (from 'config.model.phi0' "
+                          f"and 'sigma_inf')") from err
+    row = diagnostics_row(0, state)
+    if not all(np.all(np.isfinite(v)) for v in (
+            row[1:], state.phi, state.mu, state.sigma, state.vel.x,
+            state.vel.y, state.p)):
+        raise ConfigError(f"'config.model.phi0' gives a non-finite initial "
+                          f"level (energy {row[2]!r}, mass {row[3]!r})")
+    return state, row
+
+
 def run_simulation(cfg: SimConfig) -> int:
-    """Execute the time loop; returns the process exit status.  Each
-    diagnostics row is written and flushed as it is produced, so a run that
-    stops early leaves the rows it reached."""
+    """Execute the time loop; returns the process exit status.  The output
+    directory and the initial level are made before any output, and a
+    failure there raises (``main`` reports it); then each diagnostics row
+    is written and flushed as it is produced, so a run that stops early
+    leaves the rows it reached."""
     g = cfg.grid
+    _make_out_dir(cfg.out_dir)
+    state, row = _initial_level(cfg)
     k = 0
     try:
-        _make_out_dir(cfg.out_dir)
-        state = initialize_state(g, cfg.spec, cfg.stepping)
         with open(f"{cfg.out_dir}/diagnostics.csv", "w",
                   encoding="utf-8") as csv:
             csv.write(DIAGNOSTICS_HEADER + "\n")
@@ -420,7 +441,7 @@ def run_simulation(cfg: SimConfig) -> int:
                 csv.write(_diagnostics_line(row))
                 csv.flush()
 
-            write_row(diagnostics_row(0, state))
+            write_row(row)
             if cfg.field_stride:
                 write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
             for k in range(1, cfg.n_steps + 1):
@@ -439,6 +460,9 @@ def run_simulation(cfg: SimConfig) -> int:
     except IOError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as err:
+        print(f"failure at step {k}: {err}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -7,6 +7,10 @@ ghost value from
     (sigma_ghost - sigma_c)/delta = K*(sigma_inf - (sigma_ghost+sigma_c)/2)
 turns the boundary-face flux into K_eff*(sigma_inf - sigma_c) with
 K_eff = K/(1 + K*delta/2); K -> inf recovers the Dirichlet ghost 2/delta.
+
+Both modes are solved by ``linalg.bicgstab_solve``, preconditioned by the
+exact fast-diagonalization solve with h(phi) replaced by its mean: a
+constant h takes no iteration.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .grid import (CellField, Grid2D, as_boundary, boundary_adjacent_cells,
                    boundary_face_lengths, boundary_normal_spacing,
                    boundary_transfer, minus_laplacian)
-from .linalg import LinearSystem, SolverFailure, cg_solve
+from .linalg import LinearSystem, bicgstab_solve, require_converged
 
 
 def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
@@ -56,12 +60,9 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
 
 def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol):
     system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs)
-    x, stats = cg_solve(system.matrix, system.rhs, system.precond, tol=tol)
-    if not stats.converged:
-        raise SolverFailure(
-            f"nutrient {mode} solve did not converge "
-            f"(residual {stats.residual:.3e} after {stats.iterations} iterations)",
-            stats, stage="nutrient")
+    x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
+                              tol=tol)
+    require_converged(stats, f"nutrient {mode} solve", "nutrient")
     return x.reshape(g.nx, g.ny), stats
 
 

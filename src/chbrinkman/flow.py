@@ -44,9 +44,9 @@ p = 0 ghost closure on boundary faces, then v = (F - G_D p)/nu with
 G_D = -diag(vol/vol_f) div^T, the gradient with the same p = 0 ghost on
 boundary faces (``grid.mac_operators``): div G_D is the pressure operator,
 so div(v) = Gamma_v holds up to the pressure residual.  The pressure operator
-is constant, so CG preconditioned by its exact fast-diagonalization solve
-accepts that solve at once, and refines it only where it misses the
-tolerance.
+is constant, so the same BiCGStab, preconditioned by its exact
+fast-diagonalization solve, accepts that solve at once, and refines it only
+where it misses the tolerance.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .grid import (CellField, FaceField, Grid2D, difference, form_matrix,
                    form_pattern, mac_operators, minus_laplacian,
                    norm_l2_cells, read_only, stacked, unstacked)
 from .linalg import (KeptOperator, KroneckerOperator, LinearSystem,
-                     SolveStats, SolverFailure, bicgstab_solve, cg_solve,
-                     projected_start)
+                     SolveStats, bicgstab_solve, projected_start,
+                     require_converged)
 from .model import eval_source_gamma_v
 
 
@@ -103,15 +103,14 @@ class BrinkmanForm:
     ``node_sum`` maps a flattened cell field to the sum of the cell values
     around each node.  ``pattern`` is the saddle-point matrix
     [[A, G], [G^T, 0]] with the data of G = -div^T*vol, ``scatter`` maps
-    the weights w to the data of A in it, ``rows`` is the row of each
-    stored entry and ``diagonal`` the slots of A's diagonal."""
+    the weights w to the data of A in it and ``diagonal`` holds the slots
+    of A's diagonal."""
 
     energy: sp.csr_matrix
     n_shear: int
     node_sum: sp.csr_matrix
     pattern: sp.csr_matrix
     scatter: sp.csc_matrix
-    rows: np.ndarray
     diagonal: np.ndarray
 
 
@@ -194,7 +193,7 @@ def velocity_coupling(g: Grid2D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     nc = g.n_cells
     nvx = (g.nx + 1) * g.ny
     rows = form.energy[2 * nc:form.n_shear + nc]
-    pattern, scatter, _, _ = form_pattern(rows[:, nvx:], rows[:, :nvx])
+    pattern, scatter, _ = form_pattern(rows[:, nvx:], rows[:, :nvx])
     touch = form.node_sum @ np.ones(nc)
     c_eta, c_lam = (form_matrix(pattern, scatter, g.cell_volume * w)
                     for w in (np.concatenate([touch, np.zeros(nc)]),
@@ -274,7 +273,7 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
         d[d == 0.0] = 1.0
         scale = np.concatenate([1.0 / np.sqrt(d),
                                 np.full(g.n_cells, 1.0 / min(g.dx, g.dy))])
-        a.data *= scale[form.rows]
+        a.data *= np.repeat(scale, np.diff(form.pattern.indptr))
         a.data *= scale[form.pattern.indices]
         a.data.flags.writeable = scale.flags.writeable = False
         return a, scale, _brinkman_preconditioner(g, *scalars, scale)
@@ -336,10 +335,7 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                               / scale for vel, p in start])
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=solve_tol, x0=x0)
-    if not stats.converged:
-        raise SolverFailure(
-            f"Brinkman solve did not converge (residual {stats.residual:.3e} "
-            f"after {stats.iterations} iterations)", stats, stage="flow")
+    require_converged(stats, "Brinkman solve", "flow")
     x = scale * x
     v = x[:x.size - g.n_cells]
     return FlowSolution(unstacked(g, v), x[v.size:].reshape(g.nx, g.ny),
@@ -372,12 +368,9 @@ def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system = assemble_darcy_pressure_system(g, gamma_v, nu, force)
-    x, stats = cg_solve(system.matrix, system.rhs, system.precond, tol)
-    if not stats.converged:
-        raise SolverFailure(
-            f"Darcy pressure solve did not converge (residual "
-            f"{stats.residual:.3e} after {stats.iterations} iterations)",
-            stats, stage="flow")
+    x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
+                              tol=tol)
+    require_converged(stats, "Darcy pressure solve", "flow")
     v = (stacked(force) - mac_operators(g).grad_dirichlet @ x) / nu
     return FlowSolution(unstacked(g, v), x.reshape(g.nx, g.ny), stats,
                         _div_residual(g, v, gamma_v))

@@ -392,13 +392,13 @@ def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
     and columns of C (``const``; when omitted, empty with L's columns by
     R's).
 
-    Returns (pattern, scatter, rows, diagonal): ``pattern`` is the sorted
-    CSR pattern holding C's data (0 elsewhere), ``scatter`` maps w to the
-    data of L^T diag(w) R in it (each entry (r, i) of L meets each entry
-    (r, j) of R and puts L[r,i]*R[r,j] at the slot of (i, j) in column r),
-    ``rows`` is the row of each stored entry and ``diagonal`` the slots of
-    the diagonal.  The pairs are placed a block of rows of L and R at a
-    time, so that no index array of all of them is held at once."""
+    Returns (pattern, scatter, diagonal): ``pattern`` is the sorted CSR
+    pattern holding C's data (0 elsewhere), ``scatter`` maps w to the data
+    of L^T diag(w) R in it (each entry (r, i) of L meets each entry (r, j)
+    of R and puts L[r,i]*R[r,j] at the slot of (i, j) in column r) and
+    ``diagonal`` holds the slots of the diagonal.  The pairs are placed a
+    block of rows of L and R at a time, so that no index array of all of
+    them is held at once."""
     right = left if right is None else right
     if const is None:
         const = sp.csr_matrix((left.shape[1], right.shape[1]))
@@ -430,9 +430,9 @@ def form_pattern(left: sp.csr_matrix, right: sp.csr_matrix | None = None,
                      np.diff(full.indptr))
     diagonal = np.flatnonzero(full.indices == rows).astype(np.int32)
     for arr in (full.data, full.indices, full.indptr, scatter.data,
-                scatter.indices, scatter.indptr, rows, diagonal):
+                scatter.indices, scatter.indptr, diagonal):
         arr.flags.writeable = False
-    return full, scatter, rows, diagonal
+    return full, scatter, diagonal
 
 
 def form_matrix(pattern: sp.csr_matrix, scatter: sp.csc_matrix,

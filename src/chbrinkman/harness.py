@@ -319,11 +319,11 @@ def _run_trajectory(g, spec, cfg, n_steps):
 
 def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
                                 deltas, n_steps: int, cfg: StepConfig,
-                                perturb: str = "phi0",
-                                w: CellField | None = None) -> SweepResult:
+                                perturb: str = "phi0") -> SweepResult:
     """Paired trajectories under data perturbations of size delta.
 
-    perturb="phi0": r(delta) = sup_n ||phi1 - phi2||_H1 / (delta*||w||_H1)
+    perturb="phi0": phi0 + delta*w with w = cos(pi*x)*cos(pi*y), and
+                    r(delta) = sup_n ||phi1 - phi2||_H1 / (delta*||w||_H1)
     perturb="sigma_inf": r(delta) = sup_n ||sigma1 - sigma2||_2
                                     / ||delta||_{L2(boundary)}
     Requires constant mobility.  delta = 0 gives ratio 0 by definition.
@@ -337,9 +337,8 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d < 0 for d in deltas):
         raise ValueError("deltas must be non-negative and decreasing")
 
-    if w is None:
-        xc, yc = g.cell_centers()
-        w = np.cos(np.pi * xc) * np.cos(np.pi * yc)
+    xc, yc = g.cell_centers()
+    w = np.cos(np.pi * xc) * np.cos(np.pi * yc)
     w_h1 = norm_h1(g, w)
     base_spec = replace(spec, phi0=phi0)
     base = _run_trajectory(g, base_spec, cfg, n_steps)

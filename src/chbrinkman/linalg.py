@@ -1,20 +1,20 @@
-"""Sparse linear systems, Krylov solvers and the fast-diagonalization
+"""Sparse linear systems, the Krylov solver and the fast-diagonalization
 preconditioner.
 
 Matrices are scipy.sparse CSR (sorted, in-range column indices per row --
 exactly the compressed-row contract the rest of the package relies on).
-The Krylov loops are written out here rather than taken from
+The Krylov loop is written out here rather than taken from
 scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
-under our control.  There is one path per solver: each takes a required
-preconditioner M^-1, starts from x0 = M^-1 b (BiCGStab from a given x0
-instead, when the caller holds nearby solutions: ``projected_start`` makes
-it the best combination of them) and accepts only a true residual.  CG
-solves the SPD nutrient and Darcy pressure systems; classical BiCGStab
-solves the nonsymmetric Cahn-Hilliard pair and the indefinite Brinkman
-saddle point.  The Darcy pressure operator is
-constant, so its exact preconditioner leaves CG no iteration unless it
-misses the tolerance.
+under our control.  One solver serves every system: classical
+right-preconditioned BiCGStab, which takes a required preconditioner M^-1,
+starts from x0 = M^-1 b (or from a given x0, when the caller holds nearby
+solutions: ``projected_start`` makes it the best combination of them) and
+accepts only a true residual.  It solves the SPD nutrient and Darcy
+pressure systems, the nonsymmetric Cahn-Hilliard pair and the indefinite
+Brinkman saddle point.  The Darcy pressure operator is constant, so its
+exact preconditioner leaves the solve no iteration unless the start misses
+the tolerance.
 
 The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
@@ -70,6 +70,15 @@ class SolverFailure(RuntimeError):
         super().__init__(message)
         self.stats = stats
         self.stage = stage
+
+
+def require_converged(stats: SolveStats, what: str, stage: str):
+    """Raise SolverFailure for ``stage`` unless the solve of ``what``
+    converged."""
+    if not stats.converged:
+        raise SolverFailure(
+            f"{what} did not converge (residual {stats.residual:.3e} after "
+            f"{stats.iterations} iterations)", stats, stage)
 
 
 class KroneckerOperator:
@@ -223,60 +232,6 @@ def projected_start(a, b, xs):
     return x0
 
 
-def _preconditioned_start(a, b, tol, precond, x0=None):
-    """The flattened b, the start x0 (M^-1 b when none is given), its true
-    residual r0 and ||r0||, and the stopping target tol*||b||; b = 0 gives
-    x0 = 0 at once."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    b = np.asarray(b, dtype=float).ravel()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return b, np.zeros(b.size), b, 0.0, 0.0
-    x = precond(b) if x0 is None else np.array(x0, dtype=float).ravel()
-    r = b - a @ x
-    return b, x, r, float(np.linalg.norm(r)), tol * bnorm
-
-
-def cg_solve(a, b, precond, tol: float = 1e-10, max_iter: int | None = None):
-    """Preconditioned conjugate gradients for SPD A.
-
-    ``precond`` applies an SPD approximation M^-1 of A^-1 to a vector; the
-    iteration starts from x0 = M^-1 b and returns it with 0 iterations when
-    its true residual already meets the tolerance.  One iteration is one
-    matrix-vector product.  Returns (x, SolveStats); the reported residual
-    is the recomputed true residual ||Ax-b||_2.
-    """
-    b, x, r, res, target = _preconditioned_start(a, b, tol, precond)
-    if res <= target:
-        return x, SolveStats(0, res, True)
-    if max_iter is None:
-        max_iter = 10 * b.size
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    it = 0
-    while it < max_iter:
-        ap = a @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            break
-        alpha = rz / pap
-        x = x + alpha * p
-        r -= alpha * ap
-        it += 1
-        if np.linalg.norm(r) <= target:
-            break
-        z = precond(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-
-    res = float(np.linalg.norm(b - a @ x))
-    return x, SolveStats(it, res, res <= target)
-
-
 def bicgstab_solve(a, b, precond, tol: float = 1e-10,
                    max_iter: int | None = None, ell: int = 1, x0=None):
     """Classical right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci.
@@ -298,13 +253,22 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     has stagnated (at the attainable accuracy, or in a breakdown before x
     moves, which a restart from the same x would repeat).  One iteration
     is two matrix-vector products (one when it converges half-way).
-    ``ell``, the BiCG steps per iteration, must be 1.  Returns
-    (x, SolveStats) with the true residual; non-convergence comes back as
-    converged=False, never silently.
+    ``ell``, the BiCG steps per iteration, must be 1, and ``tol``
+    positive.  Returns (x, SolveStats) with the true residual;
+    non-convergence comes back as converged=False, never silently.
     """
     if ell != 1:
         raise ValueError("ell must be 1: this is classical BiCGStab")
-    b, x, r, res, target = _preconditioned_start(a, b, tol, precond, x0)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    b = np.asarray(b, dtype=float).ravel()
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(b.size), SolveStats(0, 0.0, True)
+    target = tol * bnorm
+    x = precond(b) if x0 is None else np.array(x0, dtype=float).ravel()
+    r = b - a @ x
+    res = float(np.linalg.norm(r))
     if res <= target:
         return x, SolveStats(0, res, True)
     if max_iter is None:

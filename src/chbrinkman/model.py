@@ -202,9 +202,6 @@ class ValidationReport:
     def failures(self):
         return [e for e in self.entries if not e.passed]
 
-    def failed_assumptions(self):
-        return sorted({e.assumption for e in self.failures()})
-
     def __str__(self):
         lines = []
         for e in self.entries:

@@ -47,8 +47,8 @@ from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
                    form_pattern, integrate_cells, mac_operators,
                    minus_laplacian)
-from .linalg import (KeptOperator, LinearSystem, SolveStats, SolverFailure,
-                     bicgstab_solve)
+from .linalg import (KeptOperator, LinearSystem, SolveStats, bicgstab_solve,
+                     require_converged)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
 
@@ -219,7 +219,7 @@ def ch_form(g: Grid2D) -> CHForm:
     eye = sp.identity(g.n_cells)
     left = sp.bmat([[grad, None], [None, grad], [None, eye]], format="csr")
     right = sp.bmat([[None, grad], [grad, None], [eye, None]], format="csr")
-    pattern, scatter, _, _ = form_pattern(
+    pattern, scatter, _ = form_pattern(
         left, right, sp.identity(2 * g.n_cells, format="csr"))
     return CHForm(pattern, scatter)
 
@@ -299,11 +299,7 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     system, scale = assemble_ch_system(g, state, spec, cfg)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=cfg.tol_ch)
-    if not stats.converged:
-        raise SolverFailure(
-            f"Cahn-Hilliard solve did not converge (residual "
-            f"{stats.residual:.3e} after {stats.iterations} iterations)",
-            stats, stage="cahn-hilliard")
+    require_converged(stats, "Cahn-Hilliard solve", "cahn-hilliard")
     x = scale * x
     nc = g.n_cells
     return x[:nc].reshape(g.nx, g.ny), x[nc:].reshape(g.nx, g.ny), stats

@@ -44,8 +44,15 @@ from chbrinkman import harness
 from chbrinkman.cli import limit_k_problem, limit_visc_problem
 harness.robin_limit_study(*limit_k_problem(8), workload.K_VALUES)
 harness.viscosity_limit_study(*limit_visc_problem(8), workload.SCALES)
+children = ({}, {})   # per part: the names of each span's children
+for i, (name, _, _, parent, _) in enumerate(tracer.spans):
+    if parent >= 0:
+        children[i >= stepping].setdefault(tracer.spans[parent][0],
+                                           set()).add(name)
 print(json.dumps({"names": sorted({s[0] for s in tracer.spans[:stepping]}),
                   "sweep": sorted({s[0] for s in tracer.spans[stepping:]}),
+                  "children": [{k: sorted(v) for k, v in part.items()}
+                               for part in children],
                   "diagnostics": spans.DIAGNOSTICS,
                   "metrics": spans.layer_metrics(tracer.spans, 0.0, 1)}))
 """
@@ -76,6 +83,13 @@ def test_traced_benchmark_run_binds_every_layer():
     # that turn them into matrix-vector products
     assert out["metrics"]["linalg.matvecs"] > 0
     assert out["metrics"]["flow.brinkman_iters"] > 0
+    # every solving stage runs its Krylov solve through the wrapped solver
+    # name, so each stage's *_iters counts that solve's iterations
+    stepping, sweep = out["children"]
+    for stage in ("flow.brinkman", "flow.darcy", "elliptic.robin",
+                  "stepper.ch"):
+        assert "linalg.bicgstab" in stepping[stage], stage
+    assert "linalg.bicgstab" in sweep["elliptic.dirichlet"]
 
 
 @pytest.mark.parametrize("flow_mode", ["brinkman", "darcy"])

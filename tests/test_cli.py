@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chbrinkman import (Grid2D, RandomPerturbation, SourceSpec, State,
-                        SweepResult, blended_mobility, blended_viscosity,
-                        constant_mobility, constant_viscosity,
+                        StepConfig, SweepResult, blended_mobility,
+                        blended_viscosity, constant_mobility,
+                        constant_viscosity,
                         default_quartic_potential, face_zeros, zero_sources)
 from chbrinkman import cli
 from chbrinkman.cli import (ConfigError, DIAGNOSTICS_HEADER, main,
@@ -41,6 +42,15 @@ def test_minimal_config_parses_with_defaults():
     raw = json.loads(minimal_config())
     raw["model"]["phi0"] = {"variant": "random", "seed": 5}
     assert parse_config(json.dumps(raw)).spec.phi0.seed == 5
+
+
+def test_empty_sections_take_the_dataclass_defaults():
+    # the stepping and grid defaults are those of StepConfig and Grid2D;
+    # only dt (and n_steps) have defaults of the config's own
+    cfg = parse_config('{"grid": {"nx": 8, "ny": 9}, "stepping": {}}')
+    assert cfg.stepping == StepConfig(dt=1e-4)
+    assert cfg.grid == Grid2D(8, 9)
+    assert cfg.n_steps == 100
 
 
 def test_negative_k_names_assumption():
@@ -408,6 +418,38 @@ def test_solver_failure_leaves_rows_reached(tmp_path):
     lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_a_failed_step_exits_3_and_leaves_rows_reached(tmp_path, capsys):
+    # sigma_inf turns NaN from t = 2e-4 on, which step 3's nutrient solve
+    # rejects with a ValueError
+    raw = fixed_point_config(tmp_path, n_steps=5)
+    raw["model"]["sigma_inf"] = {
+        "variant": "expression", "expr": "1.0 if t < 1.5e-4 else np.nan"}
+    raw["stepping"].update(dt=1e-4, flow_mode="none")
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfgpath)]) == 3
+    assert "failure at step 3: non-finite sigma_inf" in capsys.readouterr().err
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("expr", ["1e200 + 0*x", "np.nan + 0*x"])
+def test_non_finite_initial_level_is_a_config_error(tmp_path, capsys, expr):
+    # phi0 = 1e200 is finite, but psi(phi0) overflows; a NaN phi0 stops the
+    # initial nutrient solve.  Either is a config error naming phi0, before
+    # row 0 is written
+    raw = fixed_point_config(tmp_path)
+    raw["grid"] = {"nx": 8, "ny": 8}
+    raw["model"]["phi0"] = {"variant": "expression", "expr": expr}
+    raw["stepping"]["flow_mode"] = "none"
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfgpath)]) == 2
+    assert "model.phi0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [("tol_ch", 0.0),

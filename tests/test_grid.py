@@ -369,7 +369,7 @@ def test_form_pattern_fills_left_diag_right_plus_const(m, n_left, n_right,
     for args, ref in (
             ((left, right, const), None),
             ((left,), left.T.toarray() @ np.diag(w) @ left.toarray())):
-        pattern, scatter, rows, diagonal = form_pattern(*args)
+        pattern, scatter, diagonal = form_pattern(*args)
         if ref is None:
             ref = const.toarray()
             ref[:n_left, :n_right] += (left.T.toarray() @ np.diag(w)
@@ -378,8 +378,8 @@ def test_form_pattern_fills_left_diag_right_plus_const(m, n_left, n_right,
         assert out.shape == ref.shape
         assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
         assert pattern.has_sorted_indices
-        assert np.array_equal(rows, np.repeat(np.arange(pattern.shape[0]),
-                                              np.diff(pattern.indptr)))
+        rows = np.repeat(np.arange(pattern.shape[0]),
+                         np.diff(pattern.indptr))
         assert np.array_equal(diagonal,
                               np.flatnonzero(pattern.indices == rows))
         assert not scatter.data.flags.writeable
