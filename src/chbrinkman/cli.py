@@ -184,21 +184,37 @@ def _variant(sec: _Section, default: str, variants):
     return build(*values)
 
 
-def _expression_phi0(expr: str):
-    def evaluate(x, y):
-        return eval(expr, {"__builtins__": {}},
-                    {"x": x, "y": y, "np": np, "pi": np.pi,
-                     "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
-                     "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs})
-    return evaluate
+# the names a config expression may use, besides its own variables
+_EXPRESSION_NAMES = {"np": np, "pi": np.pi, "sin": np.sin, "cos": np.cos,
+                     "tanh": np.tanh, "exp": np.exp, "sqrt": np.sqrt,
+                     "abs": np.abs}
 
 
-def _expression_sigma_inf(expr: str):
-    def evaluate(t):
-        return eval(expr, {"__builtins__": {}},
-                    {"t": t, "np": np, "pi": np.pi, "sin": np.sin,
-                     "cos": np.cos, "tanh": np.tanh, "exp": np.exp})
-    return evaluate
+def _expression(section: str, *variables: str):
+    """The constructor of the ``expression`` variant of ``section``: from
+    the key ``config.model.<section>.expr`` it makes the function of
+    ``variables`` that evaluates the expression, compiled when the config
+    is read.  An expression that does not compile, or that fails to
+    evaluate, is a ConfigError naming its key."""
+    key = f"config.model.{section}.expr"
+
+    def build(expr: str):
+        try:
+            code = compile(expr, key, "eval")
+        except SyntaxError as err:
+            raise ConfigError(f"key '{key}' is not an expression: "
+                              f"{err.msg}") from err
+
+        def evaluate(*values):
+            try:
+                return eval(code, {"__builtins__": {}},
+                            {**_EXPRESSION_NAMES,
+                             **dict(zip(variables, values))})
+            except Exception as err:
+                raise ConfigError(f"key '{key}' cannot be evaluated: "
+                                  f"{type(err).__name__}: {err}") from err
+        return evaluate
+    return build
 
 
 def _linear_sources(b_v, f_v, b_phi, f_phi, h) -> SourceSpec:
@@ -245,10 +261,12 @@ def _model_sections(grid: Grid2D):
         "sigma_inf": ("constant", {
             "constant": (float, {"value": (float, 0.0)}),
             "per_face": (per_face, {"values": (list, REQUIRED)}),
-            "expression": (_expression_sigma_inf, {"expr": (str, REQUIRED)})}),
+            "expression": (_expression("sigma_inf", "t"),
+                           {"expr": (str, REQUIRED)})}),
         "phi0": ("constant", {
             "constant": (float, {"value": (float, 0.0)}),
-            "expression": (_expression_phi0, {"expr": (str, REQUIRED)}),
+            "expression": (_expression("phi0", "x", "y"),
+                           {"expr": (str, REQUIRED)}),
             "random": (RandomPerturbation,
                        {"seed": (int, 0), "amplitude": (float, 0.01),
                         "base": (float, 0.0), "modes": (int, 2)})}),
@@ -410,6 +428,8 @@ def _initial_level(cfg: SimConfig):
     config error: no step could follow it."""
     try:
         state = initialize_state(cfg.grid, cfg.spec, cfg.stepping)
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"initial level: {err} (from 'config.model.phi0' "
                           f"and 'sigma_inf')") from err

@@ -35,9 +35,13 @@ at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
 carries into the preconditioner.  One Krylov solve runs per call: its
 tolerance is worked out from the inputs so that the continuity block of
 the residual also meets the divergence target (see ``solve_brinkman``),
-and it starts from the least-squares best combination of given nearby
-flows (a time step passes the last four levels'; ``linalg.projected_start``)
-or else from the preconditioned right-hand side.
+and it starts from the least-squares best combination of nearby flows or
+else from the preconditioned right-hand side.  A time step passes the
+``linalg.ProjectionBasis`` of the previous steps' flows, paired with their
+products with the kept operator, and gets it back with its own flow
+entered at no product; after a new operator, or a full basis, the next
+solve makes a new basis from the last four levels' flows, one product
+each.
 
 Darcy (vanishing-viscosity reference): -lap(p) = nu*Gamma_v - div(F) with
 p = 0 ghost closure on boundary faces, then v = (F - G_D p)/nu with
@@ -62,17 +66,22 @@ from .grid import (CellField, FaceField, Grid2D, difference, form_matrix,
                    form_pattern, mac_operators, minus_laplacian,
                    norm_l2_cells, read_only, stacked, unstacked)
 from .linalg import (KeptOperator, KroneckerOperator, LinearSystem,
-                     SolveStats, bicgstab_solve, projected_start,
+                     ProjectionBasis, SolveStats, bicgstab_solve,
                      require_converged)
 from .model import eval_source_gamma_v
 
 
 @dataclass
 class FlowSolution:
+    """A flow solve's (v, p), its SolveStats and ||div v - Gamma_v||;
+    ``basis`` is the Brinkman start's ``ProjectionBasis`` with this flow
+    entered, when the solve was given a start (else None)."""
+
     vel: FaceField
     p: CellField
     stats: SolveStats
     div_residual: float
+    basis: ProjectionBasis | None = None
 
 
 def _cell_values(f, phi: CellField) -> np.ndarray:
@@ -304,8 +313,8 @@ def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
 def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                    spec, extra_force: FaceField | None = None,
                    tol: float = 1e-9,
-                   start: Sequence[tuple[FaceField, CellField]] = ()
-                   ) -> FlowSolution:
+                   start: Sequence[tuple[FaceField, CellField]] = (),
+                   basis: ProjectionBasis | None = None) -> FlowSolution:
     """One Krylov solve of the Brinkman system, to a relative residual that
     also meets the divergence target ||div v - Gamma_v|| <= 5*tol*||Gamma_v||.
 
@@ -313,11 +322,21 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     with s_p = 1/min(dx, dy), so a scaled residual of at most
     5*tol*||Gamma_v||*s_p*sqrt(vol) meets the target.  The relative
     tolerance is that bound over the scaled rhs norm, at most tol and at
-    least 0.01*tol; with Gamma_v = 0 it is tol.  ``start`` holds nearby
-    flows (vel, p), such as the last time levels', newest last: the Krylov
-    solve starts from the combination of them with the least residual
-    (``linalg.projected_start``).  Without them, or when each is zero, it
-    starts from the preconditioned rhs."""
+    least 0.01*tol; with Gamma_v = 0 it is tol.
+
+    ``start`` holds nearby flows (vel, p), such as the last time levels',
+    newest last, and ``basis`` the ``ProjectionBasis`` of the previous
+    solve, as its ``FlowSolution`` returned it.  The Krylov solve starts
+    from the combination of the basis's columns with the least residual.
+    The basis is used while the kept operator it was made with is current
+    (``KeptOperator.token``); otherwise, or without one, the solve makes a
+    new basis from the flows of ``start``, at one product each.  The new
+    flow then enters the basis at no product (A x = b - r from the solve's
+    final residual), and the extended basis comes back in the solution.
+    After a full basis the solution carries none, so the next solve makes
+    a new one from its flows, the last levels' with this one.  Without a
+    start, or when its flows are all zero, the solve starts from the
+    preconditioned rhs, and without a start it keeps no basis."""
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
     system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force)
@@ -328,18 +347,29 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
         target = (5.0 * tol * gnorm * np.sqrt(g.cell_volume)
                   / (min(g.dx, g.dy) * np.linalg.norm(system.rhs)))
         solve_tol = min(tol, max(target, 0.01 * tol))
-    x0 = None
+    a, b = system.matrix, system.rhs
+
+    x0 = r0 = r = None
     if start:
-        x0 = projected_start(system.matrix, system.rhs,
-                             [np.concatenate([stacked(vel), np.ravel(p)])
-                              / scale for vel, p in start])
-    x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
-                              tol=solve_tol, x0=x0)
+        token = _kept_brinkman.token
+        if basis is None or basis.token != token:
+            # the flows as unknowns of the scaled system, newest first
+            basis = ProjectionBasis(b.size, token).with_products(
+                a, (np.concatenate([stacked(vel), np.ravel(p)]) / scale
+                    for vel, p in reversed(start)))
+        if basis.size:
+            x0, r0 = basis.start(b)
+        r = np.empty(b.size)
+    x, stats = bicgstab_solve(a, b, system.precond, tol=solve_tol, x0=x0,
+                              r0=r0, r_out=r)
     require_converged(stats, "Brinkman solve", "flow")
+    if start:
+        # after a full basis the next solve makes a new one from its flows
+        basis = None if basis.full else basis.with_column(x, b - r)
     x = scale * x
     v = x[:x.size - g.n_cells]
     return FlowSolution(unstacked(g, v), x[v.size:].reshape(g.nx, g.ny),
-                        stats, _div_residual(g, v, gamma_v))
+                        stats, _div_residual(g, v, gamma_v), basis)
 
 
 def _div_residual(g: Grid2D, v: np.ndarray, gamma_v) -> float:

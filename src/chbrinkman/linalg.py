@@ -8,13 +8,12 @@ scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
 under our control.  One solver serves every system: classical
 right-preconditioned BiCGStab, which takes a required preconditioner M^-1,
-starts from x0 = M^-1 b (or from a given x0, when the caller holds nearby
-solutions: ``projected_start`` makes it the best combination of them) and
-accepts only a true residual.  It solves the SPD nutrient and Darcy
-pressure systems, the nonsymmetric Cahn-Hilliard pair and the indefinite
-Brinkman saddle point.  The Darcy pressure operator is constant, so its
-exact preconditioner leaves the solve no iteration unless the start misses
-the tolerance.
+starts from x0 = M^-1 b (or from a given x0 and its residual, when the
+caller holds nearby solutions) and accepts only a true residual.  It
+solves the SPD nutrient and Darcy pressure systems, the nonsymmetric
+Cahn-Hilliard pair and the indefinite Brinkman saddle point.  The Darcy
+pressure operator is constant, so its exact preconditioner leaves the
+solve no iteration unless the start misses the tolerance.
 
 The nutrient, Darcy and Cahn-Hilliard operators are, for constant
 coefficients, functions of one Kronecker sum T = Tx (x) I + I (x) Ty of
@@ -32,11 +31,16 @@ over the two velocity blocks (see ``flow``).
 
 An assembly whose weights repeat those of its previous call returns the
 operator it built then (``KeptOperator``): a time step with constant
-coefficients rebuilds nothing.
+coefficients rebuilds nothing.  While it does, the solutions of earlier
+steps keep their products with that operator in a ``ProjectionBasis``
+(Fischer's projection, kept across steps): a solve starts from their
+combination with the least residual, and its own solution enters the
+basis through its final residual, so neither costs a product.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -163,99 +167,171 @@ class KroneckerOperator:
                                self._from_modes((a11 * g - a21 * f) / det)])
 
 
+_builds = itertools.count(1)
+
+
 class KeptOperator:
     """The last operator one assembly built, with the grid, the scalars and
     the weights w it was built from: ``get`` returns it again while they
     are equal, so it is bit-identical to a rebuild.  One entry only; it is
     dropped before a miss rebuilds, so an old and a new operator are never
-    held together.  What it keeps must be read-only."""
+    held together.  What it keeps must be read-only.  ``token`` names the
+    build of the kept operator, unique in the process: what was computed
+    with an operator (a ``ProjectionBasis``) is current while the token
+    is the same."""
 
     def __init__(self):
-        self._key = self._w = self._value = None
+        self._key = self._w = self._value = self.token = None
 
     def get(self, key, w: np.ndarray, build: Callable[[], object]):
         """build() for (key, w), or the value kept from an equal call."""
         if self._key == key and np.array_equal(self._w, w):
             return self._value
-        self._key = self._w = self._value = None
+        self._key = self._w = self._value = self.token = None
         value = build()
         w.flags.writeable = False
         self._key, self._w, self._value = key, w, value
+        self.token = next(_builds)
         return value
 
 
-def projected_start(a, b, xs):
-    """The start x0 = X c in the span of the vectors ``xs`` (X; for
-    instance the last few time levels' solutions, newest last) that
-    minimises ||b - A X c|| (Fischer, Comput. Methods Appl. Mech. Engrg.
-    163, 1998); None when no vector is left.
+# columns of a ProjectionBasis: each keeps two n-vectors, and a longer basis
+# gives a better start but costs more per step in its products with W and V
+BASIS_COLUMNS = 16
 
-    The least-squares problem is solved by a thin QR of A X, not by the
-    normal equations: successive solutions are nearly parallel, and
-    squaring cond(A X) would lose the digits the start needs.  The QR is
-    modified Gram-Schmidt on [A X, b], which solves the least-squares
-    problem as stably as Householder QR (Bjorck, BIT 7, 1967) and costs a
-    few vector operations where LAPACK's thin QR of a tall n x 4 matrix
-    costs more than the products.  The vectors enter newest first, and one
-    whose |R_jj| is at most 1e-12 of max|R| (nearly in the span of the
-    newer ones, or zero) is dropped, so the start is never worse than the
-    newest vector alone, nor than x0 = 0.  One product with A per
-    vector."""
-    kept, ortho, columns = [], [], []
-    r_max = 0.0
-    for x in reversed(xs):
-        v = a @ x
-        column = []
-        for q in ortho:
-            column.append(float(q @ v))
-            v -= column[-1] * q
-        column.append(float(np.linalg.norm(v)))
-        r_max = max(r_max, *map(abs, column))
-        if column[-1] <= 1e-12 * r_max:
-            continue
-        kept.append(x)
-        ortho.append(v / column[-1])
-        columns.append(column)
-    if not kept:
-        return None
-    r = np.zeros((len(kept), len(kept)))
-    z = np.empty(len(kept))
-    residual = np.array(b, dtype=float)
-    for j, (column, q) in enumerate(zip(columns, ortho)):
-        r[:j + 1, j] = column
-        z[j] = q @ residual
-        residual -= z[j] * q
-    c = np.linalg.solve(r, z)
-    x0 = c[0] * kept[0]
-    for cj, xj in zip(c[1:], kept[1:]):
-        x0 += cj * xj
-    return x0
+# a column whose part outside the span of W is at most this share of
+# ||A x|| is (nearly) dependent, or zero, and is dropped
+_DEPENDENT = 1e-12
+
+
+class _Columns:
+    """The n x BASIS_COLUMNS buffers V and W (Fortran order, so a column is
+    contiguous) that the bases of successive levels share, and how many of
+    their leading columns are written, the first ``size`` copied from
+    ``prefix``.  Each column is written once."""
+
+    def __init__(self, n: int, prefix: "_Columns | None" = None,
+                 size: int = 0):
+        self.v = np.empty((n, BASIS_COLUMNS), order="F")
+        self.w = np.empty((n, BASIS_COLUMNS), order="F")
+        self.written = size
+        if size:
+            self.v[:, :size] = prefix.v[:, :size]
+            self.w[:, :size] = prefix.w[:, :size]
+
+
+class ProjectionBasis:
+    """Fischer's projection basis for successive right-hand sides (Comput.
+    Methods Appl. Mech. Engrg. 163, 1998), kept from one solve to the next
+    while the operator stays the same: ``size`` pairs (v_j, w_j = A v_j)
+    with the w_j orthonormal, for the operator whose ``KeptOperator`` build
+    ``token`` names.
+
+    ``start(b)`` is then the x0 = V c minimising ||b - A V c|| at the cost
+    of three products with V and W.  A vector x enters by a classical
+    Gram-Schmidt pass done twice (CGS2, Giraud, Langou, Rozloznik & van
+    den Eshof, Numer. Math. 101, 2005) against W, on the pair (x, A x),
+    where a solve gives A x = b - r from its final residual r.  No product
+    with A is made here, except for the vectors ``with_products``
+    enters.
+
+    A basis is immutable: a new column gives a new basis, which shares the
+    column buffers of the one it extends (``_Columns``) and writes its
+    column once there.  When another basis has already written that
+    column -- an earlier level stepped again -- the new one copies the
+    prefix it shares into buffers of its own, so a basis always reads the
+    columns it was made with.  It holds at most ``BASIS_COLUMNS`` pairs
+    (``full``); the caller then starts a new basis, after the solve that
+    reads the full one, so that the two are never held together.
+    """
+
+    __slots__ = ("token", "size", "_columns")
+
+    def __init__(self, n: int, token, columns: _Columns | None = None,
+                 size: int = 0):
+        self.token = token
+        self.size = size
+        self._columns = _Columns(n) if columns is None else columns
+
+    @property
+    def full(self) -> bool:
+        return self.size == BASIS_COLUMNS
+
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, W): views of this basis's n x size columns."""
+        c = self._columns
+        return c.v[:, :self.size], c.w[:, :self.size]
+
+    def start(self, b) -> tuple[np.ndarray, np.ndarray]:
+        """(x0, r0): x0 = V c with c = W^T b, which minimises ||b - A V c||
+        since W = A V is orthonormal, and its residual r0 = b - W c.
+        Never worse than x0 = 0, nor than any vector entered alone."""
+        v, w = self.vectors()
+        c = w.T @ b
+        return v @ c, b - w @ c
+
+    def with_column(self, x, ax) -> "ProjectionBasis":
+        """This basis with x entered, where ax = A x, by two classical
+        Gram-Schmidt passes against W; itself when it is full, or when
+        what is left of A x is at most ``_DEPENDENT`` of it (x nearly in
+        the span, or zero)."""
+        if self.full:
+            return self
+        v, w = self.vectors()
+        norm = float(np.linalg.norm(ax))
+        for _ in range(2):
+            c = w.T @ ax
+            x, ax = x - v @ c, ax - w @ c
+        kept = float(np.linalg.norm(ax))
+        if not kept > _DEPENDENT * norm:
+            return self
+        k, columns = self.size, self._columns
+        if columns.written != k:
+            columns = _Columns(x.size, columns, k)
+        np.divide(x, kept, out=columns.v[:, k])
+        np.divide(ax, kept, out=columns.w[:, k])
+        columns.written = k + 1
+        return ProjectionBasis(x.size, self.token, columns, k + 1)
+
+    def with_products(self, a, xs) -> "ProjectionBasis":
+        """This basis with each vector of ``xs`` entered in turn, one
+        product with A each."""
+        basis = self
+        for x in xs:
+            basis = basis.with_column(x, a @ x)
+        return basis
 
 
 def bicgstab_solve(a, b, precond, tol: float = 1e-10,
-                   max_iter: int | None = None, ell: int = 1, x0=None):
+                   max_iter: int | None = None, ell: int = 1, x0=None,
+                   r0=None, r_out=None):
     """Classical right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci.
     Stat. Comput. 13, 1992).
 
     ``precond`` applies an approximation M^-1 of A^-1 to a vector.  The
     iteration runs on A M^-1 with x = M^-1 y, so its residuals are those of
-    A x = b.  It starts from ``x0``, a nearby solution such as
-    ``projected_start`` makes from the last time levels, or from M^-1 b
-    when none is given, and returns the start
-    with 0 iterations when its true residual already meets the tolerance;
-    b = 0 returns zeros whatever the start.  When the recursive
-    residual meets the tolerance the true residual is recomputed; if that
-    misses, or the method breaks down, the iteration restarts from the true
-    residual, which is also the new shadow residual.  Every iteration,
-    including one that breaks down, counts against ``max_iter``, so the
-    solve always ends.  It ends unconverged when a cycle leaves the true
-    residual above half its value at the start of that cycle: the solve
-    has stagnated (at the attainable accuracy, or in a breakdown before x
-    moves, which a restart from the same x would repeat).  One iteration
-    is two matrix-vector products (one when it converges half-way).
-    ``ell``, the BiCG steps per iteration, must be 1, and ``tol``
-    positive.  Returns (x, SolveStats) with the true residual;
-    non-convergence comes back as converged=False, never silently.
+    A x = b.  It starts from ``x0``, a nearby solution such as a
+    ``ProjectionBasis`` makes from the last time levels, or from M^-1 b
+    when none is given.  ``r0``, when given with x0, is the caller's
+    b - A x0 (the basis holds it without a product) and stands in for the
+    first residual.  The start comes back with 0 iterations when its true
+    residual meets the tolerance (a given r0 that meets it is checked
+    against b - A x0 first); b = 0 returns zeros whatever the start.  When
+    the recursive residual meets the tolerance the true residual is
+    recomputed; if that misses, or the method breaks down, the iteration
+    restarts from the true residual, which is also the new shadow residual.
+    Every iteration, including one that breaks down, counts against
+    ``max_iter``, so the solve always ends.  It ends unconverged when a
+    cycle leaves the true residual above half its value at the start of
+    that cycle: the solve has stagnated (at the attainable accuracy, or in
+    a breakdown before x moves, which a restart from the same x would
+    repeat).  One iteration is two matrix-vector products (one when it
+    converges half-way).  ``ell``, the BiCG steps per iteration, must be 1,
+    and ``tol`` positive.  Returns (x, SolveStats) with the true residual;
+    non-convergence comes back as converged=False, never silently.  The
+    final true residual b - A x is written into ``r_out`` when it is given
+    (an array of b's size), so a caller can form A x = b - r without a
+    product.
     """
     if ell != 1:
         raise ValueError("ell must be 1: this is classical BiCGStab")
@@ -264,17 +340,24 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     b = np.asarray(b, dtype=float).ravel()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
+        if r_out is not None:
+            r_out[...] = 0.0
         return np.zeros(b.size), SolveStats(0, 0.0, True)
     target = tol * bnorm
-    x = precond(b) if x0 is None else np.array(x0, dtype=float).ravel()
-    r = b - a @ x
+    if x0 is None:
+        x, r0 = precond(b), None
+    else:
+        x = np.array(x0, dtype=float).ravel()
+    r = b - a @ x if r0 is None else np.asarray(r0, dtype=float).ravel()
     res = float(np.linalg.norm(r))
-    if res <= target:
-        return x, SolveStats(0, res, True)
+    if res <= target and r0 is not None:
+        r = b - a @ x
+        res = float(np.linalg.norm(r))
+    stats = SolveStats(0, res, res <= target)
     if max_iter is None:
         max_iter = 10 * b.size
     it = 0
-    while it < max_iter:
+    while not stats.converged and it < max_iter:
         res_start = res
         r_hat = r.copy()
         rho = alpha = omega = 1.0
@@ -306,8 +389,9 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
                 break
         r = b - a @ x
         res = float(np.linalg.norm(r))
-        if res <= target:
-            return x, SolveStats(it, res, True)
+        stats = SolveStats(it, res, res <= target)
         if res > 0.5 * res_start:
             break
-    return x, SolveStats(it, res, False)
+    if r_out is not None:
+        r_out[...] = r
+    return x, stats

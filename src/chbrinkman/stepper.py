@@ -27,9 +27,13 @@ and mass residuals read of it again, so a residual is a function of the
 two levels' records and of one source evaluation Gamma_phi(phi^n,
 sigma^{n+1}) that the two share.
 
-With Brinkman flow each level carries the flows of the last
-``FLOW_HISTORY`` levels, and the next level's Brinkman solve starts from
-their least-squares best combination (``flow.solve_brinkman``).
+With Brinkman flow each level carries the projection basis its Brinkman
+solve returned (pairs of flows and their products with the kept operator,
+``linalg.ProjectionBasis``) and the flows of the last ``FLOW_HISTORY``
+levels.  The next level's Brinkman solve starts from the least-squares
+best combination of the basis, enters its own flow and passes the basis
+on; the flows make a new basis when the operator changes or the basis is
+full (``flow.solve_brinkman``).
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
                    form_pattern, integrate_cells, mac_operators,
                    minus_laplacian)
-from .linalg import (KeptOperator, LinearSystem, SolveStats, bicgstab_solve,
-                     require_converged)
+from .linalg import (KeptOperator, LinearSystem, ProjectionBasis,
+                     SolveStats, bicgstab_solve, require_converged)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
 
@@ -61,11 +65,12 @@ class LevelRecord:
     energy, int phi, the dissipation int m|grad mu|^2 plus ``viscous``,
     the convective outflow of phi through the boundary, the source mass
     int Gamma_phi - phi*Gamma_v and the flow solve's ||div v - Gamma_v||
-    (0 without flow).  The rest is what the next step's energy residual
-    reads again: the face mobilities m_f of phi, the viscous dissipation
-    of v in the form of the flow model that produced it (v^T A v of the
-    assembled Brinkman momentum block, nu*sum vol_f*v^2 for Darcy, 0
-    without flow) and the pressure work int p*Gamma_v.
+    (0 without flow).  The rest is what the energy residual of the step
+    into the level (``d_mu``) or out of it reads again: the face gradient
+    D mu, the face mobilities m_f of phi, the viscous dissipation of v in
+    the form of the flow model that produced it (v^T A v of the assembled
+    Brinkman momentum block, nu*sum vol_f*v^2 for Darcy, 0 without flow)
+    and the pressure work int p*Gamma_v.
     """
 
     energy: float
@@ -74,6 +79,7 @@ class LevelRecord:
     boundary_flux: float
     source_mass: float
     div_residual: float
+    d_mu: np.ndarray
     m_f: np.ndarray
     viscous: float
     pressure_work: float
@@ -88,8 +94,12 @@ class State:
     internally consistent.  record is the level's ``LevelRecord``, built by
     ``initialize_state`` and ``step``.  With Brinkman flow, flows holds the
     (vel, p) of the last ``FLOW_HISTORY`` levels, this one last, as
-    references to those levels' arrays; the next step's Brinkman solve
-    starts from them.  It is empty in the other flow modes.
+    references to those levels' arrays, and basis the projection basis
+    (``linalg.ProjectionBasis``) that this level's Brinkman solve returned
+    with its flow entered.  The next step's Brinkman solve starts from the
+    basis; it makes a new one from the flows when the operator has
+    changed, or when the basis is None: at the initial level, and after a
+    full basis.  Both are empty in the other flow modes.
     """
 
     t: float
@@ -100,10 +110,11 @@ class State:
     p: CellField
     record: LevelRecord
     flows: tuple[tuple[FaceField, CellField], ...] = ()
+    basis: ProjectionBasis | None = None
 
 
-# levels whose flows start the Brinkman solve of the next step: more cut
-# the iterations further, but each adds a product with the matrix
+# levels whose flows make a new Brinkman start basis, after an operator
+# change or when the basis is full: each costs one product with the matrix
 FLOW_HISTORY = 4
 
 
@@ -184,13 +195,19 @@ def build_phi0(phi0, g: Grid2D) -> CellField:
     return arr.copy()
 
 
+def _gradient(g: Grid2D, f: CellField) -> np.ndarray:
+    """D f: the zero-flux face gradient of ``grid.mac_operators`` of a cell
+    field, on the stacked faces."""
+    return mac_operators(g).grad @ np.ravel(f)
+
+
 def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
                        spec: ModelSpec) -> CellField:
     """psi'(phi)/eps - eps*lap(phi) - chi*sigma, with -lap = grad^T grad
     of ``grid.mac_operators``."""
     eps = spec.params.epsilon
-    grad = mac_operators(g).grad
-    minus_lap = (grad.T @ (grad @ np.ravel(phi))).reshape(g.nx, g.ny)
+    minus_lap = (mac_operators(g).grad.T
+                 @ _gradient(g, phi)).reshape(g.nx, g.ny)
     return (spec.potential.dpsi(phi) / eps + eps * minus_lap
             - spec.params.chi * sigma)
 
@@ -306,14 +323,15 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
 
 
 def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
-           cfg: StepConfig, flows=()) -> tuple[State, SolveStats]:
+           cfg: StepConfig, flows=(), basis=None) -> tuple[State, SolveStats]:
     """The State at t of (phi, mu, sigma): the flow solve of cfg.flow_mode
     on it and the level's record; returns (State, the flow's SolveStats).
-    ``flows``, the last levels' flows, starts the Brinkman Krylov solve;
-    the Darcy solve is direct and needs none."""
+    ``flows``, the last levels' flows, and ``basis``, the previous level's
+    projection basis, start the Brinkman Krylov solve; the Darcy solve is
+    direct and needs none."""
     if cfg.flow_mode == "brinkman":
         flow = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
-                              start=flows)
+                              start=flows, basis=basis)
         viscous = viscous_dissipation(g, flow.vel, phi, spec)
         flows = (*flows, (flow.vel, flow.p))[-FLOW_HISTORY:]
     elif cfg.flow_mode == "darcy":
@@ -324,7 +342,7 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
                             SolveStats(0, 0.0, True), 0.0)
         viscous = 0.0
     m_f, _ = _mobility_weights(g, phi, spec)
-    d_mu = mac_operators(g).grad @ np.ravel(mu)
+    d_mu = _gradient(g, mu)
     gamma_phi = eval_source_gamma_phi(spec.sources, phi, sigma)
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     record = LevelRecord(
@@ -332,9 +350,9 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
         g.cell_volume * float((m_f * d_mu) @ d_mu) + viscous,
         boundary_flux_integral(g, phi, flow.vel),
         integrate_cells(g, gamma_phi - phi * gamma_v), flow.div_residual,
-        m_f, viscous, integrate_cells(g, flow.p * gamma_v))
-    return State(t, phi, mu, sigma, flow.vel, flow.p, record,
-                 flows), flow.stats
+        d_mu, m_f, viscous, integrate_cells(g, flow.p * gamma_v))
+    return State(t, phi, mu, sigma, flow.vel, flow.p, record, flows,
+                 flow.basis), flow.stats
 
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
@@ -363,7 +381,7 @@ def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
     vol*|D phi|^2 with D the gradient of the CH form (the face quadrature
     of the scheme's discrete identity)."""
     eps = spec.params.epsilon
-    grad = mac_operators(g).grad @ np.ravel(phi)
+    grad = _gradient(g, phi)
     psi_vals = np.asarray(spec.potential.psi(phi), dtype=float)
     return (integrate_cells(g, psi_vals) / eps
             + 0.5 * eps * g.cell_volume * float(grad @ grad))
@@ -380,21 +398,20 @@ def energy_residual(g: Grid2D, prev: State, next_: State, gamma_phi,
 
     (the pressure work stands in for the divergence-lifting terms the
     analysis removes; the simulator tests the momentum balance with v
-    itself).  The energies come from the two levels' records; the mobility
-    m_f, the viscous dissipation and the pressure work from prev's, which
-    are the forms the scheme used.  gamma_phi is Gamma_phi(phi^n,
-    sigma^{n+1}), the source of the CH step.  Evaluated with the same
-    lagged fields the scheme used, so the defect measures time-splitting
-    error: O(dt) on a fixed grid.
+    itself).  The energies and D mu^{n+1} come from the two levels'
+    records; the mobility m_f, the viscous dissipation and the pressure
+    work from prev's, which are the forms the scheme used.  gamma_phi is
+    Gamma_phi(phi^n, sigma^{n+1}), the source of the CH step.  Evaluated
+    with the same lagged fields the scheme used, so the defect measures
+    time-splitting error: O(dt) on a fixed grid.
     """
     chi = spec.params.chi
     before = prev.record
     de = (next_.record.energy - before.energy) / dt
-    grad = mac_operators(g).grad
-    d_mu = grad @ np.ravel(next_.mu)
+    d_mu = next_.record.d_mu
     flux = before.m_f * d_mu
     diss_ch = g.cell_volume * float(flux @ d_mu)
-    cross = g.cell_volume * float(flux @ (grad @ np.ravel(next_.sigma)))
+    cross = g.cell_volume * float(flux @ _gradient(g, next_.sigma))
 
     gamma_v = eval_source_gamma_v(spec.sources, prev.phi, next_.sigma)
     source_work = integrate_cells(
@@ -433,7 +450,7 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
 
     phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
     new_state, flow_stats = _level(g, state.t + cfg.dt, phi1, mu1, sigma,
-                                   spec, cfg, state.flows)
+                                   spec, cfg, state.flows, state.basis)
     gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, sigma)
     return new_state, Diagnostics(
         **vars(new_state.record),

@@ -229,6 +229,46 @@ def test_expression_phi0_and_sigma_inf():
     assert cfg.spec.sigma_inf(2.0) == pytest.approx(3.0)
 
 
+def test_both_expressions_offer_the_same_names():
+    # sigma_inf reads sqrt and abs as phi0 does
+    raw = json.loads(minimal_config())
+    raw["model"]["phi0"] = {"variant": "expression",
+                            "expr": "sqrt(abs(x - y))"}
+    raw["model"]["sigma_inf"] = {"variant": "expression",
+                                 "expr": "sqrt(abs(1.5e-4 - t))"}
+    cfg = parse_config(json.dumps(raw))
+    assert cfg.spec.phi0(np.array([0.25]), np.array([0.5]))[0] == 0.5
+    assert cfg.spec.sigma_inf(2.5e-4) == pytest.approx(1e-2)
+
+
+@pytest.mark.parametrize("section", ["phi0", "sigma_inf"])
+def test_an_expression_that_does_not_compile_is_a_config_error(section):
+    raw = json.loads(minimal_config())
+    raw["model"][section] = {"variant": "expression", "expr": "1 +"}
+    with pytest.raises(ConfigError,
+                       match=f"'config.model.{section}.expr' is not an"):
+        parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("section, expr", [("sigma_inf", "erf(t)"),
+                                           ("sigma_inf", "1.0 / t"),
+                                           ("phi0", "besselj(0, x)")])
+def test_an_expression_that_fails_at_the_initial_level_is_a_config_error(
+        tmp_path, capsys, section, expr):
+    # an unknown name (NameError), or 1/t at t = 0 (ZeroDivisionError),
+    # stops the run with exit 2 naming the key, before row 0 is written
+    raw = fixed_point_config(tmp_path)
+    raw["grid"] = {"nx": 8, "ny": 8}
+    raw["model"][section] = {"variant": "expression", "expr": expr}
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert f"'config.model.{section}.expr' cannot be evaluated" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
 def test_seed_override_applies_to_random_phi0():
     raw = json.loads(minimal_config())
     raw["model"]["phi0"] = {"variant": "random", "seed": 1, "amplitude": 0.01}

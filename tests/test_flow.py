@@ -14,7 +14,7 @@ from chbrinkman.flow import (_form_weights, assemble_brinkman_system,
                              velocity_blocks, velocity_coupling)
 from chbrinkman.grid import face_volumes, form_matrix, stacked
 from chbrinkman.harness import brinkman_manufactured, passthrough_sources
-from chbrinkman.linalg import projected_start
+from chbrinkman.linalg import ProjectionBasis
 from conftest import (dense_solve, numpy_dirichlet_gradient,
                       numpy_divergence, numpy_face_mean, numpy_gradient)
 
@@ -530,9 +530,10 @@ def test_brinkman_warm_start_matches_the_cold_solve():
     assert_same_flow(warm, cold)
 
 
-def test_projected_start_beats_the_newest_flow_and_zero():
-    # from the flows of four nearby data the least-squares start leaves a
-    # residual no larger than the newest flow's or x0 = 0's (||b||)
+def test_projection_basis_start_beats_the_newest_flow_and_zero():
+    # from the flows of four nearby data the basis's start leaves a
+    # residual no larger than the newest flow's or x0 = 0's (||b||), and
+    # the residual it hands to BiCGStab is b - A x0 to round-off
     g, phi, mu, sigma, spec = limit_visc_problem(32)
     flows = [solve_brinkman(g, phi, s * mu, sigma, spec)
              for s in (0.996, 0.997, 0.998, 0.999)]
@@ -542,15 +543,18 @@ def test_projected_start_beats_the_newest_flow_and_zero():
     xs = [np.concatenate([stacked(f.vel), f.p.ravel()]) / scale
           for f in flows]
     a, b = system.matrix, system.rhs
-    projected = np.linalg.norm(b - a @ projected_start(a, b, xs))
+    x0, r0 = ProjectionBasis(b.size, None).with_products(a, xs[::-1]).start(b)
+    projected = np.linalg.norm(b - a @ x0)
     newest = np.linalg.norm(b - a @ xs[-1])
     assert projected <= newest and projected <= np.linalg.norm(b)
     assert projected <= 1e-3 * newest
+    assert np.linalg.norm(r0 - (b - a @ x0)) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_brinkman_start_from_repeated_or_zero_flows_reaches_the_cold_solve():
-    # repeated flows are one column and zero flows none: neither breaks the
-    # least-squares start, and with no column left the solve starts cold
+    # repeated flows are one column of the start basis and zero flows none:
+    # neither breaks the least-squares start, and with no column left the
+    # solve starts cold
     g, phi, mu, sigma, spec = limit_visc_problem(32)
     near = solve_brinkman(g, phi, 0.999 * mu, sigma, spec)
     cold = solve_brinkman(g, phi, mu, sigma, spec)
@@ -562,6 +566,9 @@ def test_brinkman_start_from_repeated_or_zero_flows_reaches_the_cold_solve():
         assert_same_flow(sol, cold)
     sol = solve_brinkman(g, phi, mu, sigma, spec, start=[zero] * 2)
     assert sol.stats.iterations == cold.stats.iterations
+    # the new flow still enters the basis; a solve without a start keeps
+    # none
+    assert sol.basis.size == 1 and cold.basis is None
 
 
 def test_constant_viscosity_assembly_is_kept_and_read_only():

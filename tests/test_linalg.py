@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,11 @@ from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec, State,
                         constant_mobility, face_zeros,
                         smooth_blend, solve_darcy, solve_nutrient_robin,
                         zero_sources)
+from chbrinkman import linalg
 from chbrinkman.elliptic import assemble_nutrient_system
 from chbrinkman.flow import assemble_darcy_pressure_system
 from chbrinkman.harness import passthrough_sources
-from chbrinkman.linalg import KeptOperator, projected_start
+from chbrinkman.linalg import BASIS_COLUMNS, KeptOperator, ProjectionBasis
 from chbrinkman.stepper import assemble_ch_system, ch_update
 from conftest import dense_solve
 
@@ -216,27 +221,117 @@ def test_bicgstab_ends_on_repeated_breakdown():
     assert stats.residual == pytest.approx(np.linalg.norm(b - a @ x))
 
 
-def test_projected_start_drops_dependent_and_zero_columns(rng):
+def test_bicgstab_takes_the_start_residual_and_returns_the_final_one():
+    # a given r0 stands in for b - A x0, but a start is accepted with 0
+    # iterations only on its true residual: a wrong r0 that meets the
+    # tolerance does not end the solve.  r_out receives b - A x
+    a = upwind_advection_diffusion(8)
+    b = a @ np.linspace(-1.0, 1.0, 64)
+    x0 = dense_solve(a, b) + 1e-3 * np.cos(np.arange(64))
+    r_out = np.empty(64)
+    x, stats = bicgstab_solve(a, b, jacobi(a), x0=x0, r0=np.zeros(64),
+                              r_out=r_out)
+    assert stats.converged and stats.iterations > 0
+    assert np.array_equal(r_out, b - a @ x)
+    assert stats.residual == np.linalg.norm(r_out)
+    same, same_stats = bicgstab_solve(a, b, jacobi(a), x0=x0, r0=b - a @ x0)
+    plain, plain_stats = bicgstab_solve(a, b, jacobi(a), x0=x0)
+    assert np.array_equal(same, plain) and same_stats == plain_stats
+    x, stats = bicgstab_solve(a, np.zeros(64), jacobi(a), r_out=r_out)
+    assert stats.converged and not np.any(r_out)
+
+
+def nearby_columns(rng, a, count):
+    """(b, the solution x of a x = b, count vectors within 1e-3 of x)."""
+    b = rng.standard_normal(a.shape[0])
+    x = dense_solve(a, b)
+    return b, x, [x + 1e-3 * rng.standard_normal(x.size)
+                  for _ in range(count)]
+
+
+def test_projection_basis_is_orthonormal_and_spans_the_products(rng):
+    # W is orthonormal and A V = W to round-off, for nearby (nearly
+    # parallel) columns up to a full basis; a full basis takes no column
+    a = upwind_advection_diffusion(8)
+    _, _, near = nearby_columns(rng, a, BASIS_COLUMNS + 1)
+    basis = ProjectionBasis(64, None).with_products(a, near)
+    assert basis.full and basis.size == BASIS_COLUMNS
+    v, w = basis.vectors()
+    assert np.abs(w.T @ w - np.eye(BASIS_COLUMNS)).max() <= 1e-12
+    assert np.linalg.norm(a @ v - w) <= 1e-12 * np.linalg.norm(a @ v)
+    assert basis.with_column(near[0], a @ near[0]) is basis
+
+
+def test_projection_basis_drops_dependent_and_zero_columns(rng):
     # x0 minimises ||b - A X c|| over the kept columns: a copy of the newest
     # column and a zero column are dropped, the start is no worse than the
-    # newest column, and an all-zero basis leaves none (the caller's cold
+    # newest column, and an all-zero basis keeps none (the caller's cold
     # start)
     a = upwind_advection_diffusion(8)
-    b = rng.standard_normal(64)
-    x = dense_solve(a, b)
-    near = [x + 1e-3 * rng.standard_normal(64) for _ in range(3)]
-    x0 = projected_start(a, b, [np.zeros(64), *near, near[-1].copy()])
+    b, x, near = nearby_columns(rng, a, 3)
+    basis = ProjectionBasis(64, None).with_products(
+        a, [near[-1], near[-1].copy(), *near[-2::-1], np.zeros(64)])
+    assert basis.size == 3
+    x0, r0 = basis.start(b)
     best, *_ = np.linalg.lstsq((a @ np.column_stack(near)), b, rcond=None)
     assert (np.linalg.norm(x0 - np.column_stack(near) @ best)
             <= 1e-12 * np.linalg.norm(x0))
+    assert np.linalg.norm(r0 - (b - a @ x0)) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(b - a @ x0) <= np.linalg.norm(b - a @ near[-1])
-    assert projected_start(a, b, [np.zeros(64)] * 3) is None
-    assert np.allclose(projected_start(a, b, [x]), x, rtol=1e-12, atol=0.0)
+    zeros = ProjectionBasis(64, None).with_products(a, [np.zeros(64)] * 3)
+    assert zeros.size == 0
+    x0, _ = ProjectionBasis(64, None).with_products(a, [x]).start(b)
+    assert np.allclose(x0, x, rtol=1e-12, atol=0.0)
+
+
+def test_projection_basis_reads_the_columns_it_was_made_with(rng):
+    # two extensions of one basis: the first writes its column into the
+    # shared buffers, the second copies the prefix into buffers of its own,
+    # so both read their own columns, and a third from the first shares
+    # its buffers again
+    a = upwind_advection_diffusion(8)
+    _, _, near = nearby_columns(rng, a, 4)
+    base = ProjectionBasis(64, None).with_products(a, near[:2])
+    first = base.with_column(near[2], a @ near[2])
+    kept = [c.copy() for c in first.vectors()]
+    second = base.with_column(near[3], a @ near[3])
+    assert first.size == second.size == 3
+    assert all(np.array_equal(c, k) for c, k in zip(first.vectors(), kept))
+    for c, other in zip(second.vectors(), first.vectors()):
+        assert np.array_equal(c[:, :2], other[:, :2])
+        assert not np.array_equal(c[:, 2], other[:, 2])
+    third = first.with_column(near[3], a @ near[3])
+    assert np.shares_memory(third.vectors()[0], first.vectors()[0])
+
+
+def test_the_package_loads_no_scipy_linalg():
+    # importing chbrinkman and taking one Brinkman step loads neither
+    # scipy.linalg nor scipy.sparse.linalg: each alone adds 7-10 MB of
+    # resident memory
+    code = (
+        "import sys\n"
+        "from chbrinkman import (Grid2D, ModelSpec, RandomPerturbation,\n"
+        "                        StepConfig, initialize_state, step)\n"
+        "g = Grid2D(8, 8)\n"
+        "spec = ModelSpec(phi0=RandomPerturbation(seed=1, amplitude=0.1),\n"
+        "                 sigma_inf=1.0)\n"
+        "cfg = StepConfig(dt=1e-4, flow_mode='brinkman')\n"
+        "step(g, initialize_state(g, spec, cfg), spec, cfg)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.linalg', 'scipy.sparse.linalg'))))")
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_kept_operator_rebuilds_only_on_new_weights():
     # one entry: equal key and weights return the kept value, anything else
-    # drops it and builds again
+    # drops it and builds again; the token names the build, so it holds
+    # on a hit and is new after each build, in any KeptOperator
     kept, builds = KeptOperator(), []
 
     def build():
@@ -245,11 +340,17 @@ def test_kept_operator_rebuilds_only_on_new_weights():
 
     w = np.arange(3.0)
     first = kept.get("g", w, build)
+    token = kept.token
     assert kept.get("g", np.arange(3.0), build) is first
+    assert kept.token == token
     assert not w.flags.writeable
     assert kept.get("h", np.arange(3.0), build) is not first
+    assert kept.token != token
+    other = KeptOperator()
+    other.get("g", np.arange(3.0), build)
+    assert other.token not in (token, kept.token)
     assert kept.get("h", np.arange(4.0), build) is builds[-1]
-    assert len(builds) == 3
+    assert len(builds) == 4
 
 
 # fast-diagonalization preconditioner -------------------------------------
