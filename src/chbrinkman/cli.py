@@ -24,8 +24,9 @@ that fails on its data or a failed study check, 4 I/O error.
 The config format, with every key and default, is documented under
 "Configuration" in README.md.  Unknown keys are errors, and the model
 sections are audited against assumptions (A1)-(A5) by ``model.validate``
-before a run starts.  Floats serialize with shortest round-trip decimals, so
-re-runs of the same config are byte-identical.
+before a run starts.  CSV floats serialize with shortest round-trip decimals
+and VTK snapshots hold the raw big-endian doubles of the fields, so re-runs
+of the same config are byte-identical.
 
 Diagnostics CSV columns (one row per recorded step):
     step,t,energy,mass,dissipation,boundary_flux,source_mass,div_residual,energy_residual,mass_residual
@@ -389,28 +390,32 @@ def write_sweep_csv(result, path: str):
 
 
 def write_vtk(state, grid: Grid2D, path: str):
-    """Legacy ASCII STRUCTURED_POINTS snapshot: CELL_DATA scalars phi, mu,
-    sigma, p and the cell-averaged velocity vector."""
+    """Legacy BINARY STRUCTURED_POINTS snapshot: CELL_DATA scalars phi, mu,
+    sigma, p and the cell-averaged velocity vector (z = 0).  After its
+    header line each block holds the raw big-endian float64 values, x
+    varying fastest, and a newline: the fields are stored bit for bit, with
+    no decimal conversion."""
     nx, ny = grid.nx, grid.ny
-    vx_c = 0.5 * (state.vel.x[:-1, :] + state.vel.x[1:, :])
-    vy_c = 0.5 * (state.vel.y[:, :-1] + state.vel.y[:, 1:])
+    velocity = np.zeros((ny, nx, 3), dtype=">f8")
+    velocity[..., 0] = 0.5 * (state.vel.x[:-1, :] + state.vel.x[1:, :]).T
+    velocity[..., 1] = 0.5 * (state.vel.y[:, :-1] + state.vel.y[:, 1:]).T
+    header = ("# vtk DataFile Version 2.0\n"
+              f"chbrinkman state t={_fmt(state.t)}\n"
+              "BINARY\nDATASET STRUCTURED_POINTS\n"
+              f"DIMENSIONS {nx + 1} {ny + 1} 1\n"
+              "ORIGIN 0 0 0\n"
+              f"SPACING {_fmt(grid.dx)} {_fmt(grid.dy)} 1\n"
+              f"CELL_DATA {nx * ny}\n")
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("# vtk DataFile Version 2.0\n")
-            f.write(f"chbrinkman state t={_fmt(state.t)}\n")
-            f.write("ASCII\nDATASET STRUCTURED_POINTS\n")
-            f.write(f"DIMENSIONS {nx + 1} {ny + 1} 1\n")
-            f.write("ORIGIN 0 0 0\n")
-            f.write(f"SPACING {_fmt(grid.dx)} {_fmt(grid.dy)} 1\n")
-            f.write(f"CELL_DATA {nx * ny}\n")
+        with open(path, "wb") as f:
+            f.write(header.encode("ascii"))
             for name, field in (("phi", state.phi), ("mu", state.mu),
                                 ("sigma", state.sigma), ("p", state.p)):
-                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                # x varies fastest in VTK order; repr of a float is _fmt
-                f.write("\n".join(map(repr, field.T.ravel().tolist())) + "\n")
-            f.write("VECTORS velocity double\n")
-            f.write("".join(f"{x!r} {y!r} 0\n" for x, y in zip(
-                vx_c.T.ravel().tolist(), vy_c.T.ravel().tolist())))
+                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                        .encode("ascii"))
+                f.write(np.ascontiguousarray(field.T, dtype=">f8").tobytes()
+                        + b"\n")
+            f.write(b"VECTORS velocity double\n" + velocity.tobytes() + b"\n")
     except OSError as err:
         raise IOError(f"cannot write VTK file {path!r}: {err}") from err
 

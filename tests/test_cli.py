@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chbrinkman import (Grid2D, RandomPerturbation, SourceSpec, State,
-                        StepConfig, SweepResult, blended_mobility,
+from chbrinkman import (FaceField, Grid2D, RandomPerturbation, SourceSpec,
+                        State, StepConfig, SweepResult, blended_mobility,
                         blended_viscosity, constant_mobility,
                         constant_viscosity,
-                        default_quartic_potential, face_zeros, zero_sources)
+                        default_quartic_potential, zero_sources)
 from chbrinkman import cli
 from chbrinkman.cli import (ConfigError, DIAGNOSTICS_HEADER, main,
                             parse_config, write_csv_diagnostics, write_vtk)
@@ -278,20 +278,62 @@ def test_seed_override_applies_to_random_phi0():
     assert cfg.spec.phi0.seed == 9
 
 
-def test_vtk_writer_zero_state(tmp_path):
-    g = Grid2D(4, 4)
-    zero = np.zeros((4, 4))
-    state = State(0.0, zero, zero, zero, face_zeros(g), zero, None)
+def read_binary_vtk(data: bytes):
+    """(header lines, {block name: values}) of a legacy BINARY snapshot,
+    each block read as big-endian float64; asserts that the blocks end the
+    file."""
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    def values(count):
+        nonlocal pos
+        block = np.frombuffer(data, ">f8", count, pos)
+        pos += 8 * count
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return block
+
+    header = [line() for _ in range(8)]
+    n = int(header[7].split()[1])
+    blocks = {}
+    for _ in range(4):
+        name = line().split()[1]
+        assert line() == "LOOKUP_TABLE default"
+        blocks[name] = values(n)
+    assert line() == "VECTORS velocity double"
+    blocks["velocity"] = values(3 * n).reshape(n, 3)
+    assert pos == len(data)
+    return header, blocks
+
+
+def test_vtk_writer_round_trips_bit_exact(tmp_path):
+    g = Grid2D(5, 3, 1.3, 0.7)
+    rng = np.random.default_rng(7)
+    phi, mu, sigma, p = (rng.standard_normal((5, 3)) for _ in range(4))
+    vel = FaceField(rng.standard_normal((6, 3)), rng.standard_normal((5, 4)))
+    state = State(0.1, phi, mu, sigma, vel, p, None)
     path = tmp_path / "state.vtk"
     write_vtk(state, g, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[3] == "DATASET STRUCTURED_POINTS"
-    assert lines[4] == "DIMENSIONS 5 5 1"
-    assert f"CELL_DATA {16}" in lines
-    phi_at = lines.index("SCALARS phi double 1")
-    values = lines[phi_at + 2:phi_at + 18]
-    assert len(values) == 16 and all(float(v) == 0.0 for v in values)
-    assert "VECTORS velocity double" in lines
+    header, blocks = read_binary_vtk(path.read_bytes())
+    assert header == ["# vtk DataFile Version 2.0", "chbrinkman state t=0.1",
+                      "BINARY", "DATASET STRUCTURED_POINTS",
+                      "DIMENSIONS 6 4 1", "ORIGIN 0 0 0",
+                      f"SPACING {g.dx!r} {g.dy!r} 1", "CELL_DATA 15"]
+    for name, field in (("phi", phi), ("mu", mu), ("sigma", sigma),
+                        ("p", p)):
+        # x varies fastest: field.T in C order
+        assert np.array_equal(blocks[name], field.T.ravel())
+    vx = 0.5 * (vel.x[:-1, :] + vel.x[1:, :])
+    vy = 0.5 * (vel.y[:, :-1] + vel.y[:, 1:])
+    v = blocks["velocity"]
+    assert np.array_equal(v[:, 0], vx.T.ravel())
+    assert np.array_equal(v[:, 1], vy.T.ravel())
+    assert np.all(v[:, 2] == 0.0)
 
 
 def test_diagnostics_header_exact():
@@ -585,10 +627,33 @@ def test_study_output_directory_that_cannot_be_made_is_io_error(tmp_path):
 
 def test_vtk_snapshots_written_at_stride(tmp_path):
     raw = fixed_point_config(tmp_path, n_steps=4)
+    raw["model"]["phi0"] = {"variant": "random", "seed": 11,
+                            "amplitude": 0.01}
     raw["output"]["field_stride"] = 2
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfgpath)]) == 0
     names = sorted(os.listdir(tmp_path / "out"))
-    assert "state_000000.vtk" in names
-    assert "state_000002.vtk" in names and "state_000004.vtk" in names
+    assert names == ["diagnostics.csv", "state_000000.vtk",
+                     "state_000002.vtk", "state_000004.vtk"]
+    # a re-run of the config gives byte-identical snapshots and CSV
+    assert main(["run", "--config", str(cfgpath),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert sorted(os.listdir(tmp_path / "again")) == names
+    for name in names:
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "again" / name).read_bytes()), name
+
+
+def test_unwritable_snapshot_is_io_error_and_keeps_rows(tmp_path, capsys):
+    raw = fixed_point_config(tmp_path, n_steps=4)
+    raw["output"]["field_stride"] = 2
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    (tmp_path / "out" / "state_000002.vtk").mkdir(parents=True)
+    assert main(["run", "--config", str(cfgpath)]) == 4
+    assert "cannot write VTK file" in capsys.readouterr().err
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == DIAGNOSTICS_HEADER
+    # row k is written before snapshot k
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
