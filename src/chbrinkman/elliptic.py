@@ -10,7 +10,10 @@ K_eff = K/(1 + K*delta/2); K -> inf recovers the Dirichlet ghost 2/delta.
 
 Both modes are solved by ``linalg.bicgstab_solve``, preconditioned by the
 exact fast-diagonalization solve with h(phi) replaced by its mean: a
-constant h takes no iteration.
+constant h takes no iteration.  The assembly keeps its matrix and that
+solve's per-mode divisor under (grid, K) and the weights h
+(``linalg.KeptOperator``), so a step with an unchanged h rebuilds neither;
+a solve may start from a nearby solution, such as the last level's sigma.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from .grid import (CellField, Grid2D, as_boundary, boundary_adjacent_cells,
                    boundary_face_lengths, boundary_normal_spacing,
                    boundary_transfer, minus_laplacian)
-from .linalg import LinearSystem, bicgstab_solve, require_converged
+from .linalg import (KeptOperator, LinearSystem, bicgstab_solve,
+                     require_converged)
 
 
 def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
@@ -34,7 +38,7 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     if not np.all(np.isfinite(sig_inf)):
         raise ValueError("non-finite sigma_inf passed to nutrient solve")
 
-    h = np.asarray(spec.sources.h(phi), dtype=float)
+    h = np.array(spec.sources.h(phi), dtype=float)
     if np.any(h < 0):
         raise ValueError("(A4): h(phi) must be non-negative")
     if mode == "robin":
@@ -46,7 +50,12 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     else:
         raise ValueError(f"unknown nutrient mode {mode!r}")
     op = minus_laplacian(g, K)
-    a = op.plus_diagonal(h.ravel())
+
+    def build():
+        divisor = op.divisor(shift=float(np.mean(h)))
+        return op.plus_diagonal(h.ravel()), lambda v: op.apply(v, divisor)
+
+    a, precond = _kept_nutrient.get((g, K), h.ravel(), build)
 
     delta = boundary_normal_spacing(g)
     b = np.zeros(g.n_cells)
@@ -54,23 +63,27 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
               boundary_transfer(K, delta) * sig_inf / delta)
     if extra_rhs is not None:
         b += np.asarray(extra_rhs, dtype=float).ravel()
-    h_mean = float(np.mean(h))
-    return LinearSystem(a, b, lambda v: op.solve(v, shift=h_mean))
+    return LinearSystem(a, b, precond)
 
 
-def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol):
+_kept_nutrient = KeptOperator()
+
+
+def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol, x0=None):
     system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
-                              tol=tol)
+                              tol=tol, x0=x0)
     require_converged(stats, f"nutrient {mode} solve", "nutrient")
     return x.reshape(g.nx, g.ny), stats
 
 
 def solve_nutrient_robin(g: Grid2D, phi: CellField, spec, sigma_inf,
                          extra_rhs: CellField | None = None,
-                         tol: float = 1e-10):
-    """Robin nutrient solve; returns (sigma, SolveStats)."""
-    return _solve(g, phi, spec, sigma_inf, "robin", extra_rhs, tol)
+                         tol: float = 1e-10, x0: CellField | None = None):
+    """Robin nutrient solve; returns (sigma, SolveStats).  The Krylov solve
+    starts from ``x0`` when given (a nearby sigma, such as the last
+    level's), else from the preconditioned right-hand side."""
+    return _solve(g, phi, spec, sigma_inf, "robin", extra_rhs, tol, x0)
 
 
 def solve_nutrient_dirichlet(g: Grid2D, phi: CellField, spec, sigma_inf,

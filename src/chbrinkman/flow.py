@@ -32,7 +32,10 @@ see both components), and the inverse pressure Schur
 complement by minus the Cahouet-Chabard approximation
 ((2*eta + lam)*I + nu*L_D^-1)/vol, with L_D the Darcy pressure operator --
 at eta = lam = 0 the exact Darcy solve, so the Brinkman->Darcy limit
-carries into the preconditioner.  One Krylov solve runs per call: its
+carries into the preconditioner.  Its three per-mode divisors, with 1/vol
+and the Cahouet-Chabard scalars folded in, are built with the kept
+operator, so an application is its six dense transforms, two sparse
+products and the scaling.  One Krylov solve runs per call: its
 tolerance is worked out from the inputs so that the continuity block of
 the residual also meets the divergence target (see ``solve_brinkman``),
 and it starts from the least-squares best combination of nearby flows or
@@ -113,7 +116,7 @@ class BrinkmanForm:
     around each node.  ``pattern`` is the saddle-point matrix
     [[A, G], [G^T, 0]] with the data of G = -div^T*vol, ``scatter`` maps
     the weights w to the data of A in it and ``diagonal`` holds the slots
-    of A's diagonal."""
+    of A's diagonal.  ``grad`` is G itself, for the preconditioner."""
 
     energy: sp.csr_matrix
     n_shear: int
@@ -121,6 +124,7 @@ class BrinkmanForm:
     pattern: sp.csr_matrix
     scatter: sp.csc_matrix
     diagonal: np.ndarray
+    grad: sp.csr_matrix
 
 
 @lru_cache(maxsize=32)
@@ -143,7 +147,8 @@ def brinkman_form(g: Grid2D) -> BrinkmanForm:
                                                    [grad.T, None]],
                                                   format="csr"))
     return BrinkmanForm(energy, 2 * g.n_cells + (nx + 1) * (ny + 1),
-                        read_only(sp.kron(touch_x, touch_y)), *pattern)
+                        read_only(sp.kron(touch_x, touch_y)), *pattern,
+                        read_only(grad))
 
 
 def _form_weights(g: Grid2D, phi: CellField, spec):
@@ -216,32 +221,47 @@ def _brinkman_preconditioner(g: Grid2D, eta: float, lam: float, nu: float,
                              scale: np.ndarray):
     """Block upper-triangular approximation of the inverse of the scaled
     Brinkman system, for the mean viscosities eta and lam, with the
-    pressure-gradient block G = -vol*div^T of ``grid.mac_operators``:
+    pressure-gradient block G = -vol*div^T (``BrinkmanForm.grad``):
     with r = v/scale,
     p = -((2*eta + lam)*r_p + nu*L_D^-1 r_p)/vol, then u solves
     A u = r_u - G p by one block Gauss-Seidel sweep over the velocity
     components -- u_x from the x-face block, then u_y from the y-face block
     with the coupling eta*C_eta + lam*C_lam times u_x taken to the right
-    (``velocity_coupling``) -- and [u; p]/scale."""
+    (``velocity_coupling``) -- and [u; p]/scale.
+
+    Each of the three is one fast-diagonalization apply, by a per-mode
+    divisor built here once per kept operator, with 1/vol and the
+    Cahouet-Chabard scalars folded in: the pressure divisor is
+    -vol/(2*eta + lam + nu/lam_D) over the Darcy eigenvalues lam_D, the
+    velocity divisors vol times the weighted eigenvalue sums plus nu.
+    u_x, u_y and p are written into one output array, scaled in place."""
     block_x, block_y = velocity_blocks(g)
     c_eta, c_lam = velocity_coupling(g)
     coupling = sp.csr_matrix((eta * c_eta.data + lam * c_lam.data,
                               c_eta.indices, c_eta.indptr), shape=c_eta.shape)
     darcy = minus_laplacian(g, np.inf)
-    div_t = mac_operators(g).div.T  # a CSC view, built once per assembly
+    grad = brinkman_form(g).grad
     vol = g.cell_volume
     strain = 2.0 * eta + lam
     nvx = (g.nx + 1) * g.ny
-    nv = div_t.shape[0]
+    nv = grad.shape[0]
+    divisor_x = vol * block_x.divisor(nu, (strain, eta))
+    divisor_y = vol * block_y.divisor(nu, (eta, strain))
+    divisor_p = -vol / (strain + nu / darcy.eigenvalues)
 
     def apply(v):
         r = v / scale
-        p = -(strain * r[nv:] + nu * darcy.solve(r[nv:])) / vol
-        r_u = r[:nv] + vol * (div_t @ p)
-        u_x = block_x.solve(r_u[:nvx], nu, (strain, eta)) / vol
-        u_y = block_y.solve(r_u[nvx:] - coupling @ u_x, nu,
-                            (eta, strain)) / vol
-        return np.concatenate([u_x, u_y, p]) / scale
+        out = np.empty(v.size)
+        u_x, u_y, p = out[:nvx], out[nvx:nv], out[nv:]
+        darcy.apply(r[nv:], divisor_p, p)
+        r_u = r[:nv]
+        r_u -= grad @ p
+        block_x.apply(r_u[:nvx], divisor_x, u_x)
+        r_y = r_u[nvx:]
+        r_y -= coupling @ u_x
+        block_y.apply(r_y, divisor_y, u_y)
+        out /= scale
+        return out
 
     return apply
 
@@ -384,7 +404,8 @@ def assemble_darcy_pressure_system(g: Grid2D, gamma_v: CellField, nu: float,
     the operator is constant, so its preconditioner is the exact solve."""
     op = minus_laplacian(g, np.inf)
     b = nu * np.ravel(gamma_v) - mac_operators(g).div @ stacked(force)
-    return LinearSystem(op.matrix, b, op.solve)
+    # the divisor of the operator itself is its eigenvalues, kept with it
+    return LinearSystem(op.matrix, b, lambda v: op.apply(v, op.eigenvalues))
 
 
 def solve_darcy(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,

@@ -23,7 +23,10 @@ of the Brinkman momentum matrix, up to a diagonal face-volume mass.
 diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), and as the
 assembled CSR matrix once something reads it.  The eigendecomposition
 solves a*I + b*T, or a 2x2 block of such operators, exactly in
-O(nx*ny*(nx+ny)) with numpy alone.  It preconditions the Krylov
+O(nx*ny*(nx+ny)) with numpy alone: one ``apply`` transforms to modes,
+divides by a per-mode divisor and transforms back into the caller's
+array.  The divisor (``divisor``, ``pair_divisor``) is computed once by
+whoever keeps the operator, not per solve.  It preconditions the Krylov
 solves with the mean of the variable coefficient, so a constant-coefficient
 solve needs no iteration; the Brinkman saddle point is preconditioned by a
 block-triangular solve built from it, with one block Gauss-Seidel sweep
@@ -92,8 +95,9 @@ class KroneckerOperator:
     with mass M = Mx (x) My.
 
     ``matrix`` is T assembled by kron, built on its first read: the
-    solves need only the factors.  ``solve`` and ``solve_pair`` invert
-    operators built from T and M through the generalized eigenproblem
+    solves need only the factors.  ``apply`` inverts operators built from
+    T and M, by the divisors ``divisor`` and ``pair_divisor`` make,
+    through the generalized eigenproblem
     T = M Q diag(lam) Q^T M, Q^T M Q = I, Q = Qx (x) Qy, with one eigh per
     factor (of M^-1/2 T M^-1/2) done here.  Both come from the same
     factors, so the preconditioner is exactly the assembled operator.
@@ -139,32 +143,54 @@ class KroneckerOperator:
         data[self._diagonal] += d
         return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
-    def _to_modes(self, v):
-        return self._qx.T @ v.reshape(self._shape) @ self._qy
-
-    def _from_modes(self, c):
-        return (self._qx @ c @ self._qy.T).ravel()
-
-    def solve(self, b, shift: float = 0.0, weights=None) -> np.ndarray:
-        """x with (T + shift*M) x = b, or with
-        (wx*Tx (x) My + wy*Mx (x) Ty + shift*M) x = b for
-        weights = (wx, wy)."""
+    def divisor(self, shift: float = 0.0, weights=None) -> np.ndarray:
+        """The per-mode divisor of T + shift*M, or of
+        wx*Tx (x) My + wy*Mx (x) Ty + shift*M for weights = (wx, wy):
+        the weighted eigenvalue sum plus the shift, for ``apply``.
+        Read-only; whoever keeps the operator computes it once."""
         lam = self.eigenvalues if weights is None else \
             weights[0] * self._lam_x + weights[1] * self._lam_y
-        return self._from_modes(self._to_modes(b) / (lam + shift))
+        d = lam + shift
+        d.flags.writeable = False
+        return d
 
-    def solve_pair(self, b, blocks) -> np.ndarray:
-        """[x1; x2] with [[A11, A12], [A21, A22]] [x1; x2] = b, where
-        blocks[i][j] = (alpha, beta) gives Aij = alpha*M + beta*T; each mode
-        is a 2x2 solve by Cramer's rule."""
-        n = b.size // 2
-        f, g = self._to_modes(b[:n]), self._to_modes(b[n:])
+    def pair_divisor(self, blocks) -> np.ndarray:
+        """The per-mode Cramer coefficients of the 2x2 block operator
+        [[A11, A12], [A21, A22]] with blocks[i][j] = (alpha, beta) giving
+        Aij = alpha*M + beta*T, for ``apply``: the stacked a11, a12, a21,
+        a22 and det = a11*a22 - a12*a21 of each mode.  Read-only."""
         lam = self.eigenvalues
         (a11, a12), (a21, a22) = [[alpha + beta * lam for alpha, beta in row]
                                   for row in blocks]
-        det = a11 * a22 - a12 * a21
-        return np.concatenate([self._from_modes((a22 * f - a12 * g) / det),
-                               self._from_modes((a11 * g - a21 * f) / det)])
+        d = np.stack([a11, a12, a21, a22, a11 * a22 - a12 * a21])
+        d.flags.writeable = False
+        return d
+
+    def _to_modes(self, v):
+        return self._qx.T @ v.reshape(self._shape) @ self._qy
+
+    def _from_modes(self, c, out):
+        np.matmul(self._qx @ c, self._qy.T, out=out.reshape(self._shape))
+
+    def apply(self, b, divisor, out=None) -> np.ndarray:
+        """The exact solve for one ``divisor``: b to modes, divided by it,
+        back into ``out`` (a new array when None; else contiguous, such
+        as a slice of a flat array).  With a ``pair_divisor`` b and out
+        hold [x1; x2], and each mode is a 2x2 solve by Cramer's rule.
+        Returns out."""
+        if out is None:
+            out = np.empty(b.size)
+        if divisor.ndim == 2:
+            c = self._to_modes(b)
+            c /= divisor
+            self._from_modes(c, out)
+            return out
+        n = b.size // 2
+        f, g = self._to_modes(b[:n]), self._to_modes(b[n:])
+        a11, a12, a21, a22, det = divisor
+        self._from_modes((a22 * f - a12 * g) / det, out[:n])
+        self._from_modes((a11 * g - a21 * f) / det, out[n:])
+        return out
 
 
 _builds = itertools.count(1)
@@ -326,8 +352,13 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     that cycle: the solve has stagnated (at the attainable accuracy, or in
     a breakdown before x moves, which a restart from the same x would
     repeat).  One iteration is two matrix-vector products (one when it
-    converges half-way).  ``ell``, the BiCG steps per iteration, must be 1,
-    and ``tol`` positive.  Returns (x, SolveStats) with the true residual;
+    converges half-way) and two preconditioner applications.  x, r and p
+    are updated in place through one scratch vector, by the operations of
+    the out-of-place recurrences in their order, so the iterates are the
+    same to the bit; the solve copies its start and never writes into b,
+    x0, r0 or an array ``precond`` returns (an identity preconditioner
+    returns its argument).  ``ell``, the BiCG steps per iteration, must be
+    1, and ``tol`` positive.  Returns (x, SolveStats) with the true residual;
     non-convergence comes back as converged=False, never silently.  The
     final true residual b - A x is written into ``r_out`` when it is given
     (an array of b's size), so a caller can form A x = b - r without a
@@ -344,11 +375,12 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
             r_out[...] = 0.0
         return np.zeros(b.size), SolveStats(0, 0.0, True)
     target = tol * bnorm
+    # x and r are copies: they are updated in place
     if x0 is None:
-        x, r0 = precond(b), None
+        x, r0 = np.array(precond(b), dtype=float).ravel(), None
     else:
         x = np.array(x0, dtype=float).ravel()
-    r = b - a @ x if r0 is None else np.asarray(r0, dtype=float).ravel()
+    r = b - a @ x if r0 is None else np.array(r0, dtype=float).ravel()
     res = float(np.linalg.norm(r))
     if res <= target and r0 is not None:
         r = b - a @ x
@@ -356,16 +388,21 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     stats = SolveStats(0, res, res <= target)
     if max_iter is None:
         max_iter = 10 * b.size
+    p, w = np.empty(b.size), np.empty(b.size)
     it = 0
     while not stats.converged and it < max_iter:
         res_start = res
         r_hat = r.copy()
         rho = alpha = omega = 1.0
-        p = v = np.zeros(b.size)
+        p.fill(0.0)
+        v = np.zeros(b.size)
         while it < max_iter:
             it += 1
             rho_new = float(r_hat @ r)
-            p = r + (rho_new / rho) * (alpha / omega) * (p - omega * v)
+            # p = r + (rho_new/rho)*(alpha/omega)*(p - omega*v)
+            p -= np.multiply(omega, v, out=w)
+            p *= (rho_new / rho) * (alpha / omega)
+            p += r
             rho = rho_new
             p_hat = precond(p)
             v = a @ p_hat
@@ -373,8 +410,8 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
             if rho == 0.0 or gamma == 0.0 or not np.isfinite(gamma):
                 break  # breakdown
             alpha = rho / gamma
-            x = x + alpha * p_hat
-            r = r - alpha * v
+            x += np.multiply(alpha, p_hat, out=w)
+            r -= np.multiply(alpha, v, out=w)
             if np.linalg.norm(r) <= target:
                 break
             s_hat = precond(r)
@@ -383,8 +420,8 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
             omega = float(t @ r) / tt if tt > 0.0 else 0.0
             if omega == 0.0 or not np.isfinite(omega):
                 break  # breakdown
-            x = x + omega * s_hat
-            r = r - omega * t
+            x += np.multiply(omega, s_hat, out=w)
+            r -= np.multiply(omega, t, out=w)
             if np.linalg.norm(r) <= target:
                 break
         r = b - a @ x

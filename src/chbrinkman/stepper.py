@@ -19,13 +19,15 @@ of the mobility, by eps and by the stabilization.  The energy diagnostics
 evaluate the same D with the same face mobilities (``_mobility_weights``),
 so the gradient energy and the CH dissipation are the forms the solver
 uses.  With a constant mobility its weights repeat from step to step, and
-the assembly returns the matrix it built last (``linalg.KeptOperator``).
+the assembly returns the matrix it built last, with its preconditioner's
+per-mode Cramer coefficients (``linalg.KeptOperator``); the face
+mobilities of phi^n come from the level's record.
 
 Each level is measured once, when it is made: its ``LevelRecord`` holds
 the level's ``diagnostics.csv`` columns and what the next step's energy
 and mass residuals read of it again, so a residual is a function of the
 two levels' records and of one source evaluation Gamma_phi(phi^n,
-sigma^{n+1}) that the two share.
+sigma^{n+1}) that the two share with the CH right-hand side.
 
 With Brinkman flow each level carries the projection basis its Brinkman
 solve returned (pairs of flows and their products with the kept operator,
@@ -250,7 +252,7 @@ def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
-                       cfg: StepConfig):
+                       cfg: StepConfig, gamma_phi: CellField | None = None):
     """The coupled linear system of one CH step, unknowns [phi, mu/c] with
     c = sqrt(eps/dt); returns (LinearSystem, unknown_scale).
 
@@ -262,8 +264,14 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     attainable BiCGStab accuracy well below tolerance.  The preconditioner
     is the exact solve of the same system with the mobility replaced by its
     mean, so a constant-mobility step takes no BiCGStab iteration.  While
-    the weights equal those of the previous call, the same read-only
-    matrix comes back.
+    the weights, the mean mobility, dt, eps and S equal those of the
+    previous call, the same read-only matrix, preconditioner (with its
+    per-mode Cramer coefficients) and scale come back.
+
+    The face mobilities m_f of phi^n are read from ``state.record`` when
+    the state has one; ``gamma_phi``, when given, is the source
+    Gamma_phi(phi^n, state.sigma) of the rhs, which ``step`` computes once
+    for the step.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -277,7 +285,12 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    m_f, m_cells = _mobility_weights(g, phi_n, spec)
+    if state.record is None:
+        m_f, m_cells = _mobility_weights(g, phi_n, spec)
+    else:
+        m_f = state.record.m_f
+        m_cells = np.ravel(np.asarray(spec.mobility.m(phi_n), dtype=float))
+    m_mean = float(np.mean(m_cells))
     w = np.concatenate([(cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
                         np.full(nc, -s_stab / (eps * c))])
 
@@ -285,35 +298,41 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
         form = ch_form(g)
         a = form_matrix(form.pattern, form.scatter, w)
         a.data.flags.writeable = False
-        return a
+        # the same blocks as alpha*I + beta*T with T = -lap
+        lap = minus_laplacian(g)
+        divisor = lap.pair_divisor(
+            (((1.0, 0.0), (0.0, cfg.dt * c * m_mean)),
+             ((-s_stab / (eps * c), -eps / c), (1.0, 0.0))))
+        scale = np.concatenate([np.ones(nc), np.full(nc, c)])
+        scale.flags.writeable = False
+        return a, lambda v: lap.apply(v, divisor), scale
 
-    a = _kept_ch.get(g, w, build)
-    # the same blocks as alpha*I + beta*T with T = -lap
-    blocks = (((1.0, 0.0), (0.0, cfg.dt * c * float(np.mean(m_cells)))),
-              ((-s_stab / (eps * c), -eps / c), (1.0, 0.0)))
+    a, precond, scale = _kept_ch.get((g, m_mean, cfg.dt, eps, s_stab), w,
+                                     build)
 
-    gamma_phi = eval_source_gamma_phi(spec.sources, phi_n, state.sigma)
+    if gamma_phi is None:
+        gamma_phi = eval_source_gamma_phi(spec.sources, phi_n, state.sigma)
     rhs1 = phi_n - cfg.dt * advect_upwind(g, phi_n, state.vel) \
         + cfg.dt * gamma_phi
     rhs2 = ((dpsi_n - s_stab * phi_n) / eps
             - spec.params.chi * state.sigma) / c
-    scale = np.concatenate([np.ones(nc), np.full(nc, c)])
-    lap = minus_laplacian(g)
     system = LinearSystem(a, np.concatenate([rhs1.ravel(), rhs2.ravel()]),
-                          lambda v: lap.solve_pair(v, blocks))
+                          precond)
     return system, scale
 
 
 _kept_ch = KeptOperator()
 
 
-def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
+def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig,
+              gamma_phi: CellField | None = None):
     """One semi-implicit CH step; returns (phi_new, mu_new, SolveStats).
 
     Uses state.sigma and state.vel as the lagged nutrient/velocity; the
     caller is responsible for refreshing sigma first (step() does).
+    ``gamma_phi`` is passed on to ``assemble_ch_system``.
     """
-    system, scale = assemble_ch_system(g, state, spec, cfg)
+    system, scale = assemble_ch_system(g, state, spec, cfg, gamma_phi)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=cfg.tol_ch)
     require_converged(stats, "Cahn-Hilliard solve", "cahn-hilliard")
@@ -434,24 +453,26 @@ def mass_balance_residual(g: Grid2D, prev: State, next_: State, gamma_phi,
 def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     """Advance one time level; returns (new_state, Diagnostics).
 
-    Stage order: (1) Robin nutrient solve at t^n, (2) CH update with the
-    lagged velocity, (3) flow solve on the new (phi, mu).  Sub-solver
-    failures carry their stage name.
+    Stage order: (1) Robin nutrient solve at t^n, started from sigma^n,
+    (2) CH update with the lagged velocity, (3) flow solve on the new
+    (phi, mu).  Gamma_phi(phi^n, sigma^{n+1}) is evaluated once, for the CH
+    rhs and both residuals.  Sub-solver failures carry their stage name.
     """
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, state.t)
     sigma, n_stats = solve_nutrient_robin(g, state.phi, spec, sig_inf,
-                                          tol=cfg.tol_nutrient)
+                                          tol=cfg.tol_nutrient,
+                                          x0=state.sigma)
     work = replace(state, sigma=sigma)
+    gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, sigma)
 
     cfl = suggest_cfl_dt(g, state.vel)
     violated = bool(cfg.dt > cfl)
     if violated and cfg.strict_cfl:
         raise CflViolation(cfg.dt, cfl)
 
-    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg)
+    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg, gamma_phi)
     new_state, flow_stats = _level(g, state.t + cfg.dt, phi1, mu1, sigma,
                                    spec, cfg, state.flows, state.basis)
-    gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, sigma)
     return new_state, Diagnostics(
         **vars(new_state.record),
         energy_residual=energy_residual(g, state, new_state, gamma_phi, spec,

@@ -405,6 +405,40 @@ def test_run_rerun_byte_identical(tmp_path):
     assert row0[4] > 0.0 and row0[8:] == [0.0, 0.0]
 
 
+def test_brinkman_tumour_rerun_in_one_process_is_byte_identical(tmp_path):
+    # the tumour benchmark's model at 24x24, run twice in one process:
+    # the second run starts with the first run's kept operators and
+    # preconditioners still live (the Brinkman operator is the same
+    # build), and past 16 steps each run fills and restarts its
+    # projection basis; the diagnostics are byte-identical
+    from chbrinkman import flow
+
+    disc = "tanh((0.2-((x-0.5)**2+(y-0.5)**2)**0.5)/0.045)"
+    raw = {
+        "grid": {"nx": 24, "ny": 24},
+        "model": {
+            "params": {"epsilon": 0.03, "nu": 1.0, "K": 50.0, "chi": 2.0},
+            "viscosity": {"variant": "constant", "eta": 0.05, "lam": 0.0},
+            "sources": {"variant": "linear", "b_v": 0.25, "f_v": -0.05,
+                        "b_phi": 0.25, "f_phi": -0.05, "h": 1.0},
+            "sigma_inf": {"variant": "constant", "value": 1.0},
+            "phi0": {"variant": "expression", "expr": disc}},
+        "stepping": {"dt": 1e-4, "n_steps": 24, "flow_mode": "brinkman"},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    outputs, tokens = [], []
+    for run in range(2):
+        out = tmp_path / f"out{run}"
+        assert main(["run", "--config", str(cfgpath),
+                     "--out", str(out)]) == 0
+        outputs.append((out / "diagnostics.csv").read_bytes())
+        tokens.append(flow._kept_brinkman.token)
+    assert tokens[0] == tokens[1]
+    assert outputs[0] == outputs[1]
+
+
 def test_strict_cfl_violation_exits_with_config_error(tmp_path, capsys):
     raw = {
         "grid": {"nx": 12, "ny": 12},

@@ -241,6 +241,26 @@ def test_bicgstab_takes_the_start_residual_and_returns_the_final_one():
     assert stats.converged and not np.any(r_out)
 
 
+def test_bicgstab_leaves_its_inputs_alone(rng):
+    # x, r and p are updated in place, so the solve copies its start: an
+    # identity preconditioner returns its argument (b, then p and r), and
+    # a given x0 and r0 are the caller's arrays
+    a = upwind_advection_diffusion(8)
+    b = rng.standard_normal(64)
+    exact = dense_solve(a, b)
+    x0 = exact + 1e-3 * np.cos(np.arange(64))
+    r0 = b - a @ x0
+    inputs = (b, x0, r0)
+    kept = [v.copy() for v in inputs]
+    for start in ({}, {"x0": x0}, {"x0": x0, "r0": r0}):
+        for precond in (identity, jacobi(a)):
+            x, stats = bicgstab_solve(a, b, precond, tol=1e-12, **start)
+            assert stats.converged and stats.iterations > 0
+            assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+            assert all(np.array_equal(v, k) for v, k in zip(inputs, kept))
+            assert not any(np.shares_memory(x, v) for v in inputs)
+
+
 def nearby_columns(rng, a, count):
     """(b, the solution x of a x = b, count vectors within 1e-3 of x)."""
     b = rng.standard_normal(a.shape[0])
