@@ -24,13 +24,11 @@ spec = chb.ModelSpec(
 )
 cfg = chb.StepConfig(dt=2e-4, flow_mode="brinkman")
 
-state = chb.initialize_state(grid, spec, cfg)
-print(f"start: energy {chb.energy(grid, state.phi, spec):.4f}, "
-      f"mass {chb.integrate_cells(grid, state.phi):+.2e}")
-
-for k in range(1, 201):
-    state, diag = chb.step(grid, state, spec, cfg)
-    if k % 25 == 0:
+for k, state, diag in chb.trajectory(grid, spec, cfg, 200):
+    if k == 0:
+        print(f"start: energy {state.record.energy:.4f}, "
+              f"mass {state.record.mass:+.2e}")
+    elif k % 25 == 0:
         vmax = max(np.max(np.abs(state.vel.x)), np.max(np.abs(state.vel.y)))
         print(f"step {k:4d}: energy {diag.energy:8.4f}  "
               f"mass {diag.mass:+9.2e}  max|v| {vmax:.3f}  "

@@ -31,22 +31,21 @@ spec = chb.ModelSpec(
 )
 cfg = chb.StepConfig(dt=1e-4, flow_mode="brinkman")
 
-state = chb.initialize_state(grid, spec, cfg)
-area0 = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
-print(f"initial tumour area {area0:.4f}")
-write_vtk(state, grid, "tumour_000.vtk")
-
-rows = [diagnostics_row(0, state)]
-for k in range(1, 301):
-    state, diag = chb.step(grid, state, spec, cfg)
+rows = []
+for k, state, diag in chb.trajectory(grid, spec, cfg, 300):
     rows.append(diagnostics_row(k, state, diag))
-    if k % 100 == 0:
-        area = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
+    if k % 100:
+        continue
+    area = chb.integrate_cells(grid, 0.5 * (state.phi + 1.0))
+    if k == 0:
+        area0 = area
+        print(f"initial tumour area {area0:.4f}")
+    else:
         print(f"step {k:4d}: tumour area {area:.4f} "
               f"(+{100 * (area / area0 - 1):.1f}%), "
               f"nutrient range [{state.sigma.min():.2f}, "
               f"{state.sigma.max():.2f}], outflow {diag.boundary_flux:+.2e}")
-        write_vtk(state, grid, f"tumour_{k:03d}.vtk")
+    write_vtk(state, grid, f"tumour_{k:03d}.vtk")
 
 write_csv_diagnostics(rows, "tumour_diagnostics.csv")
 print("wrote tumour_diagnostics.csv and tumour_*.vtk")

@@ -24,7 +24,8 @@ from .flow import (FlowSolution, solve_brinkman, solve_darcy,
 from .stepper import (CflViolation, Diagnostics, LevelRecord, State,
                       StepConfig, ch_update, chemical_potential, energy,
                       energy_residual, initialize_state,
-                      mass_balance_residual, step, suggest_cfl_dt)
+                      mass_balance_residual, step, suggest_cfl_dt,
+                      trajectory)
 from .harness import (SweepResult, continuous_dependence_study,
                       mms_convergence, norm_h1, robin_limit_study,
                       viscosity_limit_study)

@@ -44,6 +44,7 @@ recorded norm, one row per parameter value:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -61,7 +62,7 @@ from .model import (ModelParams, ModelSpec, RandomPerturbation, SourceSpec,
                     constant_mobility, constant_viscosity,
                     default_quartic_potential, smooth_blend, validate,
                     zero_sources)
-from .stepper import CflViolation, StepConfig, initialize_state, step
+from .stepper import CflViolation, StepConfig, trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -427,24 +428,25 @@ def _make_out_dir(path: str):
         raise IOError(f"cannot create output directory: {err}") from err
 
 
-def _initial_level(cfg: SimConfig):
-    """The initial State of cfg and its diagnostics row.  A level that
-    cannot be made, or that holds a non-finite field or row entry, is a
-    config error: no step could follow it."""
+def _initial_level(levels):
+    """The first level (0, State, None) of the trajectory ``levels``.  A
+    level that cannot be made, or that holds a non-finite field or row
+    entry, is a config error: no step could follow it."""
     try:
-        state = initialize_state(cfg.grid, cfg.spec, cfg.stepping)
+        level = next(levels)
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"initial level: {err} (from 'config.model.phi0' "
                           f"and 'sigma_inf')") from err
+    state = level[1]
     row = diagnostics_row(0, state)
     if not all(np.all(np.isfinite(v)) for v in (
             row[1:], state.phi, state.mu, state.sigma, state.vel.x,
             state.vel.y, state.p)):
         raise ConfigError(f"'config.model.phi0' gives a non-finite initial "
                           f"level (energy {row[2]!r}, mass {row[3]!r})")
-    return state, row
+    return level
 
 
 def run_simulation(cfg: SimConfig) -> int:
@@ -455,38 +457,32 @@ def run_simulation(cfg: SimConfig) -> int:
     leaves the rows it reached."""
     g = cfg.grid
     _make_out_dir(cfg.out_dir)
-    state, row = _initial_level(cfg)
-    k = 0
+    levels = trajectory(g, cfg.spec, cfg.stepping, cfg.n_steps)
+    first = _initial_level(levels)
+    k = 0   # the last level made: a failure is in step k + 1
     try:
         with open(f"{cfg.out_dir}/diagnostics.csv", "w",
                   encoding="utf-8") as csv:
             csv.write(DIAGNOSTICS_HEADER + "\n")
-
-            def write_row(row):
-                csv.write(_diagnostics_line(row))
-                csv.flush()
-
-            write_row(row)
-            if cfg.field_stride:
-                write_vtk(state, g, f"{cfg.out_dir}/state_000000.vtk")
-            for k in range(1, cfg.n_steps + 1):
-                state, diag = step(g, state, cfg.spec, cfg.stepping)
+            for k, state, diag in itertools.chain([first], levels):
                 if k % cfg.diagnostics_stride == 0:
-                    write_row(diagnostics_row(k, state, diag))
+                    csv.write(_diagnostics_line(diagnostics_row(k, state,
+                                                                diag)))
+                    csv.flush()
                 if cfg.field_stride and k % cfg.field_stride == 0:
                     write_vtk(state, g, f"{cfg.out_dir}/state_{k:06d}.vtk")
     except CflViolation as err:
-        print(f"config error at step {k}: {err}", file=sys.stderr)
+        print(f"config error at step {k + 1}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailure as err:
-        print(f"solver failure in stage '{err.stage}' at step {k}: {err}",
-              file=sys.stderr)
+        print(f"solver failure in stage '{err.stage}' at step {k + 1}: "
+              f"{err}", file=sys.stderr)
         return EXIT_SOLVER
     except IOError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:
-        print(f"failure at step {k}: {err}", file=sys.stderr)
+        print(f"failure at step {k + 1}: {err}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

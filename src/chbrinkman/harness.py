@@ -22,7 +22,7 @@ from .grid import (CellField, FaceField, Grid2D, boundary_face_centers,
                    mac_operators, norm_l2_cells)
 from .model import (ModelParams, ModelSpec, SourceSpec, ViscositySpec,
                     constant_viscosity, zero_sources)
-from .stepper import StepConfig, initialize_state, sample_sigma_inf, step
+from .stepper import StepConfig, sample_sigma_inf, trajectory
 
 
 @dataclass
@@ -308,15 +308,6 @@ def viscosity_limit_study(g: Grid2D, phi: CellField, mu: CellField,
         primary="velocity_gap_l2", slope=slope, checks=checks)
 
 
-def _run_trajectory(g, spec, cfg, n_steps):
-    state = initialize_state(g, spec, cfg)
-    states = [state]
-    for _ in range(n_steps):
-        state, _ = step(g, state, spec, cfg)
-        states.append(state)
-    return states
-
-
 def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
                                 deltas, n_steps: int, cfg: StepConfig,
                                 perturb: str = "phi0") -> SweepResult:
@@ -339,11 +330,18 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
 
     xc, yc = g.cell_centers()
     w = np.cos(np.pi * xc) * np.cos(np.pi * yc)
-    w_h1 = norm_h1(g, w)
+    if perturb == "phi0":
+        field, norm, scale = "phi", norm_h1, norm_h1(g, w)
+    else:
+        field, norm = "sigma", norm_l2_cells
+        scale = np.sqrt(2.0 * (g.lx + g.ly))   # sqrt of the perimeter
     base_spec = replace(spec, phi0=phi0)
-    base = _run_trajectory(g, base_spec, cfg, n_steps)
+    # only the base levels' field is kept; each perturbed trajectory is
+    # reduced against it level by level, and runs after the base one has
+    # ended (``stepper.trajectory``)
+    base = [getattr(state, field)
+            for _, state, _ in trajectory(g, base_spec, cfg, n_steps)]
 
-    perimeter = 2.0 * (g.lx + g.ly)
     ratios = []
     for d in deltas:
         if d == 0.0:
@@ -358,15 +356,9 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
             else:
                 shifted = np.asarray(base_inf, dtype=float) + d
             pert_spec = replace(base_spec, sigma_inf=shifted)
-        other = _run_trajectory(g, pert_spec, cfg, n_steps)
-        if perturb == "phi0":
-            sup = max(norm_h1(g, s1.phi - s2.phi)
-                      for s1, s2 in zip(base, other))
-            ratios.append(sup / (d * w_h1))
-        else:
-            sup = max(norm_l2_cells(g, s1.sigma - s2.sigma)
-                      for s1, s2 in zip(base, other))
-            ratios.append(sup / (d * np.sqrt(perimeter)))
+        sup = max(norm(g, base[k] - getattr(state, field))
+                  for k, state, _ in trajectory(g, pert_spec, cfg, n_steps))
+        ratios.append(sup / (d * scale))
 
     nonzero = [r for r, d in zip(ratios, deltas) if d > 0]
     spread = max(nonzero) / min(nonzero) if nonzero and min(nonzero) > 0 else float("inf")

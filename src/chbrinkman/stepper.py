@@ -481,3 +481,22 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
                                             cfg.dt),
         cfl_dt=cfl, cfl_violated=violated, nutrient_stats=n_stats,
         ch_stats=ch_stats, flow_stats=flow_stats)
+
+
+def trajectory(g: Grid2D, spec: ModelSpec, cfg: StepConfig, n_steps: int):
+    """The time levels 0..n_steps of (spec, cfg) on g, as (k, State,
+    Diagnostics) with Diagnostics None at the initial level.
+
+    Each level is made when it is asked for, and only the one in hand is
+    held here.  An error in making level k raises out of the generator
+    after levels 0..k-1 were yielded.  Every assembly keeps one operator
+    (``linalg.KeptOperator``), and a Brinkman start basis is current only
+    while the operator it was made with is kept: run one trajectory to its
+    end, or drop it, before stepping another, and its levels are bit for
+    bit those of a run on its own.
+    """
+    state = initialize_state(g, spec, cfg)
+    yield 0, state, None
+    for k in range(1, n_steps + 1):
+        state, diag = step(g, state, spec, cfg)
+        yield k, state, diag

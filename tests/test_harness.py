@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chbrinkman import (Grid2D, ModelParams, ModelSpec, StepConfig,
                         blended_mobility, constant_viscosity,
-                        continuous_dependence_study, mms_convergence, norm_h1,
-                        robin_limit_study, viscosity_limit_study, zero_sources)
+                        continuous_dependence_study, initialize_state,
+                        mms_convergence, norm_h1, norm_l2_cells,
+                        robin_limit_study, step, viscosity_limit_study,
+                        zero_sources)
 from chbrinkman.harness import SweepResult, passthrough_sources
 from chbrinkman.model import SourceSpec, smooth_blend
 
@@ -103,7 +107,6 @@ def test_contdep_zero_delta_gives_zero_ratio():
 
 def test_contdep_rejects_variable_mobility():
     g = Grid2D(12, 12)
-    import dataclasses
     spec = dataclasses.replace(coupled_spec(),
                                mobility=blended_mobility(0.5, 1.5))
     with pytest.raises(ValueError, match="B1"):
@@ -120,6 +123,45 @@ def test_contdep_sigma_inf_mode_runs():
                                          perturb="sigma_inf")
     assert all(r > 0 for r in result.norms["difference_ratio"])
     assert result.checks["ratio_spread_at_most_10"]
+
+
+@pytest.mark.parametrize("perturb", ["phi0", "sigma_inf"])
+def test_contdep_pairs_the_levels_of_hand_run_trajectories(perturb):
+    # the study's ratio is the sup over levels 0..n of the paired gap,
+    # the same (==) as from whole trajectories of initialize_state and step
+    g = Grid2D(12, 12)
+    xc, yc = g.cell_centers()
+    phi0 = np.tanh((0.25 - np.sqrt((xc - 0.5)**2 + (yc - 0.5)**2)) / 0.1)
+    w = np.cos(np.pi * xc) * np.cos(np.pi * yc)
+    cfg = StepConfig(dt=1e-3, flow_mode="brinkman")
+    deltas = [1e-2, 1e-3]
+    result = continuous_dependence_study(g, coupled_spec(), phi0, deltas,
+                                         n_steps=3, cfg=cfg, perturb=perturb)
+
+    def levels(spec):
+        state = initialize_state(g, spec, cfg)
+        states = [state]
+        for _ in range(3):
+            state, _ = step(g, state, spec, cfg)
+            states.append(state)
+        return states
+
+    base_spec = dataclasses.replace(coupled_spec(), phi0=phi0)
+    base = levels(base_spec)
+    ratios = []
+    for d in deltas:
+        if perturb == "phi0":
+            other = levels(dataclasses.replace(base_spec, phi0=phi0 + d * w))
+            sup = max(norm_h1(g, s1.phi - s2.phi)
+                      for s1, s2 in zip(base, other))
+            ratios.append(sup / (d * norm_h1(g, w)))
+        else:
+            other = levels(dataclasses.replace(base_spec,
+                                               sigma_inf=1.0 + d))
+            sup = max(norm_l2_cells(g, s1.sigma - s2.sigma)
+                      for s1, s2 in zip(base, other))
+            ratios.append(sup / (d * np.sqrt(2.0 * (g.lx + g.ly))))
+    assert result.norms["difference_ratio"] == ratios
 
 
 def test_norm_h1_definition(rng):

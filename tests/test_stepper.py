@@ -576,6 +576,49 @@ def test_trajectory_determinism():
     assert np.array_equal(a.p, b.p)
 
 
+@pytest.mark.parametrize("flow_mode", ["brinkman", "darcy", "none"])
+def test_trajectory_yields_the_levels_of_a_hand_loop(flow_mode):
+    # the loop every driver runs gives, level by level, what
+    # initialize_state and step give when called by hand
+    g = Grid2D(12, 12)
+    spec = coupled_spec()
+    cfg = StepConfig(dt=1e-3, flow_mode=flow_mode)
+    state = initialize_state(g, spec, cfg)
+    by_hand = [(state, None)]
+    for _ in range(3):
+        state, diag = step(g, state, spec, cfg)
+        by_hand.append((state, diag))
+    levels = list(stepper.trajectory(g, spec, cfg, 3))
+    assert [k for k, _, _ in levels] == [0, 1, 2, 3]
+    for (k, state, diag), (hand_state, hand_diag) in zip(levels, by_hand):
+        assert_same_level(state, hand_state)
+        if k == 0:
+            assert diag is None
+            continue
+        for name, value in vars(diag).items():
+            assert np.array_equal(value, getattr(hand_diag, name)), name
+
+
+def test_trajectory_of_no_steps_is_the_initial_level():
+    g = Grid2D(12, 12)
+    spec = coupled_spec()
+    cfg = StepConfig(dt=1e-3, flow_mode="none")
+    [(k, state, diag)] = stepper.trajectory(g, spec, cfg, 0)
+    assert k == 0 and diag is None
+    assert_same_level(state, initialize_state(g, spec, cfg))
+
+
+def test_trajectory_yields_the_levels_before_a_failed_step():
+    g = Grid2D(12, 12)
+    cfg = StepConfig(dt=1e-3, flow_mode="brinkman", tol_ch=1e-300)
+    levels = stepper.trajectory(g, coupled_spec(), cfg, 3)
+    k, _, diag = next(levels)
+    assert k == 0 and diag is None
+    with pytest.raises(SolverFailure) as err:
+        next(levels)
+    assert err.value.stage == "cahn-hilliard"
+
+
 def test_strict_cfl_violation_raises_with_bound():
     g = Grid2D(16, 16)
     spec = coupled_spec()
