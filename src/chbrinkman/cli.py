@@ -656,7 +656,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = study("contdep", _contdep, "continuous-dependence sweep")
     flow_mode(p, "brinkman")
     p.add_argument("--perturb", choices=["phi0", "sigma_inf"], default="phi0")
-    p.add_argument("--steps", type=_int_at_least(0), default=50)
+    p.add_argument("--steps", type=_int_at_least(1), default=50)
     return parser
 
 

@@ -10,10 +10,11 @@ K_eff = K/(1 + K*delta/2); K -> inf recovers the Dirichlet ghost 2/delta.
 
 Both modes are solved by ``linalg.bicgstab_solve``, preconditioned by the
 exact fast-diagonalization solve with h(phi) replaced by its mean: a
-constant h takes no iteration.  The assembly keeps its matrix and that
-solve's per-mode divisor under (grid, K) and the weights h
-(``linalg.KeptOperator``), so a step with an unchanged h rebuilds neither;
-a solve may start from a nearby solution, such as the last level's sigma.
+constant h takes no iteration.  Handed a ``linalg.KeptOperator``, the
+assembly keeps its matrix and that solve's per-mode divisor in it under
+(grid, K) and the weights h, so a step with an unchanged h rebuilds
+neither; a solve may start from a nearby solution, such as the last
+level's sigma.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from .linalg import (KeptOperator, LinearSystem, bicgstab_solve,
 
 def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
                              mode: str = "robin",
-                             extra_rhs: CellField | None = None) -> LinearSystem:
+                             extra_rhs: CellField | None = None,
+                             kept: KeptOperator | None = None) -> LinearSystem:
     """-lap + h(phi) with the Robin (or Dirichlet) ghost closure; the
-    preconditioner is the exact solve with h replaced by its mean."""
+    preconditioner is the exact solve with h replaced by its mean.  The
+    matrix and preconditioner come from ``kept`` while (grid, K) and h
+    repeat its last build; without it they are built and kept nowhere."""
     if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite phi passed to nutrient solve")
     sig_inf = as_boundary(g, sigma_inf)
@@ -55,7 +59,8 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
         divisor = op.divisor(shift=float(np.mean(h)))
         return op.plus_diagonal(h.ravel()), lambda v: op.apply(v, divisor)
 
-    a, precond = _kept_nutrient.get((g, K), h.ravel(), build)
+    a, precond = build() if kept is None else kept.get((g, K), h.ravel(),
+                                                         build)
 
     delta = boundary_normal_spacing(g)
     b = np.zeros(g.n_cells)
@@ -66,11 +71,9 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     return LinearSystem(a, b, precond)
 
 
-_kept_nutrient = KeptOperator()
-
-
-def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol, x0=None):
-    system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs)
+def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol, x0=None, kept=None):
+    system = assemble_nutrient_system(g, phi, spec, sigma_inf, mode, extra_rhs,
+                                      kept)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=tol, x0=x0)
     require_converged(stats, f"nutrient {mode} solve", "nutrient")
@@ -79,11 +82,13 @@ def _solve(g, phi, spec, sigma_inf, mode, extra_rhs, tol, x0=None):
 
 def solve_nutrient_robin(g: Grid2D, phi: CellField, spec, sigma_inf,
                          extra_rhs: CellField | None = None,
-                         tol: float = 1e-10, x0: CellField | None = None):
+                         tol: float = 1e-10, x0: CellField | None = None,
+                         kept: KeptOperator | None = None):
     """Robin nutrient solve; returns (sigma, SolveStats).  The Krylov solve
     starts from ``x0`` when given (a nearby sigma, such as the last
-    level's), else from the preconditioned right-hand side."""
-    return _solve(g, phi, spec, sigma_inf, "robin", extra_rhs, tol, x0)
+    level's), else from the preconditioned right-hand side; ``kept`` goes
+    to ``assemble_nutrient_system``."""
+    return _solve(g, phi, spec, sigma_inf, "robin", extra_rhs, tol, x0, kept)
 
 
 def solve_nutrient_dirichlet(g: Grid2D, phi: CellField, spec, sigma_inf,

@@ -14,10 +14,10 @@ defined once, in ``brinkman_form``: its rows E = [shear; div; I] are built
 once per grid together with the saddle-point pattern (``grid.form_pattern``),
 and ``_form_weights`` gives the quadrature weights w of phi in E's row
 order, so a(v,v) = sum_r w_r (E v)_r^2.  Each assembly only scatters w
-into the pattern, and returns the operator it built last when w is that
-of its previous call (``linalg.KeptOperator``: with constant viscosity a
-time step rebuilds nothing).  The dissipation diagnostics evaluate the
-same sum, so they equal v^T A v.  Continuity rows enforce
+into the pattern; handed a ``linalg.KeptOperator``, it returns the
+operator kept there while w is that of its last build (with constant
+viscosity a time step rebuilds nothing).  The dissipation diagnostics
+evaluate the same sum, so they equal v^T A v.  Continuity rows enforce
 div(v) = Gamma_v exactly at every cell (solved, not penalized).
 
 The saddle point is solved by classical BiCGStab with a block
@@ -41,7 +41,7 @@ the residual also meets the divergence target (see ``solve_brinkman``),
 and it starts from the least-squares best combination of nearby flows or
 else from the preconditioned right-hand side.  A time step passes the
 ``linalg.ProjectionBasis`` of the previous steps' flows, paired with their
-products with the kept operator, and gets it back with its own flow
+products with its kept operator, and gets it back with its own flow
 entered at no product; after a new operator, or a full basis, the next
 solve makes a new basis from the last four levels' flows, one product
 each.
@@ -267,7 +267,8 @@ def _brinkman_preconditioner(g: Grid2D, eta: float, lam: float, nu: float,
 
 
 def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
-                             gamma_v: CellField, force: FaceField):
+                             gamma_v: CellField, force: FaceField,
+                             kept: KeptOperator | None = None):
     """Monolithic staggered system in (vx, vy, p).
 
     The symmetric energy form (momentum rows volume-weighted, continuity
@@ -280,7 +281,8 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
     block-triangular preconditioner of the scaled matrix.  The matrix,
     the scale and the preconditioner depend on the weights alone: while
     they (and the preconditioner's mean viscosities) equal those of the
-    previous call, the same read-only objects come back with the new rhs.
+    last build kept in ``kept``, the same read-only objects come back with
+    the new rhs.  Without ``kept`` they are built and kept nowhere.
     """
     nu = spec.params.nu
     if nu <= 0:
@@ -307,14 +309,12 @@ def assemble_brinkman_system(g: Grid2D, phi: CellField, spec,
         a.data.flags.writeable = scale.flags.writeable = False
         return a, scale, _brinkman_preconditioner(g, *scalars, scale)
 
-    a, scale, precond = _kept_brinkman.get((g, scalars), w, build)
+    a, scale, precond = build() if kept is None else kept.get((g, scalars),
+                                                                w, build)
     rhs = np.concatenate([mac_operators(g).vol_f * stacked(force),
                           -g.cell_volume
                           * np.asarray(gamma_v, dtype=float).ravel()])
     return LinearSystem(a, rhs * scale, precond), scale
-
-
-_kept_brinkman = KeptOperator()
 
 
 def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
@@ -334,7 +334,8 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
                    spec, extra_force: FaceField | None = None,
                    tol: float = 1e-9,
                    start: Sequence[tuple[FaceField, CellField]] = (),
-                   basis: ProjectionBasis | None = None) -> FlowSolution:
+                   basis: ProjectionBasis | None = None,
+                   kept: KeptOperator | None = None) -> FlowSolution:
     """One Krylov solve of the Brinkman system, to a relative residual that
     also meets the divergence target ||div v - Gamma_v|| <= 5*tol*||Gamma_v||.
 
@@ -348,9 +349,11 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     newest last, and ``basis`` the ``ProjectionBasis`` of the previous
     solve, as its ``FlowSolution`` returned it.  The Krylov solve starts
     from the combination of the basis's columns with the least residual.
-    The basis is used while the kept operator it was made with is current
-    (``KeptOperator.token``); otherwise, or without one, the solve makes a
-    new basis from the flows of ``start``, at one product each.  The new
+    ``kept`` goes to ``assemble_brinkman_system``, and the basis is used
+    while the operator it was made with is the one kept there (its
+    ``KeptOperator.token``); otherwise, or without a basis or ``kept``,
+    the solve makes a new basis from the flows of ``start``, at one
+    product each.  The new
     flow then enters the basis at no product (A x = b - r from the solve's
     final residual), and the extended basis comes back in the solution.
     After a full basis the solution carries none, so the next solve makes
@@ -359,7 +362,8 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
     preconditioned rhs, and without a start it keeps no basis."""
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     force = brinkman_force(g, phi, mu, sigma, spec, extra_force)
-    system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force)
+    system, scale = assemble_brinkman_system(g, phi, spec, gamma_v, force,
+                                             kept)
     gnorm = norm_l2_cells(g, np.asarray(gamma_v, dtype=float)
                           + np.zeros((g.nx, g.ny)))
     solve_tol = tol
@@ -369,19 +373,19 @@ def solve_brinkman(g: Grid2D, phi: CellField, mu: CellField, sigma: CellField,
         solve_tol = min(tol, max(target, 0.01 * tol))
     a, b = system.matrix, system.rhs
 
-    x0 = r0 = r = None
+    x0 = r = None
     if start:
-        token = _kept_brinkman.token
-        if basis is None or basis.token != token:
+        token = None if kept is None else kept.token
+        if basis is None or token is None or basis.token is not token:
             # the flows as unknowns of the scaled system, newest first
             basis = ProjectionBasis(b.size, token).with_products(
                 a, (np.concatenate([stacked(vel), np.ravel(p)]) / scale
                     for vel, p in reversed(start)))
         if basis.size:
-            x0, r0 = basis.start(b)
+            x0 = basis.start(b)
         r = np.empty(b.size)
     x, stats = bicgstab_solve(a, b, system.precond, tol=solve_tol, x0=x0,
-                              r0=r0, r_out=r)
+                              r_out=r)
     require_converged(stats, "Brinkman solve", "flow")
     if start:
         # after a full basis the next solve makes a new one from its flows

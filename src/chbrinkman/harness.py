@@ -317,13 +317,17 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
                     r(delta) = sup_n ||phi1 - phi2||_H1 / (delta*||w||_H1)
     perturb="sigma_inf": r(delta) = sup_n ||sigma1 - sigma2||_2
                                     / ||delta||_{L2(boundary)}
-    Requires constant mobility.  delta = 0 gives ratio 0 by definition.
+    with the sup over the levels n = 1..n_steps (at n = 0 the phi0 ratio
+    is 1 by construction).  Requires constant mobility and n_steps >= 1.
+    delta = 0 gives ratio 0 by definition.
     """
     if spec.mobility.m0 != spec.mobility.m1:
         raise ValueError("continuous dependence study requires constant "
                          "mobility (B1)")
     if perturb not in ("phi0", "sigma_inf"):
         raise ValueError(f"unknown perturbation target {perturb!r}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     deltas = list(deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d < 0 for d in deltas):
         raise ValueError("deltas must be non-negative and decreasing")
@@ -336,31 +340,28 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
         field, norm = "sigma", norm_l2_cells
         scale = np.sqrt(2.0 * (g.lx + g.ly))   # sqrt of the perimeter
     base_spec = replace(spec, phi0=phi0)
-    # only the base levels' field is kept; each perturbed trajectory is
-    # reduced against it level by level, and runs after the base one has
-    # ended (``stepper.trajectory``)
-    base = [getattr(state, field)
-            for _, state, _ in trajectory(g, base_spec, cfg, n_steps)]
 
-    ratios = []
-    for d in deltas:
-        if d == 0.0:
-            ratios.append(0.0)
-            continue
+    def perturbed(d):
         if perturb == "phi0":
-            pert_spec = replace(base_spec, phi0=phi0 + d * w)
-        else:
-            base_inf = spec.sigma_inf
-            if callable(base_inf):
-                shifted = lambda t, f=base_inf, d=d: np.asarray(f(t)) + d
-            else:
-                shifted = np.asarray(base_inf, dtype=float) + d
-            pert_spec = replace(base_spec, sigma_inf=shifted)
-        sup = max(norm(g, base[k] - getattr(state, field))
-                  for k, state, _ in trajectory(g, pert_spec, cfg, n_steps))
-        ratios.append(sup / (d * scale))
+            return replace(base_spec, phi0=phi0 + d * w)
+        base_inf = spec.sigma_inf
+        if callable(base_inf):
+            return replace(base_spec, sigma_inf=lambda t: np.asarray(
+                base_inf(t)) + d)
+        return replace(base_spec,
+                       sigma_inf=np.asarray(base_inf, dtype=float) + d)
 
-    nonzero = [r for r, d in zip(ratios, deltas) if d > 0]
+    positive = [d for d in deltas if d > 0]
+    # the base and the perturbed trajectories step in lockstep, each with
+    # its own kept operators; only the levels in hand are held
+    runs = zip(*(trajectory(g, s, cfg, n_steps)
+                 for s in (base_spec, *map(perturbed, positive))))
+    next(runs)  # level 0, where the phi0 gap is delta*w by construction
+    gaps = [[norm(g, getattr(base, field) - getattr(state, field))
+             for _, state, _ in others] for (_, base, _), *others in runs]
+    nonzero = [max(gap) / (d * scale) for gap, d in zip(zip(*gaps), positive)]
+    ratios = nonzero + [0.0] * (len(deltas) - len(positive))
+
     spread = max(nonzero) / min(nonzero) if nonzero and min(nonzero) > 0 else float("inf")
     checks = {"ratio_spread": spread,
               "ratio_spread_at_most_10": bool(spread <= 10.0)}
@@ -368,5 +369,5 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
         parameter="delta", values=deltas,
         norms={"difference_ratio": ratios},
         primary="difference_ratio",
-        slope=_loglog_slope([d for d in deltas if d > 0], nonzero),
+        slope=_loglog_slope(positive, nonzero),
         checks=checks)

@@ -8,8 +8,8 @@ scipy.sparse.linalg so that the stopping rule (true-residual based), the
 preconditioning and the reported statistics are fully deterministic and
 under our control.  One solver serves every system: classical
 right-preconditioned BiCGStab, which takes a required preconditioner M^-1,
-starts from x0 = M^-1 b (or from a given x0 and its residual, when the
-caller holds nearby solutions) and accepts only a true residual.  It
+starts from x0 = M^-1 b (or from a given x0, when the caller holds
+nearby solutions) and accepts only a true residual.  It
 solves the SPD nutrient and Darcy pressure systems, the nonsymmetric
 Cahn-Hilliard pair and the indefinite Brinkman saddle point.  The Darcy
 pressure operator is constant, so its exact preconditioner leaves the
@@ -32,19 +32,20 @@ solve needs no iteration; the Brinkman saddle point is preconditioned by a
 block-triangular solve built from it, with one block Gauss-Seidel sweep
 over the two velocity blocks (see ``flow``).
 
-An assembly whose weights repeat those of its previous call returns the
-operator it built then (``KeptOperator``): a time step with constant
-coefficients rebuilds nothing.  While it does, the solutions of earlier
-steps keep their products with that operator in a ``ProjectionBasis``
+An assembly handed a ``KeptOperator`` returns the operator it built last
+while its weights repeat those of that call: a time step with constant
+coefficients rebuilds nothing.  Each trajectory owns its entries
+(``KeptOperators``), so what one trajectory keeps never depends on what
+else the process steps.  While an operator is kept, the solutions of
+earlier steps keep their products with it in a ``ProjectionBasis``
 (Fischer's projection, kept across steps): a solve starts from their
 combination with the least residual, and its own solution enters the
-basis through its final residual, so neither costs a product.
+basis through its final residual at no product.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -193,18 +194,15 @@ class KroneckerOperator:
         return out
 
 
-_builds = itertools.count(1)
-
-
 class KeptOperator:
     """The last operator one assembly built, with the grid, the scalars and
     the weights w it was built from: ``get`` returns it again while they
     are equal, so it is bit-identical to a rebuild.  One entry only; it is
     dropped before a miss rebuilds, so an old and a new operator are never
-    held together.  What it keeps must be read-only.  ``token`` names the
-    build of the kept operator, unique in the process: what was computed
-    with an operator (a ``ProjectionBasis``) is current while the token
-    is the same."""
+    held together.  What it keeps must be read-only.  ``token`` is a new
+    object at each build, None before the first: what was computed with an
+    operator (a ``ProjectionBasis``) is current while the token is the
+    same."""
 
     def __init__(self):
         self._key = self._w = self._value = self.token = None
@@ -217,8 +215,18 @@ class KeptOperator:
         value = build()
         w.flags.writeable = False
         self._key, self._w, self._value = key, w, value
-        self.token = next(_builds)
+        self.token = object()
         return value
+
+
+@dataclass(frozen=True)
+class KeptOperators:
+    """The kept operators of one trajectory: the entries of its nutrient,
+    Cahn-Hilliard and Brinkman assemblies."""
+
+    nutrient: KeptOperator = field(default_factory=KeptOperator)
+    ch: KeptOperator = field(default_factory=KeptOperator)
+    brinkman: KeptOperator = field(default_factory=KeptOperator)
 
 
 # columns of a ProjectionBasis: each keeps two n-vectors, and a longer basis
@@ -254,7 +262,7 @@ class ProjectionBasis:
     ``token`` names.
 
     ``start(b)`` is then the x0 = V c minimising ||b - A V c|| at the cost
-    of three products with V and W.  A vector x enters by a classical
+    of two products, with W and V.  A vector x enters by a classical
     Gram-Schmidt pass done twice (CGS2, Giraud, Langou, Rozloznik & van
     den Eshof, Numer. Math. 101, 2005) against W, on the pair (x, A x),
     where a solve gives A x = b - r from its final residual r.  No product
@@ -288,13 +296,12 @@ class ProjectionBasis:
         c = self._columns
         return c.v[:, :self.size], c.w[:, :self.size]
 
-    def start(self, b) -> tuple[np.ndarray, np.ndarray]:
-        """(x0, r0): x0 = V c with c = W^T b, which minimises ||b - A V c||
-        since W = A V is orthonormal, and its residual r0 = b - W c.
-        Never worse than x0 = 0, nor than any vector entered alone."""
+    def start(self, b) -> np.ndarray:
+        """x0 = V c with c = W^T b, which minimises ||b - A V c|| since
+        W = A V is orthonormal.  Never worse than x0 = 0, nor than any
+        vector entered alone."""
         v, w = self.vectors()
-        c = w.T @ b
-        return v @ c, b - w @ c
+        return v @ (w.T @ b)
 
     def with_column(self, x, ax) -> "ProjectionBasis":
         """This basis with x entered, where ax = A x, by two classical
@@ -330,7 +337,7 @@ class ProjectionBasis:
 
 def bicgstab_solve(a, b, precond, tol: float = 1e-10,
                    max_iter: int | None = None, ell: int = 1, x0=None,
-                   r0=None, r_out=None):
+                   r_out=None):
     """Classical right-preconditioned BiCGStab (van der Vorst, SIAM J. Sci.
     Stat. Comput. 13, 1992).
 
@@ -338,11 +345,9 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     iteration runs on A M^-1 with x = M^-1 y, so its residuals are those of
     A x = b.  It starts from ``x0``, a nearby solution such as a
     ``ProjectionBasis`` makes from the last time levels, or from M^-1 b
-    when none is given.  ``r0``, when given with x0, is the caller's
-    b - A x0 (the basis holds it without a product) and stands in for the
-    first residual.  The start comes back with 0 iterations when its true
-    residual meets the tolerance (a given r0 that meets it is checked
-    against b - A x0 first); b = 0 returns zeros whatever the start.  When
+    when none is given; its residual is b - A x0, one product.  The start
+    comes back with 0 iterations when that residual meets the tolerance;
+    b = 0 returns zeros whatever the start.  When
     the recursive residual meets the tolerance the true residual is
     recomputed; if that misses, or the method breaks down, the iteration
     restarts from the true residual, which is also the new shadow residual.
@@ -356,7 +361,7 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
     are updated in place through one scratch vector, by the operations of
     the out-of-place recurrences in their order, so the iterates are the
     same to the bit; the solve copies its start and never writes into b,
-    x0, r0 or an array ``precond`` returns (an identity preconditioner
+    x0 or an array ``precond`` returns (an identity preconditioner
     returns its argument).  ``ell``, the BiCG steps per iteration, must be
     1, and ``tol`` positive.  Returns (x, SolveStats) with the true residual;
     non-convergence comes back as converged=False, never silently.  The
@@ -376,15 +381,9 @@ def bicgstab_solve(a, b, precond, tol: float = 1e-10,
         return np.zeros(b.size), SolveStats(0, 0.0, True)
     target = tol * bnorm
     # x and r are copies: they are updated in place
-    if x0 is None:
-        x, r0 = np.array(precond(b), dtype=float).ravel(), None
-    else:
-        x = np.array(x0, dtype=float).ravel()
-    r = b - a @ x if r0 is None else np.array(r0, dtype=float).ravel()
+    x = np.array(precond(b) if x0 is None else x0, dtype=float).ravel()
+    r = b - a @ x
     res = float(np.linalg.norm(r))
-    if res <= target and r0 is not None:
-        r = b - a @ x
-        res = float(np.linalg.norm(r))
     stats = SolveStats(0, res, res <= target)
     if max_iter is None:
         max_iter = 10 * b.size

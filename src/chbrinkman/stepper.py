@@ -20,8 +20,14 @@ evaluate the same D with the same face mobilities (``_mobility_weights``),
 so the gradient energy and the CH dissipation are the forms the solver
 uses.  With a constant mobility its weights repeat from step to step, and
 the assembly returns the matrix it built last, with its preconditioner's
-per-mode Cramer coefficients (``linalg.KeptOperator``); the face
-mobilities of phi^n come from the level's record.
+per-mode Cramer coefficients; the face mobilities of phi^n come from the
+level's record.
+
+A trajectory owns the operators its assemblies keep: ``initialize_state``
+makes one ``linalg.KeptOperators``, every level carries it on, and
+``step`` hands its nutrient, CH and Brinkman entries to those assemblies.
+Nothing is kept at module level, so a trajectory's levels do not depend
+on what else the process steps.
 
 Each level is measured once, when it is made: its ``LevelRecord`` holds
 the level's ``diagnostics.csv`` columns and what the next step's energy
@@ -40,7 +46,7 @@ full (``flow.solve_brinkman``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,8 +59,9 @@ from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
                    form_pattern, integrate_cells, mac_operators,
                    minus_laplacian)
-from .linalg import (KeptOperator, LinearSystem, ProjectionBasis,
-                     SolveStats, bicgstab_solve, require_converged)
+from .linalg import (KeptOperator, KeptOperators, LinearSystem,
+                     ProjectionBasis, SolveStats, bicgstab_solve,
+                     require_converged)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
 
@@ -101,7 +108,10 @@ class State:
     with its flow entered.  The next step's Brinkman solve starts from the
     basis; it makes a new one from the flows when the operator has
     changed, or when the basis is None: at the initial level, and after a
-    full basis.  Both are empty in the other flow modes.
+    full basis.  Both are empty in the other flow modes.  kept holds the
+    operators the trajectory's assemblies keep (``linalg.KeptOperators``),
+    one object shared by all its levels; a State made by hand gets its
+    own.
     """
 
     t: float
@@ -113,6 +123,7 @@ class State:
     record: LevelRecord
     flows: tuple[tuple[FaceField, CellField], ...] = ()
     basis: ProjectionBasis | None = None
+    kept: KeptOperators = field(default_factory=KeptOperators)
 
 
 # levels whose flows make a new Brinkman start basis, after an operator
@@ -252,7 +263,8 @@ def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
-                       cfg: StepConfig, gamma_phi: CellField | None = None):
+                       cfg: StepConfig, gamma_phi: CellField | None = None,
+                       kept: KeptOperator | None = None):
     """The coupled linear system of one CH step, unknowns [phi, mu/c] with
     c = sqrt(eps/dt); returns (LinearSystem, unknown_scale).
 
@@ -264,9 +276,10 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     attainable BiCGStab accuracy well below tolerance.  The preconditioner
     is the exact solve of the same system with the mobility replaced by its
     mean, so a constant-mobility step takes no BiCGStab iteration.  While
-    the weights, the mean mobility, dt, eps and S equal those of the
-    previous call, the same read-only matrix, preconditioner (with its
-    per-mode Cramer coefficients) and scale come back.
+    the weights, the mean mobility, dt, eps and S equal those of the last
+    build kept in ``kept``, the same read-only matrix, preconditioner (with
+    its per-mode Cramer coefficients) and scale come back; without
+    ``kept`` they are built and kept nowhere.
 
     The face mobilities m_f of phi^n are read from ``state.record`` when
     the state has one; ``gamma_phi``, when given, is the source
@@ -307,8 +320,8 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
         scale.flags.writeable = False
         return a, lambda v: lap.apply(v, divisor), scale
 
-    a, precond, scale = _kept_ch.get((g, m_mean, cfg.dt, eps, s_stab), w,
-                                     build)
+    key = (g, m_mean, cfg.dt, eps, s_stab)
+    a, precond, scale = build() if kept is None else kept.get(key, w, build)
 
     if gamma_phi is None:
         gamma_phi = eval_source_gamma_phi(spec.sources, phi_n, state.sigma)
@@ -321,18 +334,16 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     return system, scale
 
 
-_kept_ch = KeptOperator()
-
-
 def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig,
-              gamma_phi: CellField | None = None):
+              gamma_phi: CellField | None = None,
+              kept: KeptOperator | None = None):
     """One semi-implicit CH step; returns (phi_new, mu_new, SolveStats).
 
     Uses state.sigma and state.vel as the lagged nutrient/velocity; the
     caller is responsible for refreshing sigma first (step() does).
-    ``gamma_phi`` is passed on to ``assemble_ch_system``.
+    ``gamma_phi`` and ``kept`` are passed on to ``assemble_ch_system``.
     """
-    system, scale = assemble_ch_system(g, state, spec, cfg, gamma_phi)
+    system, scale = assemble_ch_system(g, state, spec, cfg, gamma_phi, kept)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=cfg.tol_ch)
     require_converged(stats, "Cahn-Hilliard solve", "cahn-hilliard")
@@ -342,15 +353,16 @@ def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig,
 
 
 def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
-           cfg: StepConfig, flows=(), basis=None) -> tuple[State, SolveStats]:
-    """The State at t of (phi, mu, sigma): the flow solve of cfg.flow_mode
-    on it and the level's record; returns (State, the flow's SolveStats).
-    ``flows``, the last levels' flows, and ``basis``, the previous level's
-    projection basis, start the Brinkman Krylov solve; the Darcy solve is
-    direct and needs none."""
+           cfg: StepConfig, kept: KeptOperators, flows=(),
+           basis=None) -> tuple[State, SolveStats]:
+    """The State at t of (phi, mu, sigma), carrying the trajectory's
+    ``kept``: the flow solve of cfg.flow_mode on it and the level's record;
+    returns (State, the flow's SolveStats).  ``flows``, the last levels'
+    flows, and ``basis``, the previous level's projection basis, start the
+    Brinkman Krylov solve; the Darcy solve is direct and needs none."""
     if cfg.flow_mode == "brinkman":
         flow = solve_brinkman(g, phi, mu, sigma, spec, tol=cfg.tol_flow,
-                              start=flows, basis=basis)
+                              start=flows, basis=basis, kept=kept.brinkman)
         viscous = viscous_dissipation(g, flow.vel, phi, spec)
         flows = (*flows, (flow.vel, flow.p))[-FLOW_HISTORY:]
     elif cfg.flow_mode == "darcy":
@@ -371,21 +383,24 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
         integrate_cells(g, gamma_phi - phi * gamma_v), flow.div_residual,
         d_mu, m_f, viscous, integrate_cells(g, flow.p * gamma_v))
     return State(t, phi, mu, sigma, flow.vel, flow.p, record, flows,
-                 flow.basis), flow.stats
+                 flow.basis, kept), flow.stats
 
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     """phi0 from the descriptor, sigma0 from the Robin solve, mu0 from the
-    chemical-potential relation, v0 from one flow solve.  The grid's CH
-    form is built here, so that its construction does not add to the peak
-    memory of the first step."""
+    chemical-potential relation, v0 from one flow solve.  The trajectory's
+    ``linalg.KeptOperators`` is made here.  The grid's CH form is built
+    here too, so that its construction does not add to the peak memory of
+    the first step."""
     ch_form(g)
+    kept = KeptOperators()
     phi0 = build_phi0(spec.phi0, g)
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, 0.0)
     sigma0, _ = solve_nutrient_robin(g, phi0, spec, sig_inf,
-                                     tol=cfg.tol_nutrient)
+                                     tol=cfg.tol_nutrient,
+                                     kept=kept.nutrient)
     mu0 = chemical_potential(g, phi0, sigma0, spec)
-    return _level(g, 0.0, phi0, mu0, sigma0, spec, cfg)[0]
+    return _level(g, 0.0, phi0, mu0, sigma0, spec, cfg, kept)[0]
 
 
 def suggest_cfl_dt(g: Grid2D, vel: FaceField) -> float:
@@ -456,12 +471,15 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     Stage order: (1) Robin nutrient solve at t^n, started from sigma^n,
     (2) CH update with the lagged velocity, (3) flow solve on the new
     (phi, mu).  Gamma_phi(phi^n, sigma^{n+1}) is evaluated once, for the CH
-    rhs and both residuals.  Sub-solver failures carry their stage name.
+    rhs and both residuals.  The three assemblies keep their operators in
+    the entries of ``state.kept``, which the new state carries on.
+    Sub-solver failures carry their stage name.
     """
+    kept = state.kept
     sig_inf = sample_sigma_inf(spec.sigma_inf, g, state.t)
     sigma, n_stats = solve_nutrient_robin(g, state.phi, spec, sig_inf,
                                           tol=cfg.tol_nutrient,
-                                          x0=state.sigma)
+                                          x0=state.sigma, kept=kept.nutrient)
     work = replace(state, sigma=sigma)
     gamma_phi = eval_source_gamma_phi(spec.sources, state.phi, sigma)
 
@@ -470,9 +488,9 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     if violated and cfg.strict_cfl:
         raise CflViolation(cfg.dt, cfl)
 
-    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg, gamma_phi)
+    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg, gamma_phi, kept.ch)
     new_state, flow_stats = _level(g, state.t + cfg.dt, phi1, mu1, sigma,
-                                   spec, cfg, state.flows, state.basis)
+                                   spec, cfg, kept, state.flows, state.basis)
     return new_state, Diagnostics(
         **vars(new_state.record),
         energy_residual=energy_residual(g, state, new_state, gamma_phi, spec,
@@ -489,11 +507,9 @@ def trajectory(g: Grid2D, spec: ModelSpec, cfg: StepConfig, n_steps: int):
 
     Each level is made when it is asked for, and only the one in hand is
     held here.  An error in making level k raises out of the generator
-    after levels 0..k-1 were yielded.  Every assembly keeps one operator
-    (``linalg.KeptOperator``), and a Brinkman start basis is current only
-    while the operator it was made with is kept: run one trajectory to its
-    end, or drop it, before stepping another, and its levels are bit for
-    bit those of a run on its own.
+    after levels 0..k-1 were yielded.  The levels carry the trajectory's
+    own kept operators, so trajectories may be stepped interleaved, and
+    each gives bit for bit the levels of a run on its own.
     """
     state = initialize_state(g, spec, cfg)
     yield 0, state, None

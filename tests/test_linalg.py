@@ -221,22 +221,21 @@ def test_bicgstab_ends_on_repeated_breakdown():
     assert stats.residual == pytest.approx(np.linalg.norm(b - a @ x))
 
 
-def test_bicgstab_takes_the_start_residual_and_returns_the_final_one():
-    # a given r0 stands in for b - A x0, but a start is accepted with 0
-    # iterations only on its true residual: a wrong r0 that meets the
-    # tolerance does not end the solve.  r_out receives b - A x
+def test_bicgstab_starts_from_the_true_residual_and_returns_the_final_one():
+    # a start is accepted with 0 iterations only when its true residual
+    # b - A x0 meets the tolerance: one far off iterates, one at the
+    # solution does not.  r_out receives b - A x
     a = upwind_advection_diffusion(8)
     b = a @ np.linspace(-1.0, 1.0, 64)
     x0 = dense_solve(a, b) + 1e-3 * np.cos(np.arange(64))
     r_out = np.empty(64)
-    x, stats = bicgstab_solve(a, b, jacobi(a), x0=x0, r0=np.zeros(64),
-                              r_out=r_out)
+    x, stats = bicgstab_solve(a, b, jacobi(a), x0=x0, r_out=r_out)
     assert stats.converged and stats.iterations > 0
     assert np.array_equal(r_out, b - a @ x)
     assert stats.residual == np.linalg.norm(r_out)
-    same, same_stats = bicgstab_solve(a, b, jacobi(a), x0=x0, r0=b - a @ x0)
-    plain, plain_stats = bicgstab_solve(a, b, jacobi(a), x0=x0)
-    assert np.array_equal(same, plain) and same_stats == plain_stats
+    again, again_stats = bicgstab_solve(a, b, jacobi(a), x0=x, r_out=r_out)
+    assert again_stats.iterations == 0 and np.array_equal(again, x)
+    assert np.array_equal(r_out, b - a @ x)
     x, stats = bicgstab_solve(a, np.zeros(64), jacobi(a), r_out=r_out)
     assert stats.converged and not np.any(r_out)
 
@@ -244,15 +243,14 @@ def test_bicgstab_takes_the_start_residual_and_returns_the_final_one():
 def test_bicgstab_leaves_its_inputs_alone(rng):
     # x, r and p are updated in place, so the solve copies its start: an
     # identity preconditioner returns its argument (b, then p and r), and
-    # a given x0 and r0 are the caller's arrays
+    # a given x0 is the caller's array
     a = upwind_advection_diffusion(8)
     b = rng.standard_normal(64)
     exact = dense_solve(a, b)
     x0 = exact + 1e-3 * np.cos(np.arange(64))
-    r0 = b - a @ x0
-    inputs = (b, x0, r0)
+    inputs = (b, x0)
     kept = [v.copy() for v in inputs]
-    for start in ({}, {"x0": x0}, {"x0": x0, "r0": r0}):
+    for start in ({}, {"x0": x0}):
         for precond in (identity, jacobi(a)):
             x, stats = bicgstab_solve(a, b, precond, tol=1e-12, **start)
             assert stats.converged and stats.iterations > 0
@@ -292,15 +290,14 @@ def test_projection_basis_drops_dependent_and_zero_columns(rng):
     basis = ProjectionBasis(64, None).with_products(
         a, [near[-1], near[-1].copy(), *near[-2::-1], np.zeros(64)])
     assert basis.size == 3
-    x0, r0 = basis.start(b)
+    x0 = basis.start(b)
     best, *_ = np.linalg.lstsq((a @ np.column_stack(near)), b, rcond=None)
     assert (np.linalg.norm(x0 - np.column_stack(near) @ best)
             <= 1e-12 * np.linalg.norm(x0))
-    assert np.linalg.norm(r0 - (b - a @ x0)) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(b - a @ x0) <= np.linalg.norm(b - a @ near[-1])
     zeros = ProjectionBasis(64, None).with_products(a, [np.zeros(64)] * 3)
     assert zeros.size == 0
-    x0, _ = ProjectionBasis(64, None).with_products(a, [x]).start(b)
+    x0 = ProjectionBasis(64, None).with_products(a, [x]).start(b)
     assert np.allclose(x0, x, rtol=1e-12, atol=0.0)
 
 
