@@ -14,9 +14,9 @@ from .model import (ModelParams, ModelSpec, MobilitySpec, PotentialSpec,
                     RandomPerturbation, SourceSpec, ValidationReport,
                     ViscositySpec, blended_mobility, blended_viscosity,
                     constant_mobility, constant_viscosity,
-                    default_model_spec, default_quartic_potential,
-                    eval_source_gamma_phi, eval_source_gamma_v, smooth_blend,
-                    validate, zero_sources)
+                    default_quartic_potential, eval_source_gamma_phi,
+                    eval_source_gamma_v, smooth_blend, validate,
+                    zero_sources)
 from .elliptic import (boundary_trace, solve_nutrient_dirichlet,
                        solve_nutrient_robin)
 from .flow import (FlowSolution, solve_brinkman, solve_darcy,

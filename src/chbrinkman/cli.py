@@ -12,7 +12,7 @@ mms         manufactured-solution convergence sweep:
 limit-k     Robin -> Dirichlet boundary-permeability sweep: --out DIR
 limit-visc  Brinkman -> Darcy vanishing-viscosity sweep: --out DIR
 contdep     continuous-dependence perturbation sweep: --perturb
-            {phi0,sigma_inf} (default phi0), --steps N (>= 0, default 50),
+            {phi0,sigma_inf} (default phi0), --steps N (>= 1, default 50),
             --flow-mode (default brinkman), --out DIR
 
 A study subcommand writes its sweep CSV into --out (default ".", created if

@@ -92,10 +92,10 @@ def solve_nutrient_robin(g: Grid2D, phi: CellField, spec, sigma_inf,
 
 
 def solve_nutrient_dirichlet(g: Grid2D, phi: CellField, spec, sigma_inf,
-                             extra_rhs: CellField | None = None,
-                             tol: float = 1e-10):
-    """Dirichlet (K -> infinity) nutrient solve; returns (sigma, SolveStats)."""
-    return _solve(g, phi, spec, sigma_inf, "dirichlet", extra_rhs, tol)
+                             extra_rhs: CellField | None = None):
+    """Dirichlet (K -> infinity) nutrient solve at tol 1e-10; returns
+    (sigma, SolveStats)."""
+    return _solve(g, phi, spec, sigma_inf, "dirichlet", extra_rhs, 1e-10)
 
 
 def boundary_trace(g: Grid2D, sigma: CellField, sigma_inf, K: float):

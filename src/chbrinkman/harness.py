@@ -200,16 +200,15 @@ def _brinkman_mms_errors(n: int):
 _MMS_BASE_N = {"nutrient": 32, "darcy": 32, "brinkman": 16}
 
 
-def mms_convergence(problem: str, levels: int = 3,
-                    base_n: int | None = None) -> SweepResult:
-    """Grid-refinement study for one sub-solver; observed order is the slope
-    of log(error) against log(dx)."""
+def mms_convergence(problem: str, levels: int = 3) -> SweepResult:
+    """Grid-refinement study for one sub-solver on the grids n0*2^k,
+    k < levels, from the problem's base n0 in ``_MMS_BASE_N``; observed
+    order is the slope of log(error) against log(dx)."""
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
     if problem not in _MMS_BASE_N:
         raise ValueError(f"unknown MMS problem {problem!r}")
-    n0 = base_n if base_n is not None else _MMS_BASE_N[problem]
-    ns = [n0 * 2**k for k in range(levels)]
+    ns = [_MMS_BASE_N[problem] * 2**k for k in range(levels)]
     dxs = [1.0 / n for n in ns]
 
     if problem == "nutrient":
@@ -318,8 +317,9 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
     perturb="sigma_inf": r(delta) = sup_n ||sigma1 - sigma2||_2
                                     / ||delta||_{L2(boundary)}
     with the sup over the levels n = 1..n_steps (at n = 0 the phi0 ratio
-    is 1 by construction).  Requires constant mobility and n_steps >= 1.
-    delta = 0 gives ratio 0 by definition.
+    is 1 by construction).  Requires constant mobility, n_steps >= 1 and
+    deltas positive and strictly decreasing; a delta <= 0 raises
+    ValueError.
     """
     if spec.mobility.m0 != spec.mobility.m1:
         raise ValueError("continuous dependence study requires constant "
@@ -329,8 +329,8 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     deltas = list(deltas)
-    if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d < 0 for d in deltas):
-        raise ValueError("deltas must be non-negative and decreasing")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d <= 0 for d in deltas):
+        raise ValueError("deltas must be positive and decreasing")
 
     xc, yc = g.cell_centers()
     w = np.cos(np.pi * xc) * np.cos(np.pi * yc)
@@ -351,23 +351,21 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
         return replace(base_spec,
                        sigma_inf=np.asarray(base_inf, dtype=float) + d)
 
-    positive = [d for d in deltas if d > 0]
     # the base and the perturbed trajectories step in lockstep, each with
     # its own kept operators; only the levels in hand are held
     runs = zip(*(trajectory(g, s, cfg, n_steps)
-                 for s in (base_spec, *map(perturbed, positive))))
+                 for s in (base_spec, *map(perturbed, deltas))))
     next(runs)  # level 0, where the phi0 gap is delta*w by construction
     gaps = [[norm(g, getattr(base, field) - getattr(state, field))
              for _, state, _ in others] for (_, base, _), *others in runs]
-    nonzero = [max(gap) / (d * scale) for gap, d in zip(zip(*gaps), positive)]
-    ratios = nonzero + [0.0] * (len(deltas) - len(positive))
+    ratios = [max(gap) / (d * scale) for gap, d in zip(zip(*gaps), deltas)]
 
-    spread = max(nonzero) / min(nonzero) if nonzero and min(nonzero) > 0 else float("inf")
+    spread = max(ratios) / min(ratios) if ratios and min(ratios) > 0 else float("inf")
     checks = {"ratio_spread": spread,
               "ratio_spread_at_most_10": bool(spread <= 10.0)}
     return SweepResult(
         parameter="delta", values=deltas,
         norms={"difference_ratio": ratios},
         primary="difference_ratio",
-        slope=_loglog_slope(positive, nonzero),
+        slope=_loglog_slope(deltas, ratios),
         checks=checks)

@@ -174,12 +174,6 @@ class ModelSpec:
     phi0: Phi0 = 0.0
 
 
-def default_model_spec() -> ModelSpec:
-    """The shipped defaults: quartic well, constant unit viscosity/mobility,
-    zero sources with h = 1, sigma_inf = 0, phi0 = 0."""
-    return ModelSpec()
-
-
 # assumption audit -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -241,28 +235,26 @@ def _bound_check(assumption, detail, violation: np.ndarray, samples: np.ndarray,
     return CheckResult(assumption, True, detail)
 
 
-def validate(spec: ModelSpec, sample_range=(-20.0, 20.0),
-             n_samples: int = 40001) -> ValidationReport:
-    """Audit assumptions (A1)-(A5) by dense sampling over sample_range.
+def validate(spec: ModelSpec) -> ValidationReport:
+    """Audit assumptions (A1)-(A5) on the 40,001 evenly spaced samples of
+    s in [-20, 20] (a spacing of 1e-3).
 
     tanh rounds to exactly +-1 in double precision from about |s| = 19 on,
-    so the default range samples both end values of every ``smooth_blend``
-    exactly (at a spacing of 1e-3).
+    so the range samples both end values of every ``smooth_blend``
+    exactly.
 
     Structural errors (rho outside [2,6], rho=2 with 2*r1 <= r3, non-finite
-    evaluator output, n_samples < 2) raise ValueError; ordinary bound
-    violations come back as failed report entries naming the assumption.
-    Pure: identical inputs give an identical report.
+    evaluator output) raise ValueError; ordinary bound violations come back
+    as failed report entries naming the assumption.  Pure: identical
+    inputs give an identical report.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     pot = spec.potential
     if not (2.0 <= pot.rho <= 6.0):
         raise ValueError(f"(A5): growth exponent rho must lie in [2,6], got {pot.rho}")
     if pot.rho == 2.0 and not (2.0 * pot.r1 > pot.r3):
         raise ValueError("(A5): 2*R1 > R3 required when rho = 2")
 
-    s = np.linspace(float(sample_range[0]), float(sample_range[1]), int(n_samples))
+    s = np.linspace(-20.0, 20.0, 40001)
     entries = []
 
     p = spec.params

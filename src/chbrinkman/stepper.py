@@ -6,9 +6,12 @@ the -eps*lap(phi) and mobility flux implicitly, and the convection with the
 lagged velocity:
 
     (phi^{n+1}-phi^n)/dt + div_up(phi^n v^n)
-        = div(m(phi^n) grad mu^{n+1}) + Gamma_phi(phi^n, sigma^n)
+        = div(m(phi^n) grad mu^{n+1}) + Gamma_phi(phi^n, sigma^{n+1})
     mu^{n+1} = (psi'(phi^n) + S*(phi^{n+1}-phi^n))/eps
-        - eps*lap(phi^{n+1}) - chi*sigma^n
+        - eps*lap(phi^{n+1}) - chi*sigma^{n+1}
+
+where sigma^{n+1} is the quasi-static nutrient the step first solves on
+phi^n.
 
 One linear solve per step; energy non-increasing for S >= max |psi''| over
 the iterate range when sources vanish, chi = 0 and v = 0.
@@ -24,8 +27,9 @@ per-mode Cramer coefficients; the face mobilities of phi^n come from the
 level's record.
 
 A trajectory owns the operators its assemblies keep: ``initialize_state``
-makes one ``linalg.KeptOperators``, every level carries it on, and
-``step`` hands its nutrient, CH and Brinkman entries to those assemblies.
+makes one ``linalg.KeptOperators``, every level carries it on,
+``step`` hands its nutrient and Brinkman entries to those assemblies, and
+the CH assembly reads its entry from the State it is given.
 Nothing is kept at module level, so a trajectory's levels do not depend
 on what else the process steps.
 
@@ -59,9 +63,8 @@ from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
                    form_pattern, integrate_cells, mac_operators,
                    minus_laplacian)
-from .linalg import (KeptOperator, KeptOperators, LinearSystem,
-                     ProjectionBasis, SolveStats, bicgstab_solve,
-                     require_converged)
+from .linalg import (KeptOperators, LinearSystem, ProjectionBasis,
+                     SolveStats, bicgstab_solve, require_converged)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
                     eval_source_gamma_v)
 
@@ -263,8 +266,7 @@ def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
-                       cfg: StepConfig, gamma_phi: CellField | None = None,
-                       kept: KeptOperator | None = None):
+                       cfg: StepConfig, gamma_phi: CellField | None = None):
     """The coupled linear system of one CH step, unknowns [phi, mu/c] with
     c = sqrt(eps/dt); returns (LinearSystem, unknown_scale).
 
@@ -277,14 +279,13 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     is the exact solve of the same system with the mobility replaced by its
     mean, so a constant-mobility step takes no BiCGStab iteration.  While
     the weights, the mean mobility, dt, eps and S equal those of the last
-    build kept in ``kept``, the same read-only matrix, preconditioner (with
-    its per-mode Cramer coefficients) and scale come back; without
-    ``kept`` they are built and kept nowhere.
+    build kept in the trajectory's entry ``state.kept.ch``, the same
+    read-only matrix, preconditioner (with its per-mode Cramer
+    coefficients) and scale come back.
 
-    The face mobilities m_f of phi^n are read from ``state.record`` when
-    the state has one; ``gamma_phi``, when given, is the source
-    Gamma_phi(phi^n, state.sigma) of the rhs, which ``step`` computes once
-    for the step.
+    The face mobilities m_f of phi^n are read from ``state.record``;
+    ``gamma_phi``, when given, is the source Gamma_phi(phi^n, state.sigma)
+    of the rhs, which ``step`` computes once for the step.
     """
     phi_n = state.phi
     if not np.all(np.isfinite(phi_n)):
@@ -298,11 +299,8 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    if state.record is None:
-        m_f, m_cells = _mobility_weights(g, phi_n, spec)
-    else:
-        m_f = state.record.m_f
-        m_cells = np.ravel(np.asarray(spec.mobility.m(phi_n), dtype=float))
+    m_f = state.record.m_f
+    m_cells = np.ravel(np.asarray(spec.mobility.m(phi_n), dtype=float))
     m_mean = float(np.mean(m_cells))
     w = np.concatenate([(cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
                         np.full(nc, -s_stab / (eps * c))])
@@ -321,7 +319,7 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
         return a, lambda v: lap.apply(v, divisor), scale
 
     key = (g, m_mean, cfg.dt, eps, s_stab)
-    a, precond, scale = build() if kept is None else kept.get(key, w, build)
+    a, precond, scale = state.kept.ch.get(key, w, build)
 
     if gamma_phi is None:
         gamma_phi = eval_source_gamma_phi(spec.sources, phi_n, state.sigma)
@@ -335,15 +333,14 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
 
 
 def ch_update(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig,
-              gamma_phi: CellField | None = None,
-              kept: KeptOperator | None = None):
+              gamma_phi: CellField | None = None):
     """One semi-implicit CH step; returns (phi_new, mu_new, SolveStats).
 
     Uses state.sigma and state.vel as the lagged nutrient/velocity; the
     caller is responsible for refreshing sigma first (step() does).
-    ``gamma_phi`` and ``kept`` are passed on to ``assemble_ch_system``.
+    ``gamma_phi`` is passed on to ``assemble_ch_system``.
     """
-    system, scale = assemble_ch_system(g, state, spec, cfg, gamma_phi, kept)
+    system, scale = assemble_ch_system(g, state, spec, cfg, gamma_phi)
     x, stats = bicgstab_solve(system.matrix, system.rhs, system.precond,
                               tol=cfg.tol_ch)
     require_converged(stats, "Cahn-Hilliard solve", "cahn-hilliard")
@@ -488,7 +485,7 @@ def step(g: Grid2D, state: State, spec: ModelSpec, cfg: StepConfig):
     if violated and cfg.strict_cfl:
         raise CflViolation(cfg.dt, cfl)
 
-    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg, gamma_phi, kept.ch)
+    phi1, mu1, ch_stats = ch_update(g, work, spec, cfg, gamma_phi)
     new_state, flow_stats = _level(g, state.t + cfg.dt, phi1, mu1, sigma,
                                    spec, cfg, kept, state.flows, state.basis)
     return new_state, Diagnostics(

@@ -48,7 +48,7 @@ def _report(num, ok, detail):
 # ---------------------------------------------------------------- criterion 1
 
 def broken_specs():
-    base = chb.default_model_spec()
+    base = chb.ModelSpec()
     bad_psi2 = dataclasses.replace(
         base, potential=dataclasses.replace(
             base.potential,
@@ -65,12 +65,11 @@ def broken_specs():
 
 def test_criterion_1_assumption_audit():
     t0 = time.monotonic()
-    report = validate(chb.default_model_spec(), sample_range=(-5.0, 5.0),
-                      n_samples=10001)
+    report = validate(chb.ModelSpec())
     ok = report.passed
     named = []
     for expected, spec in broken_specs():
-        rep = validate(spec, sample_range=(-5.0, 5.0), n_samples=10001)
+        rep = validate(spec)
         named.append((not rep.passed) and expected in
                      {e.assumption for e in rep.failures()})
     elapsed = time.monotonic() - t0
@@ -83,9 +82,9 @@ def test_criterion_1_assumption_audit():
 
 def test_criterion_2_mms_convergence():
     t0 = time.monotonic()
-    nut = mms_convergence("nutrient", levels=3, base_n=32)    # 32..128
-    dar = mms_convergence("darcy", levels=3, base_n=32)       # 32..128
-    bri = mms_convergence("brinkman", levels=4, base_n=16)    # 16..128
+    nut = mms_convergence("nutrient", levels=3)    # 32..128
+    dar = mms_convergence("darcy", levels=3)       # 32..128
+    bri = mms_convergence("brinkman", levels=4)    # 16..128
     elapsed = time.monotonic() - t0
     ok = nut.slope >= 1.9 and dar.slope >= 1.9 and bri.slope >= 0.9 \
         and elapsed < 120.0
@@ -298,12 +297,12 @@ def test_criterion_9_oracle_equivalence(rng):
     # Cahn-Hilliard pair solve, constant and blended mobility
     cspec = coupled_brinkman_spec()
     cfg = StepConfig(dt=1e-3, flow_mode="brinkman")
-    st = initialize_state(g, dataclasses.replace(cspec, phi0=phi), cfg)
-    system, _ = assemble_ch_system(g, st, cspec, cfg)
-    replay("cahn-hilliard", system)
-    bspec = dataclasses.replace(cspec, mobility=blended_mobility(0.1, 1.0))
-    system, _ = assemble_ch_system(g, st, bspec, cfg)
-    replay("cahn-hilliard-blend-m", system)
+    for name, spec in (("cahn-hilliard", cspec),
+                       ("cahn-hilliard-blend-m", dataclasses.replace(
+                           cspec, mobility=blended_mobility(0.1, 1.0)))):
+        st = initialize_state(g, dataclasses.replace(spec, phi0=phi), cfg)
+        system, _ = assemble_ch_system(g, st, spec, cfg)
+        replay(name, system)
 
     ok = all(conv and err <= 1e-8 for _, conv, err in results)
     detail = ", ".join(f"{name} {err:.1e}" for name, _, err in results)

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chbrinkman import (FaceField, Grid2D, RandomPerturbation, SourceSpec,
-                        State, StepConfig, SweepResult, blended_mobility,
-                        blended_viscosity, constant_mobility,
-                        constant_viscosity,
+from chbrinkman import (FaceField, Grid2D, ModelSpec, RandomPerturbation,
+                        SourceSpec, StepConfig, SweepResult,
+                        blended_mobility, blended_viscosity,
+                        constant_mobility, constant_viscosity,
                         default_quartic_potential, zero_sources)
 from chbrinkman import cli
 from chbrinkman.cli import (ConfigError, DIAGNOSTICS_HEADER, main,
                             parse_config, write_csv_diagnostics, write_vtk)
+from chbrinkman.linalg import KeptOperators
+from chbrinkman.stepper import _level
 
 S = np.linspace(-3.0, 3.0, 13)
 
@@ -316,7 +318,9 @@ def test_vtk_writer_round_trips_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     phi, mu, sigma, p = (rng.standard_normal((5, 3)) for _ in range(4))
     vel = FaceField(rng.standard_normal((6, 3)), rng.standard_normal((5, 4)))
-    state = State(0.1, phi, mu, sigma, vel, p, None)
+    level, _ = _level(g, 0.1, phi, mu, sigma, ModelSpec(),
+                      StepConfig(dt=1.0, flow_mode="none"), KeptOperators())
+    state = dataclasses.replace(level, vel=vel, p=p)
     path = tmp_path / "state.vtk"
     write_vtk(state, g, str(path))
     header, blocks = read_binary_vtk(path.read_bytes())

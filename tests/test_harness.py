@@ -7,8 +7,10 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, StepConfig,
                         blended_mobility, constant_viscosity,
                         continuous_dependence_study, initialize_state,
                         mms_convergence, norm_h1, norm_l2_cells,
-                        robin_limit_study, step, viscosity_limit_study,
-                        zero_sources)
+                        robin_limit_study, solve_brinkman, solve_darcy,
+                        solve_nutrient_dirichlet, solve_nutrient_robin, step,
+                        viscosity_limit_study, zero_sources)
+from chbrinkman import cli
 from chbrinkman.harness import SweepResult, passthrough_sources
 from chbrinkman.model import SourceSpec, smooth_blend
 
@@ -21,7 +23,7 @@ def test_mms_rejects_bad_arguments():
 
 
 def test_mms_nutrient_small_sweep():
-    result = mms_convergence("nutrient", levels=3, base_n=16)
+    result = mms_convergence("nutrient", levels=3)
     assert result.slope >= 1.8
     errs = result.norms["sigma_l2_error"]
     assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -51,6 +53,37 @@ def test_robin_limit_deterministic():
     a = robin_limit_study(g, np.zeros((16, 16)), spec, [10.0, 100.0, 1000.0])
     b = robin_limit_study(g, np.zeros((16, 16)), spec, [10.0, 100.0, 1000.0])
     assert a == b
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_robin_at_infinite_k_is_the_dirichlet_solve(n):
+    # the limit member of the Robin family: K = inf gives the Dirichlet
+    # nutrient of the limit-k problem bit for bit, and with h = 1 both
+    # solves are the exact preconditioner solve
+    g, phi, spec = cli.limit_k_problem(n)
+    at_inf = dataclasses.replace(
+        spec, params=dataclasses.replace(spec.params, K=np.inf))
+    robin, r_stats = solve_nutrient_robin(g, phi, at_inf, 1.0)
+    dirichlet, d_stats = solve_nutrient_dirichlet(g, phi, spec, 1.0)
+    assert np.array_equal(robin, dirichlet)
+    assert r_stats.iterations == 0 and d_stats.iterations == 0
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_brinkman_without_viscosity_is_the_darcy_solve(n):
+    # the limit member of the Brinkman family: eta = lambda = 0 gives the
+    # Darcy flow of the limit-visc problem to round-off (measured 3.3e-15
+    # at 32x32 to 3.5e-14 at 128x128 in v)
+    g, phi, mu, sigma, spec = cli.limit_visc_problem(n)
+    inviscid = dataclasses.replace(spec,
+                                   viscosity=constant_viscosity(0.0, 0.0))
+    brinkman = solve_brinkman(g, phi, mu, sigma, inviscid)
+    darcy = solve_darcy(g, phi, mu, sigma, spec)
+    assert brinkman.stats.converged and darcy.stats.converged
+    v_gap = (brinkman.vel - darcy.vel).norm_l2(g)
+    assert v_gap <= 1e-12 * darcy.vel.norm_l2(g)
+    p_gap = norm_l2_cells(g, brinkman.p - darcy.p)
+    assert p_gap <= 1e-12 * norm_l2_cells(g, darcy.p)
 
 
 def test_robin_limit_interior_distance_collapses():
@@ -95,14 +128,13 @@ def coupled_spec():
         sigma_inf=1.0)
 
 
-def test_contdep_zero_delta_gives_zero_ratio():
+@pytest.mark.parametrize("last", [0.0, -1e-3], ids=["zero", "negative"])
+def test_contdep_rejects_a_delta_that_is_not_positive(last):
     g = Grid2D(12, 12)
-    phi0 = np.zeros((12, 12))
     cfg = StepConfig(dt=1e-3, flow_mode="none")
-    result = continuous_dependence_study(g, coupled_spec(), phi0,
-                                         [1e-2, 1e-3, 0.0], n_steps=2,
-                                         cfg=cfg)
-    assert result.norms["difference_ratio"][-1] == 0.0
+    with pytest.raises(ValueError, match="positive"):
+        continuous_dependence_study(g, coupled_spec(), np.zeros((12, 12)),
+                                    [1e-2, 1e-3, last], n_steps=2, cfg=cfg)
 
 
 def test_contdep_rejects_variable_mobility():

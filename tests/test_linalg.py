@@ -9,17 +9,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec, State,
+from chbrinkman import (FaceField, Grid2D, ModelParams, ModelSpec,
                         StepConfig, bicgstab_solve, blended_mobility,
-                        constant_mobility, face_zeros,
-                        smooth_blend, solve_darcy, solve_nutrient_robin,
-                        zero_sources)
+                        constant_mobility, smooth_blend, solve_darcy,
+                        solve_nutrient_robin, zero_sources)
 from chbrinkman import linalg
 from chbrinkman.elliptic import assemble_nutrient_system
 from chbrinkman.flow import assemble_darcy_pressure_system
 from chbrinkman.harness import passthrough_sources
-from chbrinkman.linalg import BASIS_COLUMNS, KeptOperator, ProjectionBasis
-from chbrinkman.stepper import assemble_ch_system, ch_update
+from chbrinkman.linalg import (BASIS_COLUMNS, KeptOperator, KeptOperators,
+                               ProjectionBasis)
+from chbrinkman.stepper import _level, assemble_ch_system, ch_update
 from conftest import dense_solve
 
 
@@ -424,17 +424,19 @@ def test_fast_solve_matches_dense_lu_cahn_hilliard(g, dt, eps, s_stab, m,
                      mobility=constant_mobility(m))
     cfg = StepConfig(dt=dt, stabilization=s_stab, flow_mode="none")
     shape = (g.nx, g.ny)
-    state = State(0.0, rng.uniform(-1.0, 1.0, shape), np.zeros(shape),
-                  rng.uniform(0.0, 1.0, shape), face_zeros(g), np.zeros(shape),
-                  None)
+    state = ch_state(g, rng.uniform(-1.0, 1.0, shape), spec,
+                     rng.uniform(0.0, 1.0, shape))
     system, _ = assemble_ch_system(g, state, spec, cfg)
     assert_exact_preconditioner(system)
 
 
-def ch_state(g, phi):
+def ch_state(g, phi, spec, sigma=None):
+    """The level of spec at phi, with mu = 0, sigma (0.5 when None) and no
+    flow."""
     shape = (g.nx, g.ny)
-    return State(0.0, phi, np.zeros(shape), np.full(shape, 0.5),
-                 face_zeros(g), np.zeros(shape), None)
+    sigma = np.full(shape, 0.5) if sigma is None else sigma
+    return _level(g, 0.0, phi, np.zeros(shape), sigma, spec,
+                  StepConfig(dt=1.0, flow_mode="none"), KeptOperators())[0]
 
 
 def test_constant_coefficient_solves_need_no_iteration():
@@ -446,7 +448,7 @@ def test_constant_coefficient_solves_need_no_iteration():
         params=ModelParams(K=100.0), sources=zero_sources(1.0)), 1.0)
     spec = ModelSpec(params=ModelParams(epsilon=0.05),
                      mobility=constant_mobility(1.0))
-    _, _, ch_stats = ch_update(g, ch_state(g, phi), spec,
+    _, _, ch_stats = ch_update(g, ch_state(g, phi, spec), spec,
                                StepConfig(dt=2e-4, flow_mode="darcy"))
     darcy = solve_darcy(g, phi, mu, 0.5 + 0.0 * phi,
                         ModelSpec(params=ModelParams(nu=1.0),
@@ -460,7 +462,7 @@ def test_variable_coefficient_solves_converge_in_few_iterations():
     phi = disc(g)
     spec = ModelSpec(params=ModelParams(epsilon=0.05),
                      mobility=blended_mobility(0.1, 1.0))
-    _, _, ch_stats = ch_update(g, ch_state(g, phi), spec,
+    _, _, ch_stats = ch_update(g, ch_state(g, phi, spec), spec,
                                StepConfig(dt=2e-4, flow_mode="darcy"))
     sources = dataclasses.replace(zero_sources(), h=smooth_blend(0.5, 1.0))
     _, n_stats = solve_nutrient_robin(g, phi, ModelSpec(sources=sources), 1.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chbrinkman import (ModelParams, SourceSpec, blended_viscosity,
-                        constant_viscosity, default_model_spec,
+from chbrinkman import (ModelParams, ModelSpec, SourceSpec,
+                        blended_viscosity, constant_viscosity,
                         default_quartic_potential, eval_source_gamma_phi,
                         eval_source_gamma_v, smooth_blend, validate,
                         zero_sources)
@@ -63,7 +63,7 @@ def test_source_evaluation_tanh_case():
 
 
 def test_default_spec_passes_audit():
-    report = validate(default_model_spec())
+    report = validate(ModelSpec())
     assert report.passed, str(report)
 
 
@@ -75,7 +75,7 @@ def broken_psi2_potential():
 
 
 def test_audit_fails_on_psi2_bound():
-    spec = dataclasses.replace(default_model_spec(),
+    spec = dataclasses.replace(ModelSpec(),
                                potential=broken_psi2_potential())
     report = validate(spec)
     assert not report.passed
@@ -84,8 +84,8 @@ def test_audit_fails_on_psi2_bound():
 
 def test_audit_fails_on_signed_h():
     bad = dataclasses.replace(zero_sources(), h=lambda s: np.asarray(s, float))
-    spec = dataclasses.replace(default_model_spec(), sources=bad)
-    report = validate(spec, sample_range=(-2.0, 2.0))
+    spec = dataclasses.replace(ModelSpec(), sources=bad)
+    report = validate(spec)
     assert not report.passed
     assert "(A4)" in {e.assumption for e in report.failures()}
 
@@ -93,14 +93,14 @@ def test_audit_fails_on_signed_h():
 def test_audit_fails_on_viscosity_outside_bounds():
     bad = dataclasses.replace(constant_viscosity(1.0),
                               eta=lambda s: 0.25 * np.ones_like(np.asarray(s, float)))
-    spec = dataclasses.replace(default_model_spec(), viscosity=bad)
+    spec = dataclasses.replace(ModelSpec(), viscosity=bad)
     report = validate(spec)
     assert not report.passed
     assert "(A3)" in {e.assumption for e in report.failures()}
 
 
 def test_audit_fails_on_bad_constants():
-    spec = dataclasses.replace(default_model_spec(),
+    spec = dataclasses.replace(ModelSpec(),
                                params=ModelParams(K=-1.0))
     report = validate(spec)
     assert not report.passed
@@ -110,14 +110,14 @@ def test_audit_fails_on_bad_constants():
 def test_audit_rejects_bad_rho():
     pot = dataclasses.replace(default_quartic_potential(), rho=7.0)
     with pytest.raises(ValueError, match=r"\[2,6\]"):
-        validate(dataclasses.replace(default_model_spec(), potential=pot))
+        validate(dataclasses.replace(ModelSpec(), potential=pot))
 
 
 def test_audit_rejects_rho2_with_weak_convexity():
     pot = dataclasses.replace(default_quartic_potential(), rho=2.0,
                               r1=1.0, r3=2.5)
     with pytest.raises(ValueError, match="2\\*R1 > R3"):
-        validate(dataclasses.replace(default_model_spec(), potential=pot))
+        validate(dataclasses.replace(ModelSpec(), potential=pot))
 
 
 def test_audit_rejects_nonfinite_evaluator():
@@ -125,16 +125,11 @@ def test_audit_rejects_nonfinite_evaluator():
                               h=lambda s: np.full_like(np.asarray(s, float),
                                                        np.inf))
     with pytest.raises(ValueError, match="non-finite"):
-        validate(dataclasses.replace(default_model_spec(), sources=bad))
-
-
-def test_audit_rejects_too_few_samples():
-    with pytest.raises(ValueError):
-        validate(default_model_spec(), n_samples=1)
+        validate(dataclasses.replace(ModelSpec(), sources=bad))
 
 
 def test_audit_is_pure():
-    spec = default_model_spec()
+    spec = ModelSpec()
     assert validate(spec) == validate(spec)
 
 
@@ -147,7 +142,7 @@ def test_smooth_blend_bounded():
 def test_audit_samples_the_ends_of_a_blend():
     # lam_a = -1e-6 is within 4.5e-5*(lam_b - lam_a) of lam(s) at s = -5,
     # so only samples where tanh(s) is exactly -1 see it
-    spec = dataclasses.replace(default_model_spec(),
+    spec = dataclasses.replace(ModelSpec(),
                                viscosity=blended_viscosity(1.0, 1.0, -1e-6,
                                                            1.0))
     report = validate(spec)
@@ -156,13 +151,13 @@ def test_audit_samples_the_ends_of_a_blend():
 
 
 def test_blended_viscosity_passes_audit():
-    spec = dataclasses.replace(default_model_spec(),
+    spec = dataclasses.replace(ModelSpec(),
                                viscosity=blended_viscosity(0.5, 2.0, 0.0, 0.3))
     assert validate(spec).passed
 
 
 def test_model_types_immutable():
-    spec = default_model_spec()
+    spec = ModelSpec()
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.params = ModelParams()
     with pytest.raises(dataclasses.FrozenInstanceError):

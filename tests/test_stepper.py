@@ -12,17 +12,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from chbrinkman import (Grid2D, ModelParams, ModelSpec, RandomPerturbation,
-                        SolverFailure, State, StepConfig, blended_mobility,
+                        SolverFailure, StepConfig, blended_mobility,
                         blended_viscosity, ch_update, constant_mobility,
-                        constant_viscosity, energy, face_zeros,
-                        eval_source_gamma_v, initialize_state,
-                        integrate_cells, norm_l2_cells, solve_brinkman,
-                        solve_nutrient_robin, step, suggest_cfl_dt,
-                        zero_sources)
+                        constant_viscosity, energy, eval_source_gamma_v,
+                        initialize_state, integrate_cells, norm_l2_cells,
+                        solve_brinkman, solve_nutrient_robin, step,
+                        suggest_cfl_dt, zero_sources)
 from chbrinkman import stepper
 from chbrinkman.flow import assemble_brinkman_system, brinkman_force
 from chbrinkman.grid import face_volumes, form_matrix, minus_laplacian
-from chbrinkman.linalg import BASIS_COLUMNS, KeptOperator
+from chbrinkman.linalg import BASIS_COLUMNS, KeptOperators
 from chbrinkman.model import SourceSpec, smooth_blend
 from chbrinkman.stepper import (FLOW_HISTORY, CflViolation, _level,
                                 assemble_ch_system, build_phi0, ch_form,
@@ -67,10 +66,12 @@ def test_coupled_brinkman_steps_at_128():
                                                                        gamma)
 
 
-def ch_state(g, rng):
-    """A state with random phi, mu and sigma and no flow."""
+def ch_state(g, rng, spec, kept=None):
+    """A level of spec with random phi, mu and sigma and no flow, carrying
+    ``kept`` (new kept operators when None)."""
     cells = [rng.uniform(-1.0, 1.0, (g.nx, g.ny)) for _ in range(3)]
-    return State(0.0, *cells, face_zeros(g), np.zeros((g.nx, g.ny)), None)
+    return _level(g, 0.0, *cells, spec, StepConfig(dt=1.0, flow_mode="none"),
+                  KeptOperators() if kept is None else kept)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,7 +85,7 @@ def test_ch_matrix_is_the_face_difference_form(g, seed):
     # the pattern [[I, P], [P, I]] of T's 5-point pattern P
     spec = quiet_spec(mobility=blended_mobility(1.0, 10.0))
     cfg = StepConfig(dt=1e-3, stabilization=2.0)
-    state = ch_state(g, np.random.default_rng(seed))
+    state = ch_state(g, np.random.default_rng(seed), spec)
     system, _ = assemble_ch_system(g, state, spec, cfg)
     eps, nc = spec.params.epsilon, g.n_cells
     c = np.sqrt(eps / cfg.dt)
@@ -126,20 +127,20 @@ def test_ch_form_is_cached_and_keeps_the_5_point_pattern_at_64():
 
 def test_constant_mobility_ch_assembly_is_kept_and_read_only():
     # with a constant mobility the CH weights do not depend on phi: a new
-    # phi returns the matrix kept in the entry it is handed, read-only and
-    # equal to a fresh fill; without the entry, and for a blended
-    # mobility, a new matrix is built
+    # phi returns the matrix kept in the state's entry, read-only and
+    # equal to a fresh fill; a state with other kept operators, and a
+    # blended mobility, get a new matrix
     g = Grid2D(12, 9, 1.5, 1.0)
     spec = quiet_spec()
     cfg = StepConfig(dt=1e-3)
     rng = np.random.default_rng(3)
-    kept = KeptOperator()
-    first, scale = assemble_ch_system(g, ch_state(g, rng), spec, cfg,
-                                      kept=kept)
-    again, scale_again = assemble_ch_system(g, ch_state(g, rng), spec, cfg,
-                                            kept=kept)
+    kept = KeptOperators()
+    first, scale = assemble_ch_system(g, ch_state(g, rng, spec, kept), spec,
+                                      cfg)
+    again, scale_again = assemble_ch_system(g, ch_state(g, rng, spec, kept),
+                                            spec, cfg)
     assert again.matrix is first.matrix
-    fresh, _ = assemble_ch_system(g, ch_state(g, rng), spec, cfg)
+    fresh, _ = assemble_ch_system(g, ch_state(g, rng, spec), spec, cfg)
     assert fresh.matrix is not first.matrix
     assert np.array_equal(fresh.matrix.data, first.matrix.data)
     assert not first.matrix.data.flags.writeable
@@ -160,15 +161,48 @@ def test_constant_mobility_ch_assembly_is_kept_and_read_only():
     for new_spec, new_cfg in ((spec, StepConfig(dt=2e-3)),
                               (quiet_spec(mobility=constant_mobility(2.0)),
                                cfg)):
-        other, _ = assemble_ch_system(g, ch_state(g, rng), new_spec,
-                                      new_cfg, kept=kept)
+        other, _ = assemble_ch_system(g, ch_state(g, rng, new_spec, kept),
+                                      new_spec, new_cfg)
         assert other.matrix is not first.matrix
         assert other.precond is not first.precond
         first = other
     blend = quiet_spec(mobility=blended_mobility(1.0, 10.0))
-    one, _ = assemble_ch_system(g, ch_state(g, rng), blend, cfg, kept=kept)
-    two, _ = assemble_ch_system(g, ch_state(g, rng), blend, cfg, kept=kept)
+    one, _ = assemble_ch_system(g, ch_state(g, rng, blend, kept), blend, cfg)
+    two, _ = assemble_ch_system(g, ch_state(g, rng, blend, kept), blend, cfg)
     assert one.matrix is not first.matrix and two.matrix is not one.matrix
+
+
+@pytest.mark.parametrize("mobility", [constant_mobility(1.0),
+                                      blended_mobility(1.0, 10.0)],
+                         ids=["constant", "blended"])
+def test_ch_assembly_after_a_step_returns_the_kept_operator(monkeypatch,
+                                                             mobility):
+    # a CH assembly of the step just taken, as a per-step check makes it,
+    # reads the trajectory's kept entry through the State: it returns the
+    # very matrix, preconditioner and scale the step solved with, and
+    # builds nothing
+    g = Grid2D(16, 16)
+    spec = dataclasses.replace(coupled_spec(), mobility=mobility)
+    cfg = StepConfig(dt=1e-4, flow_mode="brinkman")
+    solved = []
+
+    def recording(*args, **kwargs):
+        solved.append(assemble_ch_system(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(stepper, "assemble_ch_system", recording)
+    prev = initialize_state(g, spec, cfg)
+    for _ in range(3):
+        new, _ = step(g, prev, spec, cfg)
+        token = prev.kept.ch.token
+        system, scale = assemble_ch_system(
+            g, dataclasses.replace(prev, sigma=new.sigma), spec, cfg)
+        assert system.matrix is solved[-1][0].matrix
+        assert system.precond is solved[-1][0].precond
+        assert scale is solved[-1][1]
+        assert np.array_equal(system.rhs, solved[-1][0].rhs)
+        assert prev.kept.ch.token is token
+        prev = new
 
 
 @pytest.mark.parametrize("h, constant", [(smooth_blend(1.0, 1.0), True),
@@ -330,15 +364,13 @@ def test_mobility_dissipation_is_the_ch_matrix_form():
     g = Grid2D(12, 9, 1.5, 1.0)
     spec = quiet_spec(mobility=blended_mobility(1.0, 10.0))
     cfg = StepConfig(dt=1e-3, flow_mode="none")
-    state = ch_state(g, np.random.default_rng(7))
-    system, _ = assemble_ch_system(g, state, spec, cfg)
+    level = ch_state(g, np.random.default_rng(7), spec)
+    system, _ = assemble_ch_system(g, level, spec, cfg)
     nc = g.n_cells
     block = system.matrix[:nc, nc:] * (g.cell_volume
                                        / (cfg.dt * np.sqrt(
                                            spec.params.epsilon / cfg.dt)))
-    mu, sigma = state.mu.ravel(), state.sigma.ravel()
-    level, _ = _level(g, 0.0, state.phi, state.mu, state.sigma, spec, cfg,
-                      state.kept)
+    mu, sigma = level.mu.ravel(), level.sigma.ravel()
     diss = level.record.dissipation
     assert diss > 0.0
     assert diss == pytest.approx(mu @ (block @ mu), rel=1e-13)
@@ -702,9 +734,9 @@ def test_nan_potential_rejected():
         dpsi=lambda s: np.full_like(np.asarray(s, float), np.nan))
     spec = quiet_spec(potential=pot, phi0=0.1)
     cfg = StepConfig(dt=1e-3, flow_mode="none")
+    st, _ = _level(g, 0.0, np.full((8, 8), 0.1), np.zeros((8, 8)),
+                   np.zeros((8, 8)), spec, cfg, KeptOperators())
     with pytest.raises(ValueError, match="psi'"):
-        st = State(0.0, np.full((8, 8), 0.1), np.zeros((8, 8)),
-                   np.zeros((8, 8)), face_zeros(g), np.zeros((8, 8)), None)
         ch_update(g, st, spec, cfg)
 
 
