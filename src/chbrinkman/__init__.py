@@ -13,7 +13,7 @@ from .linalg import LinearSystem, SolveStats, SolverFailure, bicgstab_solve
 from .model import (ModelParams, ModelSpec, MobilitySpec, PotentialSpec,
                     RandomPerturbation, SourceSpec, ValidationReport,
                     ViscositySpec, blended_mobility, blended_viscosity,
-                    constant_mobility, constant_viscosity,
+                    constant, constant_mobility, constant_viscosity,
                     default_quartic_potential, eval_source_gamma_phi,
                     eval_source_gamma_v, smooth_blend, validate,
                     zero_sources)

@@ -59,7 +59,7 @@ from .harness import (continuous_dependence_study, mms_convergence,
 from .linalg import SolverFailure
 from .model import (ModelParams, ModelSpec, RandomPerturbation, SourceSpec,
                     ValidationReport, blended_mobility, blended_viscosity,
-                    constant_mobility, constant_viscosity,
+                    constant, constant_mobility, constant_viscosity,
                     default_quartic_potential, smooth_blend, validate,
                     zero_sources)
 from .stepper import CflViolation, StepConfig, trajectory
@@ -226,7 +226,7 @@ def _linear_sources(b_v, f_v, b_phi, f_phi, h) -> SourceSpec:
         b_v=smooth_blend(0.0, 2.0 * b_v), f_v=smooth_blend(0.0, 2.0 * f_v),
         b_phi=smooth_blend(0.0, 2.0 * b_phi),
         f_phi=smooth_blend(0.0, 2.0 * f_phi),
-        h=lambda s: h * np.ones_like(np.asarray(s, dtype=float)))
+        h=constant(h))
 
 
 def _model_sections(grid: Grid2D):

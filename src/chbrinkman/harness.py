@@ -21,7 +21,7 @@ from .flow import shear_dissipation, solve_brinkman, solve_darcy
 from .grid import (CellField, FaceField, Grid2D, boundary_face_centers,
                    mac_operators, norm_l2_cells)
 from .model import (ModelParams, ModelSpec, SourceSpec, ViscositySpec,
-                    constant_viscosity, zero_sources)
+                    constant, constant_viscosity, zero_sources)
 from .stepper import StepConfig, sample_sigma_inf, trajectory
 
 
@@ -71,25 +71,19 @@ def _clip_identity(s):
     return np.clip(s, -100.0, 100.0)
 
 
-def _zeros(s):
-    return np.zeros_like(np.asarray(s, dtype=float))
-
-
-def _ones(s):
-    return np.ones_like(np.asarray(s, dtype=float))
-
-
 def passthrough_sources() -> SourceSpec:
     """Gamma_v = clip(phi): lets MMS drivers prescribe an arbitrary bounded
     mass source by storing it in the phi argument."""
-    return SourceSpec(b_v=_zeros, f_v=_clip_identity, b_phi=_zeros,
-                      f_phi=_zeros, h=_ones)
+    zero = constant(0.0)
+    return SourceSpec(b_v=zero, f_v=_clip_identity, b_phi=zero, f_phi=zero,
+                      h=constant(1.0))
 
 
 # manufactured solutions ------------------------------------------------------
 
-def _nutrient_mms_error(n: int) -> float:
-    """sigma* = cos(pi x)cos(pi y), h = 1, Robin data consistent with K."""
+def _nutrient_mms_error(n: int):
+    """sigma* = cos(pi x)cos(pi y), h = 1, Robin data consistent with K;
+    returns (sigma error,)."""
     g = Grid2D(n, n)
     spec = ModelSpec(params=ModelParams(K=2.5), sources=zero_sources(1.0))
     xc, yc = g.cell_centers()
@@ -100,7 +94,7 @@ def _nutrient_mms_error(n: int) -> float:
     sig_inf = np.cos(np.pi * xb) * np.cos(np.pi * yb)
     phi = np.zeros((n, n))
     sigma, _ = solve_nutrient_robin(g, phi, spec, sig_inf, extra_rhs=extra)
-    return norm_l2_cells(g, sigma - sigma_star)
+    return (norm_l2_cells(g, sigma - sigma_star),)
 
 
 def _darcy_mms_errors(n: int):
@@ -197,37 +191,31 @@ def _brinkman_mms_errors(n: int):
     return v_err, p_err
 
 
-_MMS_BASE_N = {"nutrient": 32, "darcy": 32, "brinkman": 16}
+# problem -> (base n, its errors on one grid, their norm names with the
+# primary first, the order the study requires of the primary)
+_MMS = {
+    "nutrient": (32, _nutrient_mms_error, ("sigma_l2_error",), 1.9),
+    "darcy": (32, _darcy_mms_errors,
+              ("pressure_l2_error", "velocity_l2_error"), 1.9),
+    "brinkman": (16, _brinkman_mms_errors,
+                 ("velocity_l2_error", "pressure_l2_error"), 0.9),
+}
 
 
 def mms_convergence(problem: str, levels: int = 3) -> SweepResult:
     """Grid-refinement study for one sub-solver on the grids n0*2^k,
-    k < levels, from the problem's base n0 in ``_MMS_BASE_N``; observed
-    order is the slope of log(error) against log(dx)."""
+    k < levels, from the problem's base n0 in ``_MMS``; observed order is
+    the slope of log(error) against log(dx)."""
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    if problem not in _MMS_BASE_N:
+    if problem not in _MMS:
         raise ValueError(f"unknown MMS problem {problem!r}")
-    ns = [_MMS_BASE_N[problem] * 2**k for k in range(levels)]
+    base_n, errors, names, floor = _MMS[problem]
+    ns = [base_n * 2**k for k in range(levels)]
     dxs = [1.0 / n for n in ns]
-
-    if problem == "nutrient":
-        errs = [_nutrient_mms_error(n) for n in ns]
-        norms = {"sigma_l2_error": errs}
-        primary = "sigma_l2_error"
-    elif problem == "darcy":
-        pairs = [_darcy_mms_errors(n) for n in ns]
-        norms = {"pressure_l2_error": [p for p, _ in pairs],
-                 "velocity_l2_error": [v for _, v in pairs]}
-        primary = "pressure_l2_error"
-    else:
-        pairs = [_brinkman_mms_errors(n) for n in ns]
-        norms = {"velocity_l2_error": [v for v, _ in pairs],
-                 "pressure_l2_error": [p for _, p in pairs]}
-        primary = "velocity_l2_error"
-
+    norms = dict(zip(names, map(list, zip(*map(errors, ns)))))
+    primary = names[0]
     order = _loglog_slope(dxs, norms[primary])
-    floor = 1.9 if problem in ("nutrient", "darcy") else 0.9
     return SweepResult(
         parameter="n", values=ns,
         norms={"dx": dxs, **norms},
@@ -318,8 +306,8 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
                                     / ||delta||_{L2(boundary)}
     with the sup over the levels n = 1..n_steps (at n = 0 the phi0 ratio
     is 1 by construction).  Requires constant mobility, n_steps >= 1 and
-    deltas positive and strictly decreasing; a delta <= 0 raises
-    ValueError.
+    at least two deltas, positive and strictly decreasing; anything else
+    raises ValueError.
     """
     if spec.mobility.m0 != spec.mobility.m1:
         raise ValueError("continuous dependence study requires constant "
@@ -329,8 +317,9 @@ def continuous_dependence_study(g: Grid2D, spec: ModelSpec, phi0: CellField,
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     deltas = list(deltas)
-    if any(b >= a for a, b in zip(deltas, deltas[1:])) or any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive and decreasing")
+    if len(deltas) < 2 or deltas[-1] <= 0 or any(
+            b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("need two or more deltas, positive and decreasing")
 
     xc, yc = g.cell_centers()
     w = np.cos(np.pi * xc) * np.cos(np.pi * yc)

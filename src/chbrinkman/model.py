@@ -1,9 +1,11 @@
 """Continuous-model data: parameters, potential split, viscosities,
 mobilities, sources, boundary/initial data, plus the assumption audit.
 
-Everything here is immutable after construction and evaluators are expected
-to be pure, numpy-broadcastable scalar functions, so specs can be shared
-freely across threads.
+Everything here is immutable after construction and evaluators are pure,
+so specs can be shared freely across threads.  An evaluator takes an array
+of samples and returns a float array of the same shape: the contract the
+solvers rely on and the assumption audit ``validate`` checks.
+``constant`` builds the evaluator of a constant.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from typing import Callable, Union
 import numpy as np
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
+
+
+def constant(c: float) -> Evaluator:
+    """The evaluator s -> c: a float array of the shape of s."""
+    return lambda s: np.full(np.shape(s), float(c))
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ def default_quartic_potential() -> PotentialSpec:
         psi=lambda s: 0.25 * (1.0 - s**2) ** 2,
         dpsi=lambda s: s * s * s - s,  # numpy's **3 goes through pow
         ddpsi1=lambda s: 3.0 * s**2 + 1.0,
-        ddpsi2=lambda s: -2.0 * np.ones_like(np.asarray(s, dtype=float)),
+        ddpsi2=constant(-2.0),
         rho=4.0,
         r1=1.0,
         r2=3.0,
@@ -75,10 +82,7 @@ class ViscositySpec:
 
 def constant_viscosity(eta: float, lam: float = 0.0) -> ViscositySpec:
     return ViscositySpec(
-        eta=lambda s: eta * np.ones_like(np.asarray(s, dtype=float)),
-        lam=lambda s: lam * np.ones_like(np.asarray(s, dtype=float)),
-        eta0=eta, eta1=eta, lam0=lam,
-    )
+        eta=constant(eta), lam=constant(lam), eta0=eta, eta1=eta, lam0=lam)
 
 
 def blended_viscosity(eta_a: float, eta_b: float,
@@ -99,10 +103,7 @@ class MobilitySpec:
 
 
 def constant_mobility(m: float = 1.0) -> MobilitySpec:
-    return MobilitySpec(
-        m=lambda s: m * np.ones_like(np.asarray(s, dtype=float)),
-        m0=m, m1=m,
-    )
+    return MobilitySpec(m=constant(m), m0=m, m1=m)
 
 
 def blended_mobility(m_a: float, m_b: float) -> MobilitySpec:
@@ -122,15 +123,10 @@ class SourceSpec:
     h: Evaluator
 
 
-def _zero(s):
-    return np.zeros_like(np.asarray(s, dtype=float))
-
-
 def zero_sources(h_value: float = 1.0) -> SourceSpec:
-    return SourceSpec(
-        b_v=_zero, f_v=_zero, b_phi=_zero, f_phi=_zero,
-        h=lambda s: h_value * np.ones_like(np.asarray(s, dtype=float)),
-    )
+    zero = constant(0.0)
+    return SourceSpec(b_v=zero, f_v=zero, b_phi=zero, f_phi=zero,
+                      h=constant(h_value))
 
 
 def eval_source_gamma_v(sources: SourceSpec, phi, sigma):
@@ -206,32 +202,37 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _eval_array(f: Evaluator, s: np.ndarray) -> np.ndarray:
+def _sampled(name: str, f: Evaluator, s: np.ndarray) -> np.ndarray:
+    """f(s), which must be a finite float array of the shape of s: the
+    contract the solvers rely on.  Anything else raises a ValueError naming
+    the evaluator."""
     try:
-        out = np.asarray(f(s), dtype=float)
-        if out.shape == s.shape:
-            return out
-        if out.ndim == 0:
-            return np.full_like(s, float(out))
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(f(v)) for v in s])
-
-
-def _finite_or_raise(name: str, values: np.ndarray, samples: np.ndarray):
-    bad = ~np.isfinite(values)
+        out = f(s)
+    except Exception as err:
+        raise ValueError(f"evaluator {name} cannot be evaluated on an array: "
+                         f"{type(err).__name__}: {err}") from err
+    if not (isinstance(out, np.ndarray) and out.dtype.kind == "f"
+            and out.shape == s.shape):
+        got = getattr(out, "dtype", type(out).__name__)
+        raise ValueError(f"evaluator {name} must return a float array of the "
+                         f"shape {s.shape} of its argument, got {got} of "
+                         f"shape {np.shape(out)}")
+    bad = ~np.isfinite(out)
     if np.any(bad):
-        s = samples[bad][0]
-        raise ValueError(f"evaluator {name} returned a non-finite value at s={s}")
+        raise ValueError(f"evaluator {name} returned a non-finite value at "
+                         f"s={s[bad][0]}")
+    return out
 
 
-def _bound_check(assumption, detail, violation: np.ndarray, samples: np.ndarray,
-                 values: np.ndarray) -> CheckResult:
-    """violation > 0 marks a failed sample; report the worst one."""
+def _bound_check(assumption, detail, values: np.ndarray, lower, upper,
+                 s: np.ndarray) -> CheckResult:
+    """lower <= values <= upper on the samples s; a failed entry reports the
+    worst sample."""
+    violation = np.maximum(lower - values, values - upper)
     k = int(np.argmax(violation))
     if violation[k] > 0.0:
-        return CheckResult(assumption, False, detail,
-                           float(samples[k]), float(values[k]))
+        return CheckResult(assumption, False, detail, float(s[k]),
+                           float(values[k]))
     return CheckResult(assumption, True, detail)
 
 
@@ -243,80 +244,68 @@ def validate(spec: ModelSpec) -> ValidationReport:
     so the range samples both end values of every ``smooth_blend``
     exactly.
 
-    Structural errors (rho outside [2,6], rho=2 with 2*r1 <= r3, non-finite
-    evaluator output) raise ValueError; ordinary bound violations come back
-    as failed report entries naming the assumption.  Pure: identical
-    inputs give an identical report.
+    Structural errors raise ValueError: rho outside [2,6], rho=2 with
+    2*r1 <= r3, and an evaluator that fails on the array of samples or
+    does not return a finite float array of its shape (the evaluators are
+    sampled in the order m, eta, lambda, b_v, f_v, b_phi, f_phi, h, psi,
+    psi1'', psi2'', and the first bad one raises).  Ordinary bound
+    violations come back as failed report entries naming the assumption.
+    Pure: identical inputs give an identical report.
     """
-    pot = spec.potential
+    pot, mob, visc, src = (spec.potential, spec.mobility, spec.viscosity,
+                           spec.sources)
     if not (2.0 <= pot.rho <= 6.0):
         raise ValueError(f"(A5): growth exponent rho must lie in [2,6], got {pot.rho}")
     if pot.rho == 2.0 and not (2.0 * pot.r1 > pot.r3):
         raise ValueError("(A5): 2*R1 > R3 required when rho = 2")
 
     s = np.linspace(-20.0, 20.0, 40001)
-    entries = []
+    v = {name: _sampled(name, f, s) for name, f in (
+        ("m", mob.m), ("eta", visc.eta), ("lambda", visc.lam),
+        ("b_v", src.b_v), ("f_v", src.f_v), ("b_phi", src.b_phi),
+        ("f_phi", src.f_phi), ("h", src.h), ("psi", pot.psi),
+        ("psi1''", pot.ddpsi1), ("psi2''", pot.ddpsi2))}
 
     p = spec.params
     a1_ok = p.epsilon > 0 and p.nu > 0 and p.K > 0 and p.chi >= 0
-    entries.append(CheckResult(
+    entries = [CheckResult(
         "(A1)", a1_ok,
         "epsilon, nu, K positive and chi non-negative" if a1_ok else
         f"bad constants: epsilon={p.epsilon}, nu={p.nu}, K={p.K}, "
-        f"chi={p.chi}"))
+        f"chi={p.chi}")]
 
     # (A2) mobility bounds
-    mv = _eval_array(spec.mobility.m, s)
-    _finite_or_raise("m", mv, s)
-    if spec.mobility.m0 <= 0:
-        entries.append(CheckResult("(A2)", False,
-                                   f"m0 must be positive, got {spec.mobility.m0}"))
-    else:
-        viol = np.maximum(spec.mobility.m0 - mv, mv - spec.mobility.m1)
-        entries.append(_bound_check("(A2)", "m0 <= m(s) <= m1", viol, s, mv))
+    entries.append(
+        CheckResult("(A2)", False, f"m0 must be positive, got {mob.m0}")
+        if mob.m0 <= 0 else
+        _bound_check("(A2)", "m0 <= m(s) <= m1", v["m"], mob.m0, mob.m1, s))
 
     # (A3) viscosity bounds
-    ev = _eval_array(spec.viscosity.eta, s)
-    lv = _eval_array(spec.viscosity.lam, s)
-    _finite_or_raise("eta", ev, s)
-    _finite_or_raise("lambda", lv, s)
-    if spec.viscosity.eta0 <= 0:
-        entries.append(CheckResult("(A3)", False,
-                                   f"eta0 must be positive, got {spec.viscosity.eta0}"))
-    else:
-        viol = np.maximum(spec.viscosity.eta0 - ev, ev - spec.viscosity.eta1)
-        entries.append(_bound_check("(A3)", "eta0 <= eta(s) <= eta1", viol, s, ev))
-    viol = np.maximum(-lv, lv - spec.viscosity.lam0)
-    entries.append(_bound_check("(A3)", "0 <= lambda(s) <= lambda0", viol, s, lv))
+    entries.append(
+        CheckResult("(A3)", False, f"eta0 must be positive, got {visc.eta0}")
+        if visc.eta0 <= 0 else
+        _bound_check("(A3)", "eta0 <= eta(s) <= eta1", v["eta"], visc.eta0,
+                     visc.eta1, s))
+    entries.append(_bound_check("(A3)", "0 <= lambda(s) <= lambda0",
+                                v["lambda"], 0.0, visc.lam0, s))
 
     # (A4) sources bounded (finite on the grid), h non-negative
-    for name, f in (("b_v", spec.sources.b_v), ("f_v", spec.sources.f_v),
-                    ("b_phi", spec.sources.b_phi), ("f_phi", spec.sources.f_phi)):
-        fv = _eval_array(f, s)
-        _finite_or_raise(name, fv, s)
-        entries.append(CheckResult("(A4)", True,
-                                   f"{name} bounded on the sampling grid "
-                                   f"(max |{name}| = {np.max(np.abs(fv)):.6g})"))
-    hv = _eval_array(spec.sources.h, s)
-    _finite_or_raise("h", hv, s)
-    entries.append(_bound_check("(A4)", "h >= 0", -hv, s, hv))
+    entries += [CheckResult("(A4)", True, f"{name} bounded on the sampling "
+                            f"grid (max |{name}| = {np.max(np.abs(v[name])):.6g})")
+                for name in ("b_v", "f_v", "b_phi", "f_phi")]
+    entries.append(_bound_check("(A4)", "h >= 0", v["h"], 0.0, np.inf, s))
 
     # (A5) potential split
-    psi_v = _eval_array(pot.psi, s)
-    d1 = _eval_array(pot.ddpsi1, s)
-    d2 = _eval_array(pot.ddpsi2, s)
-    for name, v in (("psi", psi_v), ("psi1''", d1), ("psi2''", d2)):
-        _finite_or_raise(name, v, s)
     if not (0 < pot.r1 < pot.r2) or pot.r3 <= 0:
         entries.append(CheckResult(
             "(A5)", False,
             f"need 0 < R1 < R2 and R3 > 0, got R1={pot.r1}, R2={pot.r2}, R3={pot.r3}"))
-    entries.append(_bound_check("(A5)", "psi >= 0", -psi_v, s, psi_v))
+    entries.append(_bound_check("(A5)", "psi >= 0", v["psi"], 0.0, np.inf, s))
     growth = 1.0 + np.abs(s) ** (pot.rho - 2.0)
-    viol = np.maximum(pot.r1 * growth - d1, d1 - pot.r2 * growth)
     entries.append(_bound_check(
-        "(A5)", "R1(1+|s|^(rho-2)) <= psi1''(s) <= R2(1+|s|^(rho-2))", viol, s, d1))
-    entries.append(_bound_check("(A5)", "|psi2''(s)| <= R3",
-                                np.abs(d2) - pot.r3, s, d2))
+        "(A5)", "R1(1+|s|^(rho-2)) <= psi1''(s) <= R2(1+|s|^(rho-2))",
+        v["psi1''"], pot.r1 * growth, pot.r2 * growth, s))
+    entries.append(_bound_check("(A5)", "|psi2''(s)| <= R3", v["psi2''"],
+                                -pot.r3, pot.r3, s))
 
     return ValidationReport(tuple(entries))

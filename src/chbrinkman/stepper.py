@@ -23,8 +23,9 @@ evaluate the same D with the same face mobilities (``_mobility_weights``),
 so the gradient energy and the CH dissipation are the forms the solver
 uses.  With a constant mobility its weights repeat from step to step, and
 the assembly returns the matrix it built last, with its preconditioner's
-per-mode Cramer coefficients; the face mobilities of phi^n come from the
-level's record.
+per-mode Cramer coefficients; the face mobilities of phi^n and their cell
+mean ``m_mean``, which sets the preconditioner, come from the level's
+record, so the mobility is evaluated once per level.
 
 A trajectory owns the operators its assemblies keep: ``initialize_state``
 makes one ``linalg.KeptOperators``, every level carries it on,
@@ -82,7 +83,9 @@ class LevelRecord:
     D mu, the face mobilities m_f of phi, the viscous dissipation of v in
     the form of the flow model that produced it (v^T A v of the assembled
     Brinkman momentum block, nu*sum vol_f*v^2 for Darcy, 0 without flow)
-    and the pressure work int p*Gamma_v.
+    and the pressure work int p*Gamma_v; and ``m_mean``, the mean of the
+    cell mobilities m(phi), which the CH step out of the level reads for
+    its preconditioner.
     """
 
     energy: float
@@ -95,6 +98,7 @@ class LevelRecord:
     m_f: np.ndarray
     viscous: float
     pressure_work: float
+    m_mean: float
 
 
 @dataclass(frozen=True)
@@ -258,11 +262,10 @@ def ch_form(g: Grid2D) -> CHForm:
 
 
 def _mobility_weights(g: Grid2D, phi: CellField, spec: ModelSpec):
-    """(m_f, m): the face mean of the mobility, on the stacked faces of
-    ``grid.mac_operators``, and the flat cell mobilities m(phi) it comes
-    from."""
+    """(m_f, m_mean): the face mean of the mobility m(phi), on the stacked
+    faces of ``grid.mac_operators``, and the mean of its cell values."""
     m = np.ravel(np.asarray(spec.mobility.m(phi), dtype=float))
-    return mac_operators(g).mean @ m, m
+    return mac_operators(g).mean @ m, float(np.mean(m))
 
 
 def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
@@ -283,7 +286,8 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     read-only matrix, preconditioner (with its per-mode Cramer
     coefficients) and scale come back.
 
-    The face mobilities m_f of phi^n are read from ``state.record``;
+    The face mobilities m_f of phi^n and their cell mean m_mean are read
+    from ``state.record``;
     ``gamma_phi``, when given, is the source Gamma_phi(phi^n, state.sigma)
     of the rhs, which ``step`` computes once for the step.
     """
@@ -299,9 +303,7 @@ def assemble_ch_system(g: Grid2D, state: State, spec: ModelSpec,
     if not np.all(np.isfinite(dpsi_n)):
         raise ValueError("psi'(phi) returned a non-finite value")
 
-    m_f = state.record.m_f
-    m_cells = np.ravel(np.asarray(spec.mobility.m(phi_n), dtype=float))
-    m_mean = float(np.mean(m_cells))
+    m_f, m_mean = state.record.m_f, state.record.m_mean
     w = np.concatenate([(cfg.dt * c) * m_f, np.full(m_f.size, -eps / c),
                         np.full(nc, -s_stab / (eps * c))])
 
@@ -369,7 +371,7 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
         flow = FlowSolution(face_zeros(g), np.zeros((g.nx, g.ny)),
                             SolveStats(0, 0.0, True), 0.0)
         viscous = 0.0
-    m_f, _ = _mobility_weights(g, phi, spec)
+    m_f, m_mean = _mobility_weights(g, phi, spec)
     d_mu = _gradient(g, mu)
     gamma_phi = eval_source_gamma_phi(spec.sources, phi, sigma)
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
@@ -378,7 +380,7 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
         g.cell_volume * float((m_f * d_mu) @ d_mu) + viscous,
         boundary_flux_integral(g, phi, flow.vel),
         integrate_cells(g, gamma_phi - phi * gamma_v), flow.div_residual,
-        d_mu, m_f, viscous, integrate_cells(g, flow.p * gamma_v))
+        d_mu, m_f, viscous, integrate_cells(g, flow.p * gamma_v), m_mean)
     return State(t, phi, mu, sigma, flow.vel, flow.p, record, flows,
                  flow.basis, kept), flow.stats
 

@@ -128,13 +128,18 @@ def coupled_spec():
         sigma_inf=1.0)
 
 
-@pytest.mark.parametrize("last", [0.0, -1e-3], ids=["zero", "negative"])
-def test_contdep_rejects_a_delta_that_is_not_positive(last):
+@pytest.mark.parametrize("deltas", [[1e-2, 1e-3, 0.0], [1e-2, 1e-3, -1e-3],
+                                    [], [1e-2]],
+                         ids=["zero", "negative", "empty", "single"])
+def test_contdep_rejects_a_delta_that_is_not_positive(deltas):
+    # a study needs two positive, decreasing deltas: with none it would step
+    # the base trajectory alone, and one delta passes the spread gate
+    # trivially
     g = Grid2D(12, 12)
     cfg = StepConfig(dt=1e-3, flow_mode="none")
     with pytest.raises(ValueError, match="positive"):
         continuous_dependence_study(g, coupled_spec(), np.zeros((12, 12)),
-                                    [1e-2, 1e-3, last], n_steps=2, cfg=cfg)
+                                    deltas, n_steps=2, cfg=cfg)
 
 
 def test_contdep_rejects_variable_mobility():

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chbrinkman import (ModelParams, ModelSpec, SourceSpec,
-                        blended_viscosity, constant_viscosity,
+from chbrinkman import (MobilitySpec, ModelParams, ModelSpec, SourceSpec,
+                        blended_viscosity, constant, constant_viscosity,
                         default_quartic_potential, eval_source_gamma_phi,
                         eval_source_gamma_v, smooth_blend, validate,
                         zero_sources)
@@ -126,6 +127,28 @@ def test_audit_rejects_nonfinite_evaluator():
                                                        np.inf))
     with pytest.raises(ValueError, match="non-finite"):
         validate(dataclasses.replace(ModelSpec(), sources=bad))
+
+
+@pytest.mark.parametrize("m", [lambda s: 1.0, math.tanh],
+                         ids=["scalar", "not-vectorized"])
+def test_audit_rejects_a_mobility_that_does_not_map_arrays(m):
+    # the solvers evaluate m on whole cell arrays, so the audit must too:
+    # a scalar or a per-sample result would pass a loop over samples and
+    # then fail inside the first step
+    spec = dataclasses.replace(ModelSpec(), mobility=MobilitySpec(
+        m=m, m0=0.5, m1=1.0))
+    with pytest.raises(ValueError, match="evaluator m "):
+        validate(spec)
+
+
+@pytest.mark.parametrize("s", [np.float64(0.3), np.arange(6).reshape(2, 3)],
+                         ids=["0-d", "2-d"])
+def test_constant_returns_a_float_array_of_its_arguments_shape(s):
+    out = constant(-2.5)(s)
+    assert isinstance(out, np.ndarray)
+    assert out.dtype == np.float64
+    assert out.shape == np.shape(s)
+    assert np.all(out == -2.5)
 
 
 def test_audit_is_pure():

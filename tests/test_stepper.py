@@ -386,19 +386,29 @@ def test_mobility_dissipation_is_the_ch_matrix_form():
 
 def test_a_step_computes_each_level_quantity_once(monkeypatch):
     # a step measures only its new level: the old level's energy, mass,
-    # boundary flux, face mobilities, viscous dissipation and pressure work
-    # come from its record.  Per step: the energy and the boundary flux
-    # once (new level); the face mobilities once (new record: the CH
-    # matrix reads the old record's); Gamma_v twice (energy residual, new
-    # record); Gamma_phi twice (once for the CH right-hand side and the two
-    # residuals together, once for the new record); the
-    # face gradient three times, each of another field (phi in the energy,
-    # mu in the new record, sigma in the energy residual)
+    # boundary flux, face mobilities and their mean, viscous dissipation
+    # and pressure work come from its record.  Per step: the energy and the
+    # boundary flux once (new level); the face mobilities once (new record:
+    # the CH matrix reads the old record's), and with them the mobility
+    # m itself once (the CH preconditioner reads the record's mean);
+    # Gamma_v twice (energy residual, new record); Gamma_phi twice (once
+    # for the CH right-hand side and the two residuals together, once for
+    # the new record); the face gradient three times, each of another
+    # field (phi in the energy, mu in the new record, sigma in the energy
+    # residual)
     g = Grid2D(16, 16)
+    calls = collections.Counter()
     spec = coupled_spec()
+
+    def mobility(s, _m=spec.mobility.m):
+        calls["m"] += 1
+        return _m(s)
+
+    spec = dataclasses.replace(spec, mobility=dataclasses.replace(
+        spec.mobility, m=mobility))
     cfg = StepConfig(dt=1e-4, flow_mode="brinkman")
     state, _ = step(g, initialize_state(g, spec, cfg), spec, cfg)
-    calls = collections.Counter()
+    calls.clear()
     differentiated = []
     for name in ("energy", "boundary_flux_integral", "_mobility_weights",
                  "eval_source_gamma_v", "eval_source_gamma_phi",
@@ -417,6 +427,7 @@ def test_a_step_computes_each_level_quantity_once(monkeypatch):
     assert calls["energy"] == steps
     assert calls["boundary_flux_integral"] == steps
     assert calls["_mobility_weights"] == steps
+    assert calls["m"] == steps
     assert calls["eval_source_gamma_v"] <= 2 * steps
     assert calls["eval_source_gamma_phi"] == 2 * steps
 
