@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (CellField, Grid2D, as_boundary, boundary_adjacent_cells,
-                   boundary_face_lengths, boundary_normal_spacing,
+from .grid import (CellField, Grid2D, as_boundary, boundary_faces,
                    boundary_transfer, minus_laplacian)
 from .linalg import (KeptOperator, LinearSystem, bicgstab_solve,
                      require_converged)
@@ -62,10 +61,10 @@ def assemble_nutrient_system(g: Grid2D, phi: CellField, spec, sigma_inf,
     a, precond = build() if kept is None else kept.get((g, K), h.ravel(),
                                                          build)
 
-    delta = boundary_normal_spacing(g)
+    faces = boundary_faces(g)
     b = np.zeros(g.n_cells)
-    np.add.at(b, boundary_adjacent_cells(g),
-              boundary_transfer(K, delta) * sig_inf / delta)
+    np.add.at(b, faces.cell,
+              boundary_transfer(K, faces.spacing) * sig_inf / faces.spacing)
     if extra_rhs is not None:
         b += np.asarray(extra_rhs, dtype=float).ravel()
     return LinearSystem(a, b, precond)
@@ -107,14 +106,13 @@ def boundary_trace(g: Grid2D, sigma: CellField, sigma_inf, K: float):
     zero gap (Dirichlet trace).
     """
     sig_inf = as_boundary(g, sigma_inf)
-    cells = boundary_adjacent_cells(g)
-    delta = boundary_normal_spacing(g)
-    sig_c = sigma.ravel()[cells]
+    faces = boundary_faces(g)
+    sig_c = sigma.ravel()[faces.cell]
     with np.errstate(invalid="ignore"):
-        denom = 1.0 + K * delta / 2.0
+        denom = 1.0 + K * faces.spacing / 2.0
     if np.isinf(K):
         gap = np.zeros_like(sig_c)
     else:
         gap = (sig_c - sig_inf) / denom
-    norm = float(np.sqrt(np.sum(gap**2 * boundary_face_lengths(g))))
+    norm = float(np.sqrt(np.sum(gap**2 * faces.length)))
     return gap, norm

@@ -11,7 +11,9 @@ condition is then the natural boundary condition and comes out identical to
 the half-cell flux closure with boundary traction set to zero; the velocity
 block is symmetric positive semidefinite by construction.  The form is
 defined once, in ``brinkman_form``: its rows E = [shear; div; I] are built
-once per grid together with the saddle-point pattern (``grid.form_pattern``),
+once per grid, from the 1D pieces of the grid's two ``grid.Axis`` tables
+(cell and one-sided node differences, node touch), together with the
+saddle-point pattern (``grid.form_pattern``),
 and ``_form_weights`` gives the quadrature weights w of phi in E's row
 order, so a(v,v) = sum_r w_r (E v)_r^2.  Each assembly only scatters w
 into the pattern; handed a ``linalg.KeptOperator``, it returns the
@@ -65,9 +67,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (CellField, FaceField, Grid2D, difference, form_matrix,
-                   form_pattern, mac_operators, minus_laplacian,
-                   norm_l2_cells, read_only, stacked, unstacked)
+from .grid import (CellField, FaceField, Grid2D, form_matrix, form_pattern,
+                   gradient, mac_operators, minus_laplacian, norm_l2_cells,
+                   read_only, stacked, unstacked)
 from .linalg import (KeptOperator, KroneckerOperator, LinearSystem,
                      ProjectionBasis, SolveStats, bicgstab_solve,
                      require_converged)
@@ -93,15 +95,6 @@ def _cell_values(f, phi: CellField) -> np.ndarray:
 
 
 # the Brinkman energy form --------------------------------------------------
-
-def _strain_pieces(n: int, h: float):
-    """The 1D strain pieces along one axis of n cells of width h: the cell
-    difference (n x n+1), the one-sided node difference (n+1 x n; an end
-    node takes the difference of its neighbour) and the node touch
-    (n+1 x n; the cells around each node)."""
-    return (difference(n, h), difference(n - 1, h)[np.r_[0, 0:n - 1, n - 2]],
-            sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1))
-
 
 @dataclass(frozen=True)
 class BrinkmanForm:
@@ -129,16 +122,15 @@ class BrinkmanForm:
 
 @lru_cache(maxsize=32)
 def brinkman_form(g: Grid2D) -> BrinkmanForm:
-    """The energy form of g as Kronecker products of 1D pieces, built once
-    per grid; the Brinkman matrix and the viscous dissipation are both
-    evaluated from it."""
-    (_, node_x, touch_x), (_, node_y, touch_y) = (
-        _strain_pieces(g.nx, g.dx), _strain_pieces(g.ny, g.dy))
+    """The energy form of g as Kronecker products of the pieces of its two
+    ``grid.Axis`` tables, built once per grid; the Brinkman matrix and the
+    viscous dissipation are both evaluated from it."""
+    ax, ay = g.axes()
     nx, ny = g.nx, g.ny
     nvx = (nx + 1) * ny
     div = mac_operators(g).div
-    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), node_y),
-                            sp.kron(node_x, sp.identity(ny + 1))])
+    d_xy = 0.5 * sp.hstack([sp.kron(sp.identity(nx + 1), ay.node_diff),
+                            sp.kron(ax.node_diff, sp.identity(ny + 1))])
     energy = read_only(sp.vstack([
         sp.block_diag([div[:, :nvx], div[:, nvx:]]), d_xy, div,
         sp.identity(div.shape[1])]))
@@ -147,7 +139,7 @@ def brinkman_form(g: Grid2D) -> BrinkmanForm:
                                                    [grad.T, None]],
                                                   format="csr"))
     return BrinkmanForm(energy, 2 * g.n_cells + (nx + 1) * (ny + 1),
-                        read_only(sp.kron(touch_x, touch_y)), *pattern,
+                        read_only(sp.kron(ax.touch, ay.touch)), *pattern,
                         read_only(grad))
 
 
@@ -175,20 +167,20 @@ def velocity_blocks(g: Grid2D) -> tuple[KroneckerOperator, KroneckerOperator]:
     momentum matrix for constant viscosities, over the cell volume, as
     ``KroneckerOperator`` on the flat face indices.  On x faces
 
-        T = Cx^T Cx (x) I  +  Hx (x) Ny^T diag(ty) Ny / 2,   M = Hx (x) I,
+        T = Cx^T Cx (x) I  +  Hx (x) Ny^T Hy Ny,   M = Hx (x) I,
 
-    with C the cell difference, N the one-sided node difference, t the node
-    touch counts (1, 2, ..., 2, 1) and H = diag(1/2, 1, ..., 1, 1/2) the
-    face volume weights: the block is then vol times T solved with weights
-    (2*eta + lam, eta) and shift nu.  The y faces mirror it, with weights
-    (eta, 2*eta + lam)."""
+    with C the cell difference ``diff``, N the one-sided node difference
+    ``node_diff`` and H = diag(1/2, 1, ..., 1, 1/2) the node ``weights`` of
+    each ``grid.Axis`` (half the number of cells around each node), which
+    also weight the face volumes: the block is then vol times T solved
+    with weights (2*eta + lam, eta) and shift nu.  The y faces mirror it,
+    with weights (eta, 2*eta + lam)."""
     normal, tangent, mass = [], [], []
-    for n, h in ((g.nx, g.dx), (g.ny, g.dy)):
-        cell, node, touch = _strain_pieces(n, h)
-        t = touch @ np.ones(n)
-        normal.append((cell.T @ cell).toarray())
-        tangent.append(0.5 * (node.T @ sp.diags(t) @ node).toarray())
-        mass.append(0.5 * t)  # H: the faces sit at the nodes of this axis
+    for axis in g.axes():
+        normal.append((axis.diff.T @ axis.diff).toarray())
+        tangent.append((axis.node_diff.T @ sp.diags(axis.weights)
+                        @ axis.node_diff).toarray())
+        mass.append(axis.weights)  # H: the faces sit at this axis's nodes
     return (KroneckerOperator(normal[0], tangent[1], mx=mass[0]),
             KroneckerOperator(tangent[0], normal[1], my=mass[1]))
 
@@ -322,9 +314,8 @@ def brinkman_force(g: Grid2D, phi, mu, sigma, spec,
     """The Korteweg force mean(mu + chi*sigma)*grad(phi) on faces, with
     the face mean and the zero-flux gradient of ``grid.mac_operators``,
     plus extra_force."""
-    ops = mac_operators(g)
-    coeff = ops.mean @ np.ravel(mu + spec.params.chi * sigma)
-    f = unstacked(g, coeff * (ops.grad @ np.ravel(phi)))
+    coeff = mac_operators(g).mean @ np.ravel(mu + spec.params.chi * sigma)
+    f = unstacked(g, coeff * gradient(g, phi))
     if extra_force is not None:
         f = f + extra_force
     return f

@@ -19,10 +19,23 @@ All operators are pure functions of their inputs.  Geometry-only
 operators are cached per (Grid2D, boundary term); Grid2D is frozen and
 hashable, and the cached objects are read-only.
 
+The mesh is built once, from two tables.  The 1D pieces of an axis exist
+once, in its ``Axis`` (``Grid2D.axes``): the cell and node coordinates,
+the cell difference, the zero-flux gradient, the face mean, the
+one-sided node difference, the node touch and the node weights.  Every
+mesh object is made of them: the coordinates of ``Grid2D``, the face
+volumes, the ``mac_operators``, the 1D factors of ``minus_laplacian``
+(the gradient's normal product plus the boundary closure, so that
+at K = 0 it is grad^T grad bit for bit) and the Brinkman form and
+velocity blocks of ``flow``.  The packed boundary order exists once, in
+``boundary_faces``: the cell, normal spacing, length and centre of each
+boundary face.
+
 The divergence, the zero-flux gradient and the face mean exist once, as
 the matrices of ``mac_operators`` between flat cells and stacked faces;
 the flow and Cahn-Hilliard solves, the Korteweg force, the advection and
-the diagnostics all read them.
+the diagnostics all read them, the gradient of a cell field through
+``gradient``.
 
 A matrix whose coefficients vary with the solution is a weighted form
 L^T diag(w) R + C of fixed sparse rows L and R: ``form_pattern`` is the
@@ -75,24 +88,69 @@ class Grid2D:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
+    def axes(self):
+        """(x axis, y axis): the ``Axis`` tables of the grid's two axes."""
+        return _axis(self.nx, self.dx), _axis(self.ny, self.dy)
+
     def cell_centers(self):
         """Meshgrid (X, Y) of cell centers, each of shape (nx, ny)."""
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        y = (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
+        ax, ay = self.axes()
+        return np.meshgrid(ax.cells, ay.cells, indexing="ij")
 
     def xface_centers(self):
-        x = np.arange(self.nx + 1) * self.dx
-        y = (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
+        ax, ay = self.axes()
+        return np.meshgrid(ax.nodes, ay.cells, indexing="ij")
 
     def yface_centers(self):
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        y = np.arange(self.ny + 1) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
+        ax, ay = self.axes()
+        return np.meshgrid(ax.cells, ay.nodes, indexing="ij")
 
     def n_boundary_faces(self) -> int:
         return 2 * (self.nx + self.ny)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """The 1D pieces of one axis of n cells of width h, read-only.  Its
+    n+1 nodes are the cell ends, where the faces normal to the axis sit.
+
+    ``cells`` and ``nodes`` are the coordinates of the cell centres and
+    the nodes.  ``diff`` (n x n+1) is the difference of the node values
+    across each cell; ``grad`` (n+1 x n) the zero-flux gradient, the
+    difference of the cell values across each interior node, with empty
+    end rows; ``mean`` (n+1 x n) the mean of the cells around each node;
+    ``node_diff`` (n+1 x n) the one-sided node difference, an end node
+    taking that of its neighbour; ``touch`` (n+1 x n) the cells around
+    each node; and ``weights`` the node weights (1/2, 1, ..., 1, 1/2),
+    the share of a cell that each node's control volume spans."""
+
+    cells: np.ndarray
+    nodes: np.ndarray
+    diff: sp.csr_matrix
+    grad: sp.csr_matrix
+    mean: sp.csr_matrix
+    node_diff: sp.csr_matrix
+    touch: sp.csr_matrix
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _axis(n: int, h: float) -> Axis:
+    """The ``Axis`` of n cells of width h, built once: every mesh object
+    of this module and of ``flow`` is made of its pieces."""
+    diff = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
+                    format="csr")
+    touch = sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1)
+    weights = np.r_[0.5, np.ones(n - 1), 0.5]
+    coords = (np.arange(n) + 0.5) * h, np.arange(n + 1) * h
+    for arr in (*coords, weights):
+        arr.flags.writeable = False
+    # grad is -diff^T on the interior nodes; an end node's one-sided
+    # difference is that of the cell pair next to it
+    return Axis(*coords, *map(read_only, (
+        diff, sp.diags(np.r_[0.0, np.ones(n - 1), 0.0]) @ -diff.T,
+        sp.diags(0.5 / weights) @ touch,
+        diff[np.r_[0, 0:n - 1, n - 2], :-1], touch)), weights)
 
 
 @dataclass
@@ -119,14 +177,11 @@ def face_zeros(g: Grid2D) -> FaceField:
 
 
 def face_volumes(g: Grid2D):
-    """Control volumes attached to faces (half cells on the boundary)."""
-    wx = np.full((g.nx + 1, g.ny), g.cell_volume)
-    wx[0, :] *= 0.5
-    wx[-1, :] *= 0.5
-    wy = np.full((g.nx, g.ny + 1), g.cell_volume)
-    wy[:, 0] *= 0.5
-    wy[:, -1] *= 0.5
-    return wx, wy
+    """Control volumes attached to faces (half cells on the boundary): the
+    cell volume times the node weights of the axis normal to the face."""
+    ax, ay = g.axes()
+    return (np.outer(g.cell_volume * ax.weights, np.ones(g.ny)),
+            np.outer(np.ones(g.nx), g.cell_volume * ay.weights))
 
 
 def stacked(vel: FaceField) -> np.ndarray:
@@ -187,41 +242,35 @@ def as_boundary(g: Grid2D, value) -> BoundaryField:
     return arr
 
 
-def boundary_face_centers(g: Grid2D):
-    """(x, y) coordinates of boundary face centers in packed order."""
-    xc = (np.arange(g.nx) + 0.5) * g.dx
-    yc = (np.arange(g.ny) + 0.5) * g.dy
-    xs = np.concatenate([xc, np.full(g.ny, g.lx), xc, np.zeros(g.ny)])
-    ys = np.concatenate([np.zeros(g.nx), yc, np.full(g.nx, g.ly), yc])
-    return xs, ys
+@dataclass(frozen=True)
+class BoundaryFaces:
+    """The boundary faces of one grid in packed order, read-only: the flat
+    index (i*ny + j) of the cell next to each face, the mesh spacing
+    normal to the face, its length and the (x, y) of its centre."""
+
+    cell: np.ndarray
+    spacing: np.ndarray
+    length: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
-def boundary_face_lengths(g: Grid2D) -> np.ndarray:
-    return np.concatenate([
-        np.full(g.nx, g.dx), np.full(g.ny, g.dy),
-        np.full(g.nx, g.dx), np.full(g.ny, g.dy),
-    ])
-
-
-def boundary_adjacent_cells(g: Grid2D):
-    """Flat cell indices (C-order, idx = i*ny + j) adjacent to each boundary
-    face, packed order."""
-    nx, ny = g.nx, g.ny
-    i = np.arange(nx)
-    j = np.arange(ny)
-    bottom = i * ny + 0
-    right = (nx - 1) * ny + j
-    top = i * ny + (ny - 1)
-    left = 0 * ny + j
-    return np.concatenate([bottom, right, top, left])
-
-
-def boundary_normal_spacing(g: Grid2D) -> np.ndarray:
-    """Mesh spacing normal to each boundary face, packed order."""
-    return np.concatenate([
-        np.full(g.nx, g.dy), np.full(g.ny, g.dx),
-        np.full(g.nx, g.dy), np.full(g.ny, g.dx),
-    ])
+@lru_cache(maxsize=32)
+def boundary_faces(g: Grid2D) -> BoundaryFaces:
+    """The ``BoundaryFaces`` of g, built once per grid: the one place that
+    knows the packed boundary order."""
+    ax, ay = g.axes()
+    i, j = np.arange(g.nx) * g.ny, np.arange(g.ny)
+    sides = (  # cells, spacing, length, x, y of each side in packed order
+        (i, g.dy, g.dx, ax.cells, 0.0),                    # bottom
+        (i[-1] + j, g.dx, g.dy, g.lx, ay.cells),           # right
+        (i + (g.ny - 1), g.dy, g.dx, ax.cells, g.ly),      # top
+        (j, g.dx, g.dy, 0.0, ay.cells))                    # left
+    columns = [np.concatenate(side) for side in
+               zip(*(np.broadcast_arrays(*side) for side in sides))]
+    for arr in columns:
+        arr.flags.writeable = False
+    return BoundaryFaces(*columns)
 
 
 # cell-centered Laplacian ---------------------------------------------------
@@ -237,31 +286,22 @@ def boundary_transfer(K: float, delta):
     return K / (1.0 + K * np.asarray(delta, dtype=float) / 2.0)
 
 
-def _second_difference(n: int, h: float, end: float) -> np.ndarray:
-    """Minus the 3-point second difference on n cells of width h with
-    zero-flux ends, plus ``end`` on the first and last diagonal entries."""
-    t = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
-    t[0, 0] = t[-1, -1] = 1.0 / h**2 + end
-    return t
-
-
 @lru_cache(maxsize=32)
 def minus_laplacian(g: Grid2D, K: float = 0.0) -> KroneckerOperator:
     """Minus the 5-point Laplacian on flat cell indices (i*ny + j) with every
     boundary face closed by ``boundary_transfer(K, delta)``: K = 0 zero flux
     (the Cahn-Hilliard operator), K > 0 Robin (the nutrient), K = inf the
-    Dirichlet ghost (the Dirichlet nutrient and the Darcy pressure)."""
-    end_x = float(boundary_transfer(K, g.dx)) / g.dx
-    end_y = float(boundary_transfer(K, g.dy)) / g.dy
-    return KroneckerOperator(_second_difference(g.nx, g.dx, end_x),
-                             _second_difference(g.ny, g.dy, end_y))
-
-
-def difference(n: int, h: float) -> sp.csr_matrix:
-    """(n x n+1): the difference of n+1 values h apart across each of the n
-    intervals between them, over h."""
-    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1),
-                    format="csr")
+    Dirichlet ghost (the Dirichlet nutrient and the Darcy pressure).  Each
+    1D factor is grad^T grad of its ``Axis`` plus the closure on its end
+    cells, so at K = 0 the operator is grad^T grad of ``mac_operators``."""
+    factors = []
+    for axis, h in zip(g.axes(), (g.dx, g.dy)):
+        t = (axis.grad.T @ axis.grad).toarray()
+        end = float(boundary_transfer(K, h)) / h
+        t[0, 0] += end
+        t[-1, -1] += end
+        factors.append(t)
+    return KroneckerOperator(*factors)
 
 
 def read_only(m) -> sp.csr_matrix:
@@ -302,29 +342,16 @@ class MacOperators:
     grad_dirichlet: sp.csr_matrix
 
 
-def _axis_operators(n: int, h: float):
-    """(div, grad, mean) along one axis of n cells of width h: the
-    difference of the n+1 face values across each cell (n x n+1), the
-    difference of the cell values across each interior face with empty end
-    rows (n+1 x n) and the mean of the cells each face touches (n+1 x n)."""
-    empty = sp.csr_matrix((1, n))
-    touch = sp.eye(n + 1, n) + sp.eye(n + 1, n, k=-1)
-    return (difference(n, h),
-            sp.vstack([empty, difference(n - 1, h), empty]),
-            sp.diags(np.r_[1.0, np.full(n - 1, 0.5), 1.0]) @ touch)
-
-
 @lru_cache(maxsize=32)
 def mac_operators(g: Grid2D) -> MacOperators:
-    """The MAC operators of g as Kronecker products of 1D pieces, built
-    once per grid; the solves, the force, the advection and the
-    diagnostics all read them."""
-    (div_x, grad_x, mean_x), (div_y, grad_y, mean_y) = (
-        _axis_operators(g.nx, g.dx), _axis_operators(g.ny, g.dy))
+    """The MAC operators of g as Kronecker products of the pieces of its
+    two ``Axis`` tables, built once per grid; the solves, the force, the
+    advection and the diagnostics all read them."""
+    ax, ay = g.axes()
     ex, ey = sp.identity(g.nx), sp.identity(g.ny)
-    div = read_only(sp.hstack([sp.kron(div_x, ey), sp.kron(ex, div_y)]))
+    div = read_only(sp.hstack([sp.kron(ax.diff, ey), sp.kron(ex, ay.diff)]))
     grad, mean = (read_only(sp.vstack([sp.kron(x, ey), sp.kron(ex, y)]))
-                  for x, y in ((grad_x, grad_y), (mean_x, mean_y)))
+                  for x, y in ((ax.grad, ay.grad), (ax.mean, ay.mean)))
     vol_f = stacked(FaceField(*face_volumes(g)))
     below = mean.indices[mean.indptr[:-1]]
     above = mean.indices[mean.indptr[1:] - 1]
@@ -333,6 +360,12 @@ def mac_operators(g: Grid2D) -> MacOperators:
     return MacOperators(div, grad, mean, below, above, vol_f,
                         read_only(sp.diags(g.cell_volume / vol_f)
                                   @ -div.T))
+
+
+def gradient(g: Grid2D, f: CellField) -> np.ndarray:
+    """D f: the zero-flux face gradient ``mac_operators(g).grad`` of a cell
+    field, on the stacked faces."""
+    return mac_operators(g).grad @ np.ravel(f)
 
 
 def _entry_keys(n: int, rows, cols) -> np.ndarray:

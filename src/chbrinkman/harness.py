@@ -18,8 +18,8 @@ import numpy as np
 from .elliptic import (boundary_trace, solve_nutrient_dirichlet,
                        solve_nutrient_robin)
 from .flow import shear_dissipation, solve_brinkman, solve_darcy
-from .grid import (CellField, FaceField, Grid2D, boundary_face_centers,
-                   mac_operators, norm_l2_cells)
+from .grid import (CellField, FaceField, Grid2D, boundary_faces, gradient,
+                   norm_l2_cells)
 from .model import (ModelParams, ModelSpec, SourceSpec, ViscositySpec,
                     constant, constant_viscosity, zero_sources)
 from .stepper import StepConfig, sample_sigma_inf, trajectory
@@ -62,8 +62,8 @@ def _strictly_decreasing(vals):
 
 def norm_h1(g: Grid2D, f: CellField) -> float:
     """Discrete H1 norm (vol*(|f|^2 + |grad f|^2))^(1/2), with the zero-flux
-    face gradient of ``grid.mac_operators``."""
-    grad = mac_operators(g).grad @ np.ravel(f)
+    face gradient ``grid.gradient``."""
+    grad = gradient(g, f)
     return float(np.sqrt(g.cell_volume * (np.sum(f**2) + grad @ grad)))
 
 
@@ -89,9 +89,9 @@ def _nutrient_mms_error(n: int):
     xc, yc = g.cell_centers()
     sigma_star = np.cos(np.pi * xc) * np.cos(np.pi * yc)
     extra = (2.0 * np.pi**2 + 1.0) * sigma_star
-    xb, yb = boundary_face_centers(g)
+    faces = boundary_faces(g)
     # normal derivative of sigma* vanishes on the unit-square boundary
-    sig_inf = np.cos(np.pi * xb) * np.cos(np.pi * yb)
+    sig_inf = np.cos(np.pi * faces.x) * np.cos(np.pi * faces.y)
     phi = np.zeros((n, n))
     sigma, _ = solve_nutrient_robin(g, phi, spec, sig_inf, extra_rhs=extra)
     return (norm_l2_cells(g, sigma - sigma_star),)
@@ -220,8 +220,7 @@ def mms_convergence(problem: str, levels: int = 3) -> SweepResult:
         parameter="n", values=ns,
         norms={"dx": dxs, **norms},
         primary=primary, slope=order,
-        checks={"observed_order": order,
-                "order_at_least_required": bool(order >= floor)},
+        checks={"order_at_least_required": bool(order >= floor)},
     )
 
 

@@ -4,7 +4,8 @@ mobilities, sources, boundary/initial data, plus the assumption audit.
 Everything here is immutable after construction and evaluators are pure,
 so specs can be shared freely across threads.  An evaluator takes an array
 of samples and returns a float array of the same shape: the contract the
-solvers rely on and the assumption audit ``validate`` checks.
+solvers rely on, which ``sampled_evaluators`` checks for both the
+assumption audit ``validate`` and a trajectory's first level.
 ``constant`` builds the evaluator of a constant.
 """
 
@@ -224,6 +225,24 @@ def _sampled(name: str, f: Evaluator, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def sampled_evaluators(spec: ModelSpec):
+    """(s, values): the 40,001 evenly spaced samples s of [-20, 20] (a
+    spacing of 1e-3) and the value on them of each evaluator of spec, by
+    name, sampled in the order m, eta, lambda, b_v, f_v, b_phi, f_phi, h,
+    psi, psi1'', psi2''.  The first evaluator that fails on the array or
+    does not return a finite float array of its shape raises a ValueError
+    naming it: the contract check that ``validate`` and a trajectory's
+    ``stepper.initialize_state`` both make."""
+    pot, mob, visc, src = (spec.potential, spec.mobility, spec.viscosity,
+                           spec.sources)
+    s = np.linspace(-20.0, 20.0, 40001)
+    return s, {name: _sampled(name, f, s) for name, f in (
+        ("m", mob.m), ("eta", visc.eta), ("lambda", visc.lam),
+        ("b_v", src.b_v), ("f_v", src.f_v), ("b_phi", src.b_phi),
+        ("f_phi", src.f_phi), ("h", src.h), ("psi", pot.psi),
+        ("psi1''", pot.ddpsi1), ("psi2''", pot.ddpsi2))}
+
+
 def _bound_check(assumption, detail, values: np.ndarray, lower, upper,
                  s: np.ndarray) -> CheckResult:
     """lower <= values <= upper on the samples s; a failed entry reports the
@@ -237,34 +256,25 @@ def _bound_check(assumption, detail, values: np.ndarray, lower, upper,
 
 
 def validate(spec: ModelSpec) -> ValidationReport:
-    """Audit assumptions (A1)-(A5) on the 40,001 evenly spaced samples of
-    s in [-20, 20] (a spacing of 1e-3).
+    """Audit assumptions (A1)-(A5) on the samples of ``sampled_evaluators``.
 
     tanh rounds to exactly +-1 in double precision from about |s| = 19 on,
     so the range samples both end values of every ``smooth_blend``
     exactly.
 
     Structural errors raise ValueError: rho outside [2,6], rho=2 with
-    2*r1 <= r3, and an evaluator that fails on the array of samples or
-    does not return a finite float array of its shape (the evaluators are
-    sampled in the order m, eta, lambda, b_v, f_v, b_phi, f_phi, h, psi,
-    psi1'', psi2'', and the first bad one raises).  Ordinary bound
+    2*r1 <= r3, and an evaluator that breaks the contract
+    (``sampled_evaluators``).  Ordinary bound
     violations come back as failed report entries naming the assumption.
     Pure: identical inputs give an identical report.
     """
-    pot, mob, visc, src = (spec.potential, spec.mobility, spec.viscosity,
-                           spec.sources)
+    pot, mob, visc = spec.potential, spec.mobility, spec.viscosity
     if not (2.0 <= pot.rho <= 6.0):
         raise ValueError(f"(A5): growth exponent rho must lie in [2,6], got {pot.rho}")
     if pot.rho == 2.0 and not (2.0 * pot.r1 > pot.r3):
         raise ValueError("(A5): 2*R1 > R3 required when rho = 2")
 
-    s = np.linspace(-20.0, 20.0, 40001)
-    v = {name: _sampled(name, f, s) for name, f in (
-        ("m", mob.m), ("eta", visc.eta), ("lambda", visc.lam),
-        ("b_v", src.b_v), ("f_v", src.f_v), ("b_phi", src.b_phi),
-        ("f_phi", src.f_phi), ("h", src.h), ("psi", pot.psi),
-        ("psi1''", pot.ddpsi1), ("psi2''", pot.ddpsi2))}
+    s, v = sampled_evaluators(spec)
 
     p = spec.params
     a1_ok = p.epsilon > 0 and p.nu > 0 and p.K > 0 and p.chi >= 0

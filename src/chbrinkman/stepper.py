@@ -62,12 +62,12 @@ from .flow import (FlowSolution, solve_brinkman, solve_darcy,
                    viscous_dissipation)
 from .grid import (CellField, FaceField, Grid2D, advect_upwind, as_boundary,
                    boundary_flux_integral, face_zeros, form_matrix,
-                   form_pattern, integrate_cells, mac_operators,
+                   form_pattern, gradient, integrate_cells, mac_operators,
                    minus_laplacian)
 from .linalg import (KeptOperators, LinearSystem, ProjectionBasis,
                      SolveStats, bicgstab_solve, require_converged)
 from .model import (ModelSpec, RandomPerturbation, eval_source_gamma_phi,
-                    eval_source_gamma_v)
+                    eval_source_gamma_v, sampled_evaluators)
 
 
 @dataclass(frozen=True)
@@ -215,19 +215,13 @@ def build_phi0(phi0, g: Grid2D) -> CellField:
     return arr.copy()
 
 
-def _gradient(g: Grid2D, f: CellField) -> np.ndarray:
-    """D f: the zero-flux face gradient of ``grid.mac_operators`` of a cell
-    field, on the stacked faces."""
-    return mac_operators(g).grad @ np.ravel(f)
-
-
 def chemical_potential(g: Grid2D, phi: CellField, sigma: CellField,
                        spec: ModelSpec) -> CellField:
     """psi'(phi)/eps - eps*lap(phi) - chi*sigma, with -lap = grad^T grad
     of ``grid.mac_operators``."""
     eps = spec.params.epsilon
     minus_lap = (mac_operators(g).grad.T
-                 @ _gradient(g, phi)).reshape(g.nx, g.ny)
+                 @ gradient(g, phi)).reshape(g.nx, g.ny)
     return (spec.potential.dpsi(phi) / eps + eps * minus_lap
             - spec.params.chi * sigma)
 
@@ -372,7 +366,7 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
                             SolveStats(0, 0.0, True), 0.0)
         viscous = 0.0
     m_f, m_mean = _mobility_weights(g, phi, spec)
-    d_mu = _gradient(g, mu)
+    d_mu = gradient(g, mu)
     gamma_phi = eval_source_gamma_phi(spec.sources, phi, sigma)
     gamma_v = eval_source_gamma_v(spec.sources, phi, sigma)
     record = LevelRecord(
@@ -387,10 +381,14 @@ def _level(g: Grid2D, t: float, phi, mu, sigma, spec: ModelSpec,
 
 def initialize_state(g: Grid2D, spec: ModelSpec, cfg: StepConfig) -> State:
     """phi0 from the descriptor, sigma0 from the Robin solve, mu0 from the
-    chemical-potential relation, v0 from one flow solve.  The trajectory's
+    chemical-potential relation, v0 from one flow solve.  The evaluators
+    of spec are first checked against their contract
+    (``model.sampled_evaluators``), so that a bad one raises a ValueError
+    naming it before any solve.  The trajectory's
     ``linalg.KeptOperators`` is made here.  The grid's CH form is built
     here too, so that its construction does not add to the peak memory of
     the first step."""
+    sampled_evaluators(spec)
     ch_form(g)
     kept = KeptOperators()
     phi0 = build_phi0(spec.phi0, g)
@@ -414,7 +412,7 @@ def energy(g: Grid2D, phi: CellField, spec: ModelSpec) -> float:
     vol*|D phi|^2 with D the gradient of the CH form (the face quadrature
     of the scheme's discrete identity)."""
     eps = spec.params.epsilon
-    grad = _gradient(g, phi)
+    grad = gradient(g, phi)
     psi_vals = np.asarray(spec.potential.psi(phi), dtype=float)
     return (integrate_cells(g, psi_vals) / eps
             + 0.5 * eps * g.cell_volume * float(grad @ grad))
@@ -444,7 +442,7 @@ def energy_residual(g: Grid2D, prev: State, next_: State, gamma_phi,
     d_mu = next_.record.d_mu
     flux = before.m_f * d_mu
     diss_ch = g.cell_volume * float(flux @ d_mu)
-    cross = g.cell_volume * float(flux @ _gradient(g, next_.sigma))
+    cross = g.cell_volume * float(flux @ gradient(g, next_.sigma))
 
     gamma_v = eval_source_gamma_v(spec.sources, prev.phi, next_.sigma)
     source_work = integrate_cells(

@@ -8,7 +8,7 @@ from chbrinkman import (Grid2D, ModelParams, ModelSpec, boundary_trace,
                         solve_nutrient_dirichlet, solve_nutrient_robin,
                         zero_sources)
 from chbrinkman.elliptic import assemble_nutrient_system
-from chbrinkman.grid import boundary_face_centers
+from chbrinkman.grid import boundary_faces
 
 
 def spec_with(h_value, K=100.0):
@@ -66,9 +66,10 @@ def test_dirichlet_harmonic_polynomial_second_order():
     errs = []
     for n in (16, 32, 64):
         g = Grid2D(n, n)
-        xb, yb = boundary_face_centers(g)
+        faces = boundary_faces(g)
         sigma, _ = solve_nutrient_dirichlet(g, np.zeros((n, n)),
-                                            spec_with(0.0), xb**2 - yb**2)
+                                            spec_with(0.0),
+                                            faces.x**2 - faces.y**2)
         xc, yc = g.cell_centers()
         errs.append(np.max(np.abs(sigma - (xc**2 - yc**2))))
     assert np.log2(errs[0] / errs[1]) >= 1.8
@@ -178,8 +179,8 @@ def test_manufactured_solution_second_order():
         g = Grid2D(n, n)
         xc, yc = g.cell_centers()
         star = np.cos(np.pi * xc) * np.cos(np.pi * yc)
-        xb, yb = boundary_face_centers(g)
-        sig_inf = np.cos(np.pi * xb) * np.cos(np.pi * yb)
+        faces = boundary_faces(g)
+        sig_inf = np.cos(np.pi * faces.x) * np.cos(np.pi * faces.y)
         extra = (2 * np.pi**2 + 1.0) * star
         sigma, _ = solve_nutrient_robin(g, np.zeros((n, n)),
                                         spec_with(1.0, K=2.5), sig_inf,

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from chbrinkman import (FaceField, Grid2D, advect_upwind,
                         boundary_flux_integral, face_zeros, integrate_cells,
                         mac_operators)
-from chbrinkman.grid import (boundary_face_lengths, csr_slots, face_volumes,
+from chbrinkman.grid import (boundary_faces, csr_slots, face_volumes,
                             form_matrix, form_pattern, minus_laplacian,
                             stacked, unstacked)
 from conftest import (numpy_dirichlet_gradient, numpy_divergence,
@@ -331,8 +331,42 @@ def test_operators_linear(rng):
 
 def test_boundary_face_lengths_sum_to_perimeter():
     g = Grid2D(3, 4)
-    lengths = boundary_face_lengths(g)
+    lengths = boundary_faces(g).length
     assert lengths.sum() == pytest.approx(2 * (g.lx + g.ly))
+
+
+@pytest.mark.parametrize("g", [Grid2D(5, 5), Grid2D(13, 7, 1.0, 0.6),
+                               Grid2D(5, 3, 1.3, 0.7)],
+                         ids=["5x5", "13x7", "5x3"])
+def test_zero_flux_laplacian_is_the_gradients_normal_product(g):
+    # the fast-diagonalization factors are the 1D gradients' normal
+    # products, so the CH preconditioner's operator is the CH form's
+    # grad^T grad bit for bit, not only to round-off
+    grad = mac_operators(g).grad
+    assert np.array_equal(minus_laplacian(g).matrix.toarray(),
+                          (grad.T @ grad).toarray())
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids)
+def test_boundary_faces_close_their_cells(g):
+    # each boundary face lies on the boundary, half its normal spacing from
+    # the centre of the cell it closes, and spans that cell's side
+    faces = boundary_faces(g)
+    assert boundary_faces(Grid2D(g.nx, g.ny, g.lx, g.ly)) is faces
+    n = g.n_boundary_faces()
+    xc, yc = (c.ravel()[faces.cell] for c in g.cell_centers())
+    on_x = np.isin(faces.x, (0.0, g.lx))
+    assert faces.cell.shape == faces.x.shape == (n,)
+    assert np.all(on_x | np.isin(faces.y, (0.0, g.ly)))
+    assert np.allclose(np.where(on_x, abs(faces.x - xc), abs(faces.y - yc)),
+                       faces.spacing / 2, rtol=1e-12)
+    assert np.array_equal(np.where(on_x, faces.y, faces.x),
+                          np.where(on_x, yc, xc))
+    assert np.array_equal(faces.spacing, np.where(on_x, g.dx, g.dy))
+    assert np.array_equal(faces.length, np.where(on_x, g.dy, g.dx))
+    for arr in vars(faces).values():
+        assert not arr.flags.writeable
 
 
 def test_csr_slots_do_not_overflow_int32():

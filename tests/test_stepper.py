@@ -22,7 +22,7 @@ from chbrinkman import stepper
 from chbrinkman.flow import assemble_brinkman_system, brinkman_force
 from chbrinkman.grid import face_volumes, form_matrix, minus_laplacian
 from chbrinkman.linalg import BASIS_COLUMNS, KeptOperators
-from chbrinkman.model import SourceSpec, smooth_blend
+from chbrinkman.model import MobilitySpec, SourceSpec, smooth_blend
 from chbrinkman.stepper import (FLOW_HISTORY, CflViolation, _level,
                                 assemble_ch_system, build_phi0, ch_form,
                                 energy_residual, sample_sigma_inf)
@@ -412,17 +412,17 @@ def test_a_step_computes_each_level_quantity_once(monkeypatch):
     differentiated = []
     for name in ("energy", "boundary_flux_integral", "_mobility_weights",
                  "eval_source_gamma_v", "eval_source_gamma_phi",
-                 "_gradient"):
+                 "gradient"):
         def counted(*args, _name=name, _fn=getattr(stepper, name)):
             calls[_name] += 1
-            if _name == "_gradient":
+            if _name == "gradient":
                 differentiated.append(args[1])
             return _fn(*args)
         monkeypatch.setattr(stepper, name, counted)
     steps = 3
     for _ in range(steps):
         state, _ = step(g, state, spec, cfg)
-    assert calls["_gradient"] == 3 * steps
+    assert calls["gradient"] == 3 * steps
     assert len({id(f) for f in differentiated}) == len(differentiated)
     assert calls["energy"] == steps
     assert calls["boundary_flux_integral"] == steps
@@ -813,3 +813,17 @@ def test_steps_never_import_scipy_solvers():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
+
+def test_trajectory_checks_the_evaluator_contract_before_any_solve(
+        monkeypatch):
+    # a scalar mobility breaks the array contract: the first level raises
+    # a ValueError naming it before the nutrient solve, instead of numpy's
+    # unnamed matmul error where the mobility is first applied
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the contract check")
+
+    monkeypatch.setattr(stepper, "solve_nutrient_robin", no_solve)
+    spec = ModelSpec(mobility=MobilitySpec(m=lambda s: 1.0, m0=1.0, m1=1.0))
+    with pytest.raises(ValueError, match="evaluator m "):
+        next(stepper.trajectory(Grid2D(8, 8), spec, StepConfig(dt=1e-4), 1))
